@@ -16,7 +16,7 @@ from .geometry import (
     interior_product, laurent_decompose, make_form, pointwise_equal,
     smooth_form, top_power, wedge, zero_form,
 )
-from .certificates import Certificate, chart_grid, thread_count
+from .certificates import Certificate, chart_grid
 from .linalg import sym_adjugate, sym_det, sym_inverse
 from .algebroids import (
     AlgebroidFrame, NoGoReport, SectionVerdict, coframe, is_smooth_section,

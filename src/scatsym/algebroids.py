@@ -11,21 +11,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .certificates import Certificate, certify_positive, chart_grid, proven, refuted
+from .certificates import Certificate, certify_positive, chart_grid, refuted
 from .expr import (
-    Const, Expr, ONE, ZERO, add, canon, evaluate, is_provably_zero, mul, powx,
+    Const, ONE, ZERO, add, canon, evaluate, is_provably_zero, mul, powx,
     split_x_power, substitute, var,
 )
 from .geometry import (
     Chart, GeometryError, SingularForm, exterior_derivative, laurent_decompose,
-    make_form, smooth_form, top_power, wedge, zero_form,
+    make_form, smooth_form, top_power,
 )
 from .linalg import sym_det, sym_inverse
-
-FLAVORS = ("b", "zero", "sc", "sc^k", "b^k", "zero^m-b^k", "rigged-sc", "rigged-b^k")
-
 
 class FrameError(GeometryError):
     pass

@@ -9,22 +9,22 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebroids import coframe, is_smooth_section, nondegenerate
-from .certificates import Certificate, chart_grid, certify_positive, refuted
+from .certificates import Certificate, chart_grid
 from .cohomology import BettiProfile, horizontal_d, lie_derivative
 from .expr import Const, Expr, ONE, ZERO, add, canon, mul, powx, sin, cos, sqrt, var
 from .geometry import (
-    Chart, SingularForm, evaluate_form, exterior_derivative, forms_equal,
-    make_form, pointwise_equal, smooth_form, top_power, wedge,
+    Chart, SingularForm, evaluate_form, exterior_derivative, make_form,
+    smooth_form, wedge,
 )
 from .gluing import (
     GLUE_R, FillingCollar, certify_folded_gluing, certify_sc_gluing,
     glue_concave_concave, glue_convex_convex,
 )
 from .structures import (
-    ContactData, StructureError, closedness, cosymplectic_extract,
-    dual_jacobi_check, dual_roundtrip_check, dualize, dualize_inverse,
-    induced_contact, normal_form, schouten_jacobi_check,
-    strong_filling_check, verify_folded, verify_sc_symplectic, z_chart,
+    ContactData, StructureError, certify_symplectic, closedness,
+    cosymplectic_extract, dual_jacobi_check, dual_roundtrip_check, dualize,
+    induced_contact, normal_form, strong_filling_check, verify_folded,
+    verify_sc_symplectic, z_chart,
 )
 
 MAX_PARAM = 4
@@ -474,20 +474,6 @@ def _grid_for(ch: Chart, per_axis: Optional[int]):
     return chart_grid(ch) if per_axis is None else chart_grid(ch, per_axis)
 
 
-def _smooth_symplectic(omega: SingularForm, grid=None,
-                       tol: float = 1e-8) -> Certificate:
-    if not closedness(omega).is_zero:
-        return refuted({}, detail="form not closed")
-    ch = omega.chart
-    top = top_power(omega, ch.dim // 2)
-    if grid is None:
-        grid = chart_grid(ch)
-    return certify_positive(
-        lambda pt: max((abs(v) for v in evaluate_form(top, pt).values()),
-                       default=0.0),
-        grid, tol, detail="|top power|")
-
-
 def _check_loci(rec: ExampleRecord) -> dict:
     m = rec.extras["m"]
     ok = True
@@ -541,13 +527,13 @@ def _run_check(rec: ExampleRecord, check: str, per_axis: Optional[int]) -> dict:
                           f"nondegenerate={nd.passed}"}
     if check == "symplectic":
         f = rec.extras["symplectic_form"]
-        return _cert_result(_smooth_symplectic(f, _grid_for(f.chart, per_axis)))
+        return _cert_result(certify_symplectic(f, _grid_for(f.chart, per_axis)))
     if check == "symplectic-off-loci":
         f = rec.extras["off_locus_form"]
-        return _cert_result(_smooth_symplectic(f, _grid_for(f.chart, per_axis)))
+        return _cert_result(certify_symplectic(f, _grid_for(f.chart, per_axis)))
     if check == "pole-symplectic":
         f = rec.extras["pole_form"]
-        cert = _smooth_symplectic(f, _grid_for(f.chart, per_axis))
+        cert = certify_symplectic(f, _grid_for(f.chart, per_axis))
         if not cert.passed:
             return _cert_result(cert)
         origin = {nm: 0.0 for nm in f.chart.names}

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from .geometry import Chart, GeometryError
+from .expr import DomainError
+from .geometry import Chart, SingularForm, evaluate_form
 
 DEFAULT_POINTS_PER_AXIS = 17
 MAX_GRID_POINTS = 20000
@@ -77,24 +77,31 @@ def certify_positive(fn: Callable[[dict], float], points, tol: float,
                      detail: str = "") -> Certificate:
     """fn(point) > tol on every grid point, reporting the minimum margin.
 
-    With SCATSYM_THREADS > 1 the evaluations run on a thread pool; the
-    scan order stays fixed, so the verdict is identical to the serial one.
-    """
+    A point where fn is undefined (DomainError) refutes, with that point as
+    the witness."""
     points = list(points)
-    workers = thread_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(fn, points))
-    else:
-        values = None
     min_margin = math.inf
-    for i, pt in enumerate(points):
-        v = values[i] if values is not None else fn(pt)
+    for pt in points:
+        try:
+            v = fn(pt)
+        except DomainError as e:
+            return refuted(pt, detail=f"{detail}: undefined, {e}")
         if v <= tol:
             return refuted(pt, v, detail=detail)
         min_margin = min(min_margin, v)
     return verified(len(points), tol, min_margin, detail=detail)
+
+
+def certify_nonvanishing(form: SingularForm, grid, tol: float,
+                         detail: str = "") -> Certificate:
+    """max |coefficient| of form stays above tol on every grid point (by
+    default the chart grid of the form's chart)."""
+    if grid is None:
+        grid = chart_grid(form.chart)
+    return certify_positive(
+        lambda pt: max((abs(v) for v in evaluate_form(form, pt).values()),
+                       default=0.0),
+        grid, tol, detail=detail)
 
 
 def geometric_refinement(locus: float, lo: float, hi: float, base: int = 64,
@@ -113,13 +120,3 @@ def geometric_refinement(locus: float, lo: float, hi: float, base: int = 64,
         t = (i + 0.5) / base
         pts.append(lo + t * (hi - lo))
     return sorted(set(pts))
-
-
-def thread_count() -> int:
-    raw = os.environ.get("SCATSYM_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1

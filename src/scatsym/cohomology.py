@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .expr import Const, Expr, ONE, ZERO, add, mul
+from .expr import Const
 from .geometry import (
-    Chart, GeometryError, SingularForm, ZeroVerdictMap, exterior_derivative,
-    forms_equal, interior_product, make_form, wedge, zero_form,
+    Chart, SingularForm, ZeroVerdictMap, exterior_derivative, forms_equal,
+    interior_product, make_form, scalar_one, wedge, zero_form,
 )
 from .structures import ContactData, StructureError, lift
 
@@ -219,10 +219,6 @@ def lie_derivative(f: SingularForm, field: SingularForm) -> SingularForm:
             + exterior_derivative(interior_product(field, f)))
 
 
-def _scalar_one(ch: Chart) -> SingularForm:
-    return make_form(ch, 0, [(0, ONE, ())])
-
-
 def horizontal_d(sigma: SingularForm, theta: SingularForm,
                  reeb_field: SingularForm, tol: float = 1e-9) -> SingularForm:
     """d_h sigma = d sigma - theta wedge L_R sigma on horizontal forms."""
@@ -231,7 +227,7 @@ def horizontal_d(sigma: SingularForm, theta: SingularForm,
             interior_product(reeb_field, sigma),
             zero_form(ch, sigma.degree - 1), tol=tol).is_zero:
         raise CohomologyError("input form is not horizontal (i_R sigma != 0)")
-    if not forms_equal(interior_product(reeb_field, theta), _scalar_one(ch),
+    if not forms_equal(interior_product(reeb_field, theta), scalar_one(ch),
                        tol=tol).is_zero:
         raise CohomologyError("theta(R) must equal 1")
     return exterior_derivative(sigma) - wedge(theta, lie_derivative(sigma, reeb_field))

@@ -418,7 +418,9 @@ def evaluate_dag(e: Expr, point: Mapping[str, Number], cache: dict) -> Number:
 
     Expression DAGs with heavy structural sharing (determinant expansions,
     adjugates) evaluate in time proportional to the number of distinct
-    nodes; the cache must not be reused across points.
+    nodes; the cache must not be reused across points.  The cache also
+    keeps every node it has evaluated alive, under the key None, so that a
+    freed node's id cannot be reused while the cache lives.
     """
     key = id(e)
     if key in cache:
@@ -470,6 +472,10 @@ def evaluate_dag(e: Expr, point: Mapping[str, Number], cache: dict) -> Number:
     else:
         raise ExprError(f"unknown node {e!r}")
     cache[key] = out
+    alive = cache.get(None)
+    if alive is None:
+        alive = cache[None] = []
+    alive.append(e)
     return out
 
 

@@ -9,10 +9,9 @@ the vanishing order at Z on the vector side.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -20,8 +19,8 @@ from .expr import (
     Const,
     Expr,
     ExprError,
+    ONE,
     PiecewiseDecay,
-    Var,
     ZERO,
     ZeroVerdict,
     add,
@@ -33,7 +32,6 @@ from .expr import (
     is_zero,
     mul,
     parse,
-    powx,
     sample_points,
     ser,
     split_x_power,
@@ -181,9 +179,9 @@ def zero_form(chart_: Chart, degree: int, kind: str = "form") -> SingularForm:
     return SingularForm(chart_, degree, (), kind)
 
 
-def form_from_terms(chart_: Chart, terms, kind: str = "form") -> SingularForm:
-    degree = len(terms[0][2]) if terms else 0
-    return make_form(chart_, degree, terms, kind)
+def scalar_one(chart_: Chart) -> SingularForm:
+    """The constant function 1 as a 0-form."""
+    return make_form(chart_, 0, [(0, ONE, ())])
 
 
 def smooth_form(chart_: Chart, coeff_by_index: Mapping[tuple, Expr]) -> SingularForm:
@@ -257,82 +255,6 @@ def top_power(f: SingularForm, n: int) -> SingularForm:
     for _ in range(n - 1):
         out = wedge(out, f)
     return out
-
-
-@dataclass(frozen=True)
-class CoordinateMap:
-    source: Chart
-    target: Chart
-    exprs: tuple  # one Expr per target coordinate, in source variables
-
-    def __post_init__(self):
-        if len(self.exprs) != self.target.dim:
-            raise GeometryError("map needs one expression per target coordinate")
-        allowed = set(self.source.names)
-        for e in self.exprs:
-            bad = free_vars(e) - allowed
-            if bad:
-                raise GeometryError(f"map expression uses unknown variables {sorted(bad)}")
-
-    def component(self, name: str) -> Expr:
-        return self.exprs[self.target.index(name)]
-
-    def substitution(self) -> dict:
-        return {n: e for n, e in zip(self.target.names, self.exprs)}
-
-    def is_b_map(self, n_samples: int = 50) -> bool:
-        """Pullback of the target Z coordinate is (positive) * source x."""
-        if self.target.x is None or self.source.x is None:
-            return False
-        phi = self.component(self.target.x)
-        parts = split_x_power(phi, self.source.x)
-        if set(parts) - {1}:
-            return False
-        factor = parts.get(1, ZERO)
-        box = self.source.box()
-        from .expr import sample_points
-        for pt in sample_points(sorted(free_vars(factor)), box, n_samples):
-            if float(evaluate(factor, pt)) <= 0:
-                return False
-        return True
-
-
-def compose(outer: CoordinateMap, inner: CoordinateMap) -> CoordinateMap:
-    if inner.target != outer.source:
-        raise GeometryError("maps do not compose")
-    sub = inner.substitution()
-    return CoordinateMap(inner.source, outer.target,
-                         tuple(substitute(e, sub) for e in outer.exprs))
-
-
-def pullback(m: CoordinateMap, f: SingularForm) -> SingularForm:
-    if f.chart != m.target:
-        raise GeometryError("form does not live on the map's target chart")
-    if f.kind != "form":
-        raise GeometryError("pullback applies to forms")
-    sub = m.substitution()
-    ch = m.source
-    terms = []
-    for k, c, idx in f.terms:
-        coeff = substitute(c, sub)
-        pieces = [(coeff, ())]
-        for name in idx:
-            phi = m.component(name)
-            nxt = []
-            for cf, partial in pieces:
-                for src in ch.names:
-                    if src in partial:
-                        continue
-                    d = differentiate(phi, src)
-                    if is_provably_zero(d):
-                        continue
-                    nxt.append((mul(cf, d), partial + (src,)))
-            pieces = nxt
-        for cf, partial in pieces:
-            if k != 0:
-                cf = mul(cf, powx(m.component(m.target.x), -k))
-            terms.append((0, cf, partial))
-    return make_form(ch, f.degree, terms)
 
 
 @dataclass(frozen=True)

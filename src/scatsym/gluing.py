@@ -13,19 +13,17 @@ from fractions import Fraction
 from typing import Optional
 
 from .certificates import (
-    Certificate, axis_points, certify_positive, geometric_refinement, proven,
-    refuted,
+    Certificate, axis_points, certify_positive, geometric_refinement,
 )
 from .expr import (
     Const, Expr, ONE, Piece, PiecewiseDecay, ZERO, add, differentiate,
     evaluate, exp, mul, powx, substitute, var,
 )
 from .geometry import (
-    Chart, GeometryError, SingularForm, exterior_derivative, forms_equal,
-    make_form, top_power, zero_form,
+    Chart, SingularForm, exterior_derivative, forms_equal,
 )
 from .structures import (
-    ContactData, FoldedVerdict, StructureError, closedness, lift,
+    ContactData, FoldedVerdict, StructureError, certify_symplectic, lift,
     restrict_to_z, verify_folded,
 )
 
@@ -152,25 +150,9 @@ class FillingCollar:
 
     def verify(self, grid=None, tol: float = 1e-8) -> Certificate:
         """d(e^{-+r} alpha) is symplectic on the collar."""
-        omega = self.collar_form()
-        if not closedness(omega).is_zero:
-            return refuted({}, detail="collar form not closed")
-        return _nonvanishing_top(omega, grid, tol)
-
-
-def _nonvanishing_top(omega: SingularForm, grid, tol: float) -> Certificate:
-    from .certificates import chart_grid
-    from .geometry import evaluate_form
-    ch = omega.chart
-    if ch.dim % 2:
-        raise GluingError("even-dimensional chart required")
-    top = top_power(omega, ch.dim // 2)
-    if grid is None:
-        grid = chart_grid(ch)
-    return certify_positive(
-        lambda pt: max((abs(v) for v in evaluate_form(top, pt).values()),
-                       default=0.0),
-        grid, tol, detail="|top power of the glued form|")
+        return certify_symplectic(self.collar_form(), grid, tol,
+                                  closed_detail="collar form not closed",
+                                  detail="|top power of the glued form|")
 
 
 def _check_pair(c1: FillingCollar, c2: FillingCollar, want: tuple):

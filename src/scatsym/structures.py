@@ -4,20 +4,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebroids import AlgebroidFrame, SectionVerdict, coframe, is_smooth_section, nondegenerate
 from .certificates import (
-    Certificate, certify_positive, chart_grid, proven, refuted, verified,
+    Certificate, certify_nonvanishing, certify_positive, chart_grid, proven,
+    refuted, verified,
 )
 from .expr import (
-    Const, Expr, ONE, ZERO, ZeroVerdict, add, canon, evaluate, is_provably_zero,
+    Const, ONE, ZERO, ZeroVerdict, add, canon, evaluate, is_provably_zero,
     is_zero, mul, powx, substitute, var,
 )
 from .geometry import (
-    Chart, CoordinateMap, GeometryError, SingularForm, ZeroVerdictMap,
-    coefficient_matrix, exterior_derivative, forms_equal, interior_product,
-    laurent_decompose, make_form, smooth_form, top_power, wedge, zero_form,
+    Chart, GeometryError, SingularForm, ZeroVerdictMap, coefficient_matrix,
+    exterior_derivative, forms_equal, interior_product, laurent_decompose,
+    make_form, scalar_one, top_power, wedge, zero_form,
 )
 from .linalg import sym_adjugate, sym_det, sym_inverse
 
@@ -58,6 +59,19 @@ def verify_sc_symplectic(omega: SingularForm, frame: Optional[AlgebroidFrame] = 
     nd = nondegenerate(omega, frame, grid) if section else refuted(
         {}, detail="not a smooth section")
     return SymplecticReport(section, closed, nd)
+
+
+def certify_symplectic(omega: SingularForm, grid=None, tol: float = TOL_NONDEG,
+                       closed_detail: str = "form not closed",
+                       detail: str = "|top power|") -> Certificate:
+    """A smooth degree-2 form is symplectic: closed, and its top power is
+    nonvanishing on the grid."""
+    if omega.chart.dim % 2:
+        raise StructureError("even-dimensional chart required")
+    if not closedness(omega).is_zero:
+        return refuted({}, detail=closed_detail)
+    return certify_nonvanishing(top_power(omega, omega.chart.dim // 2), grid,
+                                tol, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +116,31 @@ class SampledField:
     samples: tuple  # of (point items tuple, vector tuple)
 
 
+def _reeb_identities(field: SingularForm, one: SingularForm,
+                     two: SingularForm, tol: float) -> bool:
+    """one(field) = 1 and i_field(two) = 0."""
+    ch = one.chart
+    return (forms_equal(interior_product(field, one), scalar_one(ch),
+                        tol=tol).is_zero
+            and forms_equal(interior_product(field, two), zero_form(ch, 1),
+                            tol=tol).is_zero)
+
+
+def _verify_reeb_pair(one: SingularForm, two: SingularForm, field, grid,
+                      tol: float, detail: str) -> Certificate:
+    """one wedge two^{n-1} nonvanishing on the grid, then the Reeb identities
+    when the field is symbolic."""
+    n = (one.chart.dim + 1) // 2
+    vol = one
+    for _ in range(n - 1):
+        vol = wedge(vol, two)
+    cert = certify_nonvanishing(vol, grid, tol, detail)
+    if cert.passed and isinstance(field, SingularForm) \
+            and not _reeb_identities(field, one, two, tol):
+        return refuted({}, detail="Reeb identities fail")
+    return cert
+
+
 @dataclass(frozen=True)
 class ContactData:
     chart: Chart  # chart of Z
@@ -109,33 +148,9 @@ class ContactData:
     reeb: object  # SingularForm (kind vector) or SampledField
 
     def verify(self, grid=None, tol: float = TOL_NONDEG) -> Certificate:
-        n2 = self.chart.dim  # 2n - 1
-        n = (n2 + 1) // 2
-        vol = self.alpha
-        da = exterior_derivative(self.alpha)
-        for _ in range(n - 1):
-            vol = wedge(vol, da)
-        if grid is None:
-            grid = chart_grid(self.chart)
-        from .geometry import evaluate_form
-        cert = certify_positive(
-            lambda pt: max(abs(v) for v in evaluate_form(vol, pt).values())
-            if vol.terms else 0.0,
-            grid, tol, detail="|alpha wedge (d alpha)^{n-1}|")
-        if not cert.passed:
-            return cert
-        if isinstance(self.reeb, SingularForm):
-            pair = interior_product(self.reeb, self.alpha)
-            rest = interior_product(self.reeb, da)
-            ok1 = forms_equal(pair, _one_form_scalar(self.chart), tol=tol)
-            ok2 = forms_equal(rest, zero_form(self.chart, 1), tol=tol)
-            if not (ok1.is_zero and ok2.is_zero):
-                return refuted({}, detail="Reeb identities fail")
-        return cert
-
-
-def _one_form_scalar(ch: Chart) -> SingularForm:
-    return make_form(ch, 0, [(0, ONE, ())])
+        return _verify_reeb_pair(self.alpha, exterior_derivative(self.alpha),
+                                 self.reeb, grid, tol,
+                                 "|alpha wedge (d alpha)^{n-1}|")
 
 
 @dataclass(frozen=True)
@@ -150,27 +165,8 @@ class CosymplecticData:
             return refuted({}, detail="theta not closed")
         if not closedness(self.eta).is_zero:
             return refuted({}, detail="eta not closed")
-        n = (self.chart.dim + 1) // 2
-        vol = self.theta
-        for _ in range(n - 1):
-            vol = wedge(vol, self.eta)
-        if grid is None:
-            grid = chart_grid(self.chart)
-        from .geometry import evaluate_form
-        cert = certify_positive(
-            lambda pt: max(abs(v) for v in evaluate_form(vol, pt).values())
-            if vol.terms else 0.0,
-            grid, tol, detail="|theta wedge eta^{n-1}|")
-        if not cert.passed:
-            return cert
-        if isinstance(self.reeb, SingularForm):
-            ok1 = forms_equal(interior_product(self.reeb, self.theta),
-                              _one_form_scalar(self.chart), tol=tol)
-            ok2 = forms_equal(interior_product(self.reeb, self.eta),
-                              zero_form(self.chart, 1), tol=tol)
-            if not (ok1.is_zero and ok2.is_zero):
-                return refuted({}, detail="Reeb identities fail")
-        return cert
+        return _verify_reeb_pair(self.theta, self.eta, self.reeb, grid, tol,
+                                 "|theta wedge eta^{n-1}|")
 
 
 def reeb(alpha: SingularForm, closed_two: Optional[SingularForm] = None,
@@ -184,20 +180,13 @@ def reeb(alpha: SingularForm, closed_two: Optional[SingularForm] = None,
     """
     ch = alpha.chart
     two = closed_two if closed_two is not None else exterior_derivative(alpha)
-
-    def check(cand: SingularForm) -> bool:
-        pair = interior_product(cand, alpha)
-        rest = interior_product(cand, two)
-        return (forms_equal(pair, _one_form_scalar(ch), tol=tol).is_zero
-                and forms_equal(rest, zero_form(ch, 1), tol=tol).is_zero)
-
     for name in ch.names:
         cand = make_form(ch, 1, [(0, ONE, (name,))], "vector")
-        if check(cand):
+        if _reeb_identities(cand, alpha, two, tol):
             return cand
     # metric-dual ansatz: R components = alpha coefficients
     cand = make_form(ch, 1, [(k, c, idx) for k, c, idx in alpha.terms], "vector")
-    if check(cand):
+    if _reeb_identities(cand, alpha, two, tol):
         return cand
     # numeric fallback
     import numpy as np
@@ -356,14 +345,31 @@ def dual_jacobi_check(omega: SingularForm, n_samples: int = 100,
     """[pi, pi] = 0 for pi the dual of omega, with pi = adj(W)/det(W) held
     as a raw expression DAG; the alternative to dualize + schouten when the
     canonical dual is expensive to normalize."""
-    from .expr import differentiate, evaluate_dag, sample_points
-    ch = omega.chart
-    d = ch.dim
+    d = omega.chart.dim
     w = _full_matrix(omega)
     adj = sym_adjugate(w, canonical=False)
     det = sym_det(w, canonical=False)
     inv_det = powx(det, -1)
     p = [[mul(adj[i][j], inv_det) for j in range(d)] for i in range(d)]
+    return _jacobi_on_samples(omega.chart, p, n_samples, tol, domain)
+
+
+def schouten_jacobi_check(pi: SingularForm, n_samples: int = 100,
+                          tol: float = TOL_CLOSED,
+                          domain: Optional[dict] = None) -> Certificate:
+    """[pi,pi] = 0 componentwise via the coordinate Schouten formula."""
+    if pi.degree != 2 or pi.kind != "vector":
+        raise StructureError("expected a bivector")
+    return _jacobi_on_samples(pi.chart, _full_matrix(pi), n_samples, tol,
+                              domain)
+
+
+def _jacobi_on_samples(ch: Chart, p, n_samples: int, tol: float,
+                       domain: Optional[dict]) -> Certificate:
+    """Coordinate Schouten bracket [p, p] of the bivector matrix p, checked
+    at sample points by evaluating p and its derivatives as raw DAGs."""
+    from .expr import differentiate, evaluate_dag, sample_points
+    d = ch.dim
     dp = [[[differentiate(p[i][j], nm) for j in range(d)] for i in range(d)]
           for nm in ch.names]
     dom = _sample_domain(ch, domain)
@@ -390,41 +396,6 @@ def dual_jacobi_check(omega: SingularForm, n_samples: int = 100,
     if d <= 2:
         return proven(detail="Jacobi is automatic below three components")
     return verified(len(pts), tol, tol - worst, detail="[pi,pi] = 0")
-
-
-def schouten_jacobi_check(pi: SingularForm, n_samples: int = 100,
-                          tol: float = TOL_CLOSED,
-                          domain: Optional[dict] = None) -> Certificate:
-    """[pi,pi] = 0 componentwise via the coordinate Schouten formula."""
-    if pi.degree != 2 or pi.kind != "vector":
-        raise StructureError("expected a bivector")
-    ch = pi.chart
-    d = ch.dim
-    p = _full_matrix(pi)
-    from .expr import differentiate
-    dom = dict(domain or ch.box())
-    worst = 0.0
-    count = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            for l in range(j + 1, d):
-                comp = ZERO
-                for mdx in range(d):
-                    comp = add(
-                        comp,
-                        mul(p[mdx][i], differentiate(p[j][l], ch.names[mdx])),
-                        mul(p[mdx][j], differentiate(p[l][i], ch.names[mdx])),
-                        mul(p[mdx][l], differentiate(p[i][j], ch.names[mdx])),
-                    )
-                v = is_zero(comp, dom, n_samples, tol)
-                count += 1
-                if not v.is_zero:
-                    return refuted(dict(v.witness or ()), v.value or 0.0,
-                                   detail=f"[pi,pi]^({i},{j},{l}) != 0")
-                worst = max(worst, v.max_abs)
-    if d <= 2 or count == 0:
-        return proven(detail="Jacobi is automatic below three components")
-    return verified(n_samples, tol, tol - worst, detail="[pi,pi] = 0")
 
 
 # ---------------------------------------------------------------------------
@@ -563,15 +534,8 @@ def verify_folded(omega: SingularForm, grid=None,
     transversal = certify_positive(
         lambda pt: abs(float(evaluate(ddx, pt))), zgrid, tol,
         detail="|d/dx of top coefficient| on the fold")
-    sub = top_power(omega, d - 1) if d > 1 else _one_form_scalar2(ch)
-    restr = restrict_to_z(sub)
-    from .geometry import evaluate_form
-    nonvanish = certify_positive(
-        lambda pt: max((abs(v) for v in evaluate_form(restr, pt).values()),
-                       default=0.0),
-        zgrid, tol, detail="|omega^{d-1} restricted to the fold|")
+    sub = top_power(omega, d - 1) if d > 1 else scalar_one(ch)
+    nonvanish = certify_nonvanishing(
+        restrict_to_z(sub), zgrid, tol,
+        detail="|omega^{d-1} restricted to the fold|")
     return FoldedVerdict(closed, vanish, transversal, nonvanish)
-
-
-def _one_form_scalar2(ch: Chart) -> SingularForm:
-    return make_form(ch, 0, [(0, ONE, ())])

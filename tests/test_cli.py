@@ -113,3 +113,21 @@ def test_reports_are_deterministic(tmp_path):
         assert code == EXIT_PASS
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_verify_undefined_coefficient_refutes_with_witness(tmp_path):
+    # sqrt(y) dx^dy / x^3 is undefined for y < 0: the non-degeneracy scan
+    # refutes at such a point and the report is still written
+    doc = {"chart": {"names": ["x", "y"], "ranges": [[-1, 1], [-1, 1]],
+                     "x": "x", "circles": []},
+           "degree": 2, "kind": "form",
+           "terms": [{"k": 3, "coeff": "(pow (var y) 1/2)",
+                      "index": ["x", "y"]}]}
+    form = tmp_path / "sqrt.json"
+    form.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = main(["verify", str(form), "--out", str(out)])
+    assert code == EXIT_FAIL
+    cert = json.loads(out.read_text())["result"]["nondegeneracy"]
+    assert cert["kind"] == "refuted"
+    assert dict(cert["witness"])["y"] < 0

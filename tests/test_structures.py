@@ -14,7 +14,8 @@ from scatsym.geometry import (
     Chart, forms_equal, make_form, smooth_form, zero_form,
 )
 from scatsym.structures import (
-    StructureError, closedness, cosymplectic_extract, decompose,
+    ContactData, CosymplecticData, StructureError, closedness,
+    cosymplectic_extract, decompose,
     dual_jacobi_check, dual_roundtrip_check, dualize, dualize_inverse,
     induced_contact, lift, normal_form, schouten_jacobi_check,
     strong_filling_check, verify_sc_symplectic, z_chart,
@@ -46,6 +47,36 @@ def test_contact_torus():
     contact = torus_contact()
     cert = contact.verify(chart_grid(contact.chart, 9))
     assert cert.passed
+
+
+def test_contact_wrong_reeb_field_refutes():
+    contact = torus_contact()
+    d_q1 = make_form(contact.chart, 1, [(0, ONE, ("q1",))], "vector")
+    data = ContactData(contact.chart, contact.alpha, d_q1)
+    cert = data.verify(chart_grid(contact.chart, 5))
+    assert cert.kind == "refuted"
+    assert cert.detail == "Reeb identities fail"
+
+
+def test_contact_degenerate_volume_refutes_with_witness():
+    # alpha = dq1 on T^3 has alpha ^ d(alpha) = 0
+    ch = torus_contact().chart
+    alpha = smooth_form(ch, {("q1",): ONE})
+    d_q1 = make_form(ch, 1, [(0, ONE, ("q1",))], "vector")
+    cert = ContactData(ch, alpha, d_q1).verify(chart_grid(ch, 5))
+    assert cert.kind == "refuted"
+    assert cert.detail == "|alpha wedge (d alpha)^{n-1}|"
+    assert set(dict(cert.witness)) == set(ch.names)
+
+
+def test_cosymplectic_non_closed_theta_refutes():
+    ch = torus_contact().chart
+    theta = smooth_form(ch, {("q1",): cos(var("theta"))})
+    eta = smooth_form(ch, {("theta", "q2"): ONE})
+    d_q1 = make_form(ch, 1, [(0, ONE, ("q1",))], "vector")
+    cert = CosymplecticData(ch, theta, eta, d_q1).verify(chart_grid(ch, 5))
+    assert cert.kind == "refuted"
+    assert cert.detail == "theta not closed"
 
 
 def test_induced_contact_from_normal_form(darboux):
