@@ -74,13 +74,8 @@ def render_report(report: dict) -> str:
     return json.dumps(to_jsonable(report), indent=2, sort_keys=True) + "\n"
 
 
-def _config(args) -> dict:
-    return {
-        "grid": args.grid,
-        "tol_closed": args.tol_closed,
-        "tol_nondeg": args.tol_nondeg,
-        "seed": args.seed,
-    }
+def _config(args, *used) -> dict:
+    return {name: getattr(args, name) for name in used}
 
 
 def _load_form(path: str) -> SingularForm:
@@ -94,7 +89,8 @@ def _load_form(path: str) -> SingularForm:
 def _cmd_verify(args):
     if args.no_go:
         rep = no_go_check(args.m, args.k, args.dim, seed=args.seed)
-        report = {"command": "verify", "mode": "no-go", "config": _config(args),
+        report = {"command": "verify", "mode": "no-go",
+                  "config": _config(args, "seed"),
                   "params": {"m": args.m, "k": args.k, "dim": args.dim},
                   "result": rep}
         # a refutation means the candidate flavor admits no symplectic form
@@ -110,7 +106,8 @@ def _cmd_verify(args):
         refuted({}, detail="not a smooth section")
     rep = SymplecticReport(section, closed, nd)
     report = {"command": "verify", "mode": "symplectic",
-              "config": _config(args), "flavor": args.flavor, "result": rep}
+              "config": _config(args, "grid", "tol_closed", "tol_nondeg"),
+              "flavor": args.flavor, "result": rep}
     return report, rep.passed
 
 
@@ -119,8 +116,9 @@ _CONTACTS = {"t3": torus_contact, "s2xs1": s2xs1_contact}
 
 def _cmd_glue(args):
     contact = _CONTACTS[args.contact]()
+    used = ("tol_closed",) if args.kind == "classic" else ()
     report = {"command": "glue", "kind": args.kind, "contact": args.contact,
-              "config": _config(args)}
+              "config": _config(args, *used)}
     if args.kind == "sc":
         collar = FillingCollar(contact, "convex")
         glued = glue_convex_convex(collar, collar)
@@ -172,7 +170,7 @@ def _cmd_cohomology(args):
             raise ValueError("bk-poisson requires --k")
         rep = bk_poisson(profile, args.p, args.k)
     report = {"command": "cohomology", "theorem": args.theorem,
-              "profile": profile, "p": args.p, "config": _config(args),
+              "profile": profile, "p": args.p, "config": {},
               "result": rep}
     return report, True
 
@@ -193,7 +191,7 @@ def _cmd_catalog(args):
             params[key] = value
     rec = build_example(args.name, **params)
     rep = run_example(rec, per_axis=args.grid)
-    report = {"command": "catalog", "config": _config(args), **rep}
+    report = {"command": "catalog", "config": _config(args, "grid"), **rep}
     return report, rep["passed"]
 
 
@@ -201,7 +199,7 @@ def _cmd_decompose(args):
     f = _load_form(args.form)
     a, b1, b2 = decompose(f)
     verdict = strong_filling_check(f, tol=args.tol_closed)
-    report = {"command": "decompose", "config": _config(args),
+    report = {"command": "decompose", "config": _config(args, "tol_closed"),
               "a": a, "b1": b1, "b2": b2, "filling": verdict}
     return report, True
 

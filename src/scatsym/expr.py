@@ -416,11 +416,12 @@ def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
 def evaluate_dag(e: Expr, point: Mapping[str, Number], cache: dict) -> Number:
     """evaluate with per-point memoization on node identity.
 
-    Expression DAGs with heavy structural sharing (determinant expansions,
-    adjugates) evaluate in time proportional to the number of distinct
-    nodes; the cache must not be reused across points.  The cache also
-    keeps every node it has evaluated alive, under the key None, so that a
-    freed node's id cannot be reused while the cache lives.
+    Expressions with heavy structural sharing (the entries of a coefficient
+    matrix and their partial derivatives) evaluate in time proportional to
+    the number of distinct nodes; the cache must not be reused across
+    points.  The cache also keeps every node it has evaluated alive, under
+    the key None, so that a freed node's id cannot be reused while the
+    cache lives.
     """
     key = id(e)
     if key in cache:

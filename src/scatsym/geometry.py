@@ -345,14 +345,9 @@ def _children(e: Expr):
 # pointwise evaluation
 
 
-def coefficient_matrix(f: SingularForm, point: Mapping[str, float],
-                       drop_pole: bool = False):
-    """Numeric antisymmetric matrix of a degree-2 form/bivector at a point.
-
-    With drop_pole=True, the x^{-k} factors are omitted (frame-normalized
-    evaluation); otherwise they are evaluated and x must be nonzero for
-    terms with k > 0.
-    """
+def coefficient_matrix(f: SingularForm, point: Mapping[str, float]):
+    """Numeric antisymmetric matrix of a degree-2 form/bivector at a point,
+    poles evaluated (x must be nonzero for terms with k > 0)."""
     if f.degree != 2:
         raise GeometryError("matrix evaluation expects degree 2")
     ch = f.chart
@@ -360,7 +355,7 @@ def coefficient_matrix(f: SingularForm, point: Mapping[str, float],
     m = [[0.0] * n for _ in range(n)]
     for k, c, (a, b) in f.terms:
         val = float(evaluate(c, point))
-        if k != 0 and not drop_pole:
+        if k != 0:
             val *= float(point[ch.x]) ** (-k)
         i, j = ch.index(a), ch.index(b)
         m[i][j] += val

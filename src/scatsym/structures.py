@@ -20,7 +20,7 @@ from .geometry import (
     exterior_derivative, forms_equal, interior_product, laurent_decompose,
     make_form, scalar_one, top_power, wedge, zero_form,
 )
-from .linalg import sym_adjugate, sym_det, sym_inverse
+from .linalg import float_inverse, float_matmul, sym_inverse
 
 TOL_CLOSED = 1e-9
 TOL_NONDEG = 1e-8
@@ -93,13 +93,10 @@ def restrict_to_z(f: SingularForm) -> SingularForm:
     zch = z_chart(ch)
     terms = []
     for k, c, idx in f.terms:
-        if k > 0 or ch.x in idx:
+        # x^{-k} c vanishes at Z when k < 0
+        if k != 0 or ch.x in idx:
             continue
-        coeff = substitute(c, {ch.x: ZERO}) if k == 0 else mul(
-            powx(var(ch.x), -k), c)
-        if k < 0:
-            coeff = ZERO  # vanishes at Z
-        terms.append((0, coeff, idx))
+        terms.append((0, substitute(c, {ch.x: ZERO}), idx))
     return make_form(zch, f.degree, terms)
 
 
@@ -300,58 +297,55 @@ def _sample_domain(ch: Chart, domain: Optional[dict]) -> dict:
     return dom
 
 
+def _sample_matrix(f: SingularForm, n_samples: int, domain: Optional[dict],
+                   partials: bool):
+    """Yield each sample point with the float values there of the matrix m
+    of f and, if partials, of its derivative along each coordinate; one
+    evaluate_dag cache per point evaluates shared subtrees once."""
+    from .expr import differentiate, evaluate_dag, sample_points
+    ch, m = f.chart, _full_matrix(f)
+    dm = [[[differentiate(e, nm) for e in row] for row in m]
+          for nm in ch.names] if partials else []
+    for pt in sample_points(ch.names, _sample_domain(ch, domain), n_samples):
+        cache: dict = {}
+        values = [[[float(evaluate_dag(e, pt, cache)) for e in row]
+                   for row in a] for a in [m] + dm]
+        yield pt, values[0], values[1:]
+
+
 def dual_roundtrip_check(omega: SingularForm, n_samples: int = 100,
                          tol: float = 1e-8,
                          domain: Optional[dict] = None) -> Certificate:
-    """dualize_inverse(dualize(omega)) = omega, certified numerically.
-
-    The doubly adjugated coefficient matrix is kept as a raw expression DAG
-    (no normal forms), so the check stays cheap even when the entries are
-    piecewise or algebraic.  With W the matrix of omega and N = adj(W), the
-    round trip evaluates det(W) * adj(N) / det(N)."""
-    from .expr import evaluate_dag, sample_points
-    ch = omega.chart
-    d = ch.dim
-    w = _full_matrix(omega)
-    wadj = sym_adjugate(w, canonical=False)
-    wdet = sym_det(w, canonical=False)
-    padj = sym_adjugate(wadj, canonical=False)
-    pdet = sym_det(wadj, canonical=False)
-    dom = _sample_domain(ch, domain)
-    pts = sample_points(ch.names, dom, n_samples)
+    """pi-sharp after omega-flat is the identity: P W = I at each sample
+    point, W the matrix of omega and P = W^{-1}; a singular W refutes."""
     worst = 0.0
-    for pt in pts:
-        cache: dict = {}
-        det_v = float(evaluate_dag(wdet, pt, cache))
-        pdet_v = float(evaluate_dag(pdet, pt, cache))
-        if pdet_v == 0.0:
-            return refuted(pt, detail="adjugate matrix is singular")
-        for i in range(d):
-            for j in range(i + 1, d):
-                back = det_v * float(evaluate_dag(padj[i][j], pt, cache)) / pdet_v
-                orig = float(evaluate_dag(w[i][j], pt, cache))
-                err = abs(back - orig) / max(1.0, abs(back), abs(orig))
-                if err > tol:
-                    return refuted(pt, err,
-                                   detail=f"round trip differs at entry "
-                                          f"({i},{j})")
-                worst = max(worst, err)
-    return verified(len(pts), tol, tol - worst, detail="dualize round trip")
+    for pt, w, _ in _sample_matrix(omega, n_samples, domain, False):
+        p = float_inverse(w)
+        if p is None:
+            return refuted(pt, detail="coefficient matrix is singular")
+        err = max(abs(v - (i == j)) for i, row in
+                  enumerate(float_matmul(p, w)) for j, v in enumerate(row))
+        if err > tol:
+            return refuted(pt, err, detail="P W differs from the identity")
+        worst = max(worst, err)
+    return verified(n_samples, tol, tol - worst,
+                    detail="pi-sharp . omega-flat = id (P W = I)")
 
 
 def dual_jacobi_check(omega: SingularForm, n_samples: int = 100,
                       tol: float = TOL_CLOSED,
                       domain: Optional[dict] = None) -> Certificate:
-    """[pi, pi] = 0 for pi the dual of omega, with pi = adj(W)/det(W) held
-    as a raw expression DAG; the alternative to dualize + schouten when the
-    canonical dual is expensive to normalize."""
-    d = omega.chart.dim
-    w = _full_matrix(omega)
-    adj = sym_adjugate(w, canonical=False)
-    det = sym_det(w, canonical=False)
-    inv_det = powx(det, -1)
-    p = [[mul(adj[i][j], inv_det) for j in range(d)] for i in range(d)]
-    return _jacobi_on_samples(omega.chart, p, n_samples, tol, domain)
+    """[pi, pi] = 0 for pi the dual of omega, with P = W^{-1} and
+    d_m P = -P (d_m W) P at each sample point; a singular W refutes."""
+    samples = []
+    for pt, w, dw in _sample_matrix(omega, n_samples, domain, True):
+        p = float_inverse(w)
+        if p is None:
+            return refuted(pt, detail="coefficient matrix is singular")
+        dp = [[[-v for v in row] for row in float_matmul(float_matmul(p, a), p)]
+              for a in dw]
+        samples.append((pt, p, dp))
+    return _jacobi_on_samples(omega.chart.dim, samples, tol)
 
 
 def schouten_jacobi_check(pi: SingularForm, n_samples: int = 100,
@@ -360,27 +354,16 @@ def schouten_jacobi_check(pi: SingularForm, n_samples: int = 100,
     """[pi,pi] = 0 componentwise via the coordinate Schouten formula."""
     if pi.degree != 2 or pi.kind != "vector":
         raise StructureError("expected a bivector")
-    return _jacobi_on_samples(pi.chart, _full_matrix(pi), n_samples, tol,
-                              domain)
+    samples = list(_sample_matrix(pi, n_samples, domain, True))
+    return _jacobi_on_samples(pi.chart.dim, samples, tol)
 
 
-def _jacobi_on_samples(ch: Chart, p, n_samples: int, tol: float,
-                       domain: Optional[dict]) -> Certificate:
-    """Coordinate Schouten bracket [p, p] of the bivector matrix p, checked
-    at sample points by evaluating p and its derivatives as raw DAGs."""
-    from .expr import differentiate, evaluate_dag, sample_points
-    d = ch.dim
-    dp = [[[differentiate(p[i][j], nm) for j in range(d)] for i in range(d)]
-          for nm in ch.names]
-    dom = _sample_domain(ch, domain)
-    pts = sample_points(ch.names, dom, n_samples)
+def _jacobi_on_samples(d: int, samples: list, tol: float) -> Certificate:
+    """Coordinate Schouten bracket [p, p] = 0 at each (point, p, [d_m p])
+    of samples, p a float d x d bivector matrix and d_m p its derivative
+    along coordinate m."""
     worst = 0.0
-    for pt in pts:
-        cache: dict = {}
-        pv = [[float(evaluate_dag(p[i][j], pt, cache)) for j in range(d)]
-              for i in range(d)]
-        dv = [[[float(evaluate_dag(dp[m][i][j], pt, cache)) for j in range(d)]
-               for i in range(d)] for m in range(d)]
+    for pt, pv, dv in samples:
         for i in range(d):
             for j in range(i + 1, d):
                 for l in range(j + 1, d):
@@ -395,7 +378,7 @@ def _jacobi_on_samples(ch: Chart, p, n_samples: int, tol: float,
                     worst = max(worst, abs(comp))
     if d <= 2:
         return proven(detail="Jacobi is automatic below three components")
-    return verified(len(pts), tol, tol - worst, detail="[pi,pi] = 0")
+    return verified(len(samples), tol, tol - worst, detail="[pi,pi] = 0")
 
 
 # ---------------------------------------------------------------------------

@@ -59,12 +59,15 @@ def test_catalog_run_unknown_exits_2():
 
 def test_catalog_run_with_params(tmp_path):
     out = tmp_path / "cat.json"
+    # catalog run reads --grid only, so --tol-nondeg is neither used nor
+    # recorded
     code = main(["catalog", "run", "sc-darboux", "--param", "n=1",
-                 "--out", str(out)])
+                 "--tol-nondeg", "1e9", "--out", str(out)])
     assert code == EXIT_PASS
     doc = json.loads(out.read_text())
     assert doc["params"] == {"n": 1}
     assert doc["passed"] is True
+    assert doc["config"] == {"grid": 17}
 
 
 def test_cohomology_command(capsys):

@@ -102,3 +102,13 @@ def test_evaluate_dag_domain_errors():
     cache = {}
     with pytest.raises(DomainError):
         evaluate_dag(powx(X, -2), {"x": 0}, cache)
+
+
+def test_evaluate_dag_shared_cache_keeps_temporaries():
+    # each temporary is freed after its evaluation; its id must not hand
+    # its cached value to a later node evaluated through the same cache
+    cache = {}
+    pt = {"x": 0.5}
+    stale = [k for k in range(200)
+             if evaluate_dag(add(X, Const(Fraction(k))), pt, cache) != 0.5 + k]
+    assert stale == []

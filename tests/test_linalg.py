@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from scatsym.expr import (
-    Const, ExprError, ONE, ZERO, add, canon, evaluate, evaluate_dag,
-    is_provably_zero, mul, var,
+    Const, ExprError, ONE, ZERO, add, canon, evaluate, is_provably_zero, mul,
+    var,
 )
-from scatsym.linalg import mat_vec, sym_adjugate, sym_det, sym_inverse
+from scatsym.linalg import (
+    float_inverse, float_matmul, mat_vec, sym_adjugate, sym_det, sym_inverse,
+)
 
 X = var("x")
 Y = var("y")
@@ -55,19 +57,15 @@ def test_singular_matrix_rejected():
         sym_inverse(m)
 
 
-def test_raw_expansion_matches_canonical():
-    m = [[add(X, ONE), Y, ZERO, ONE],
-         [ZERO, X, ONE, Y],
-         [ONE, ZERO, add(X, Y), ZERO],
-         [Y, ONE, ZERO, X]]
-    pt = {"x": 1.3, "y": -0.4}
-    cache = {}
-    raw = float(evaluate_dag(sym_det(m, canonical=False), pt, cache))
-    assert raw == pytest.approx(float(evaluate(sym_det(m), pt)), rel=1e-12)
-    raw_adj = sym_adjugate(m, canonical=False)
-    can_adj = sym_adjugate(m)
-    for i in range(4):
-        for j in range(4):
-            a = float(evaluate_dag(raw_adj[i][j], pt, cache))
-            b = float(evaluate(can_adj[i][j], pt))
-            assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+def test_float_inverse_pivots():
+    # a zero leading entry needs a row swap
+    m = [[0.0, 2.0, 1.0], [1.0, 0.0, 0.0], [3.0, 1.0, 4.0]]
+    inv = float_inverse(m)
+    for i, row in enumerate(float_matmul(inv, m)):
+        for j, v in enumerate(row):
+            assert v == pytest.approx(float(i == j), abs=1e-14)
+
+
+def test_float_inverse_flags_singular():
+    assert float_inverse([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0],
+                          [0.0, 0.0, 1.0]]) is None

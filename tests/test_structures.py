@@ -1,15 +1,21 @@
 """Symplectic, contact, cosymplectic, Poisson duality, and filling checks."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import scatsym
 
 from scatsym.catalog import (
     build_example, darboux_chart, darboux_contact_primitive, torus_contact,
 )
 from scatsym.certificates import chart_grid
-from scatsym.expr import Const, ONE, cos, mul, sin, var
+from scatsym.expr import Const, ONE, add, cos, mul, sin, var
 from scatsym.geometry import (
     Chart, forms_equal, make_form, smooth_form, zero_form,
 )
@@ -127,6 +133,49 @@ def test_dual_jacobi_check(darboux):
     _, _, omega = darboux
     cert = dual_jacobi_check(omega)
     assert cert.passed
+
+
+def test_dual_checks_refute_degenerate_form():
+    # dx ^ dy on a 4-chart: the coefficient matrix is singular everywhere
+    ch = Chart(("x", "y", "z", "w"), ((0.1, 1.0),) * 4, None)
+    omega = make_form(ch, 2, [(0, ONE, ("x", "y"))])
+    for check in (dual_roundtrip_check, dual_jacobi_check):
+        cert = check(omega)
+        assert cert.kind == "refuted"
+        assert cert.detail == "coefficient matrix is singular"
+        assert set(dict(cert.witness)) == set(ch.names)
+
+
+def test_dual_jacobi_refutes_non_closed_form():
+    # dx ^ dy + (1 + x^2) dz ^ dw is nondegenerate but not closed, so its
+    # dual is not Poisson
+    ch = Chart(("x", "y", "z", "w"), ((0.1, 1.0),) * 4, None)
+    omega = make_form(ch, 2, [(0, ONE, ("x", "y")),
+                              (0, add(ONE, mul(var("x"), var("x"))),
+                               ("z", "w"))])
+    assert dual_roundtrip_check(omega).passed
+    cert = dual_jacobi_check(omega)
+    assert cert.kind == "refuted"
+    assert cert.witness is not None
+
+
+def test_dual_checks_do_not_import_numpy():
+    # numpy would raise the peak memory of every run that checks a dual
+    code = (
+        "import sys\n"
+        "from scatsym.catalog import build_example\n"
+        "from scatsym.structures import dual_jacobi_check, "
+        "dual_roundtrip_check\n"
+        "omega = build_example('sc-darboux', n=1).omega\n"
+        "assert dual_roundtrip_check(omega).passed\n"
+        "assert dual_jacobi_check(omega).passed\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = str(Path(scatsym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_schouten_refutes_non_poisson():
