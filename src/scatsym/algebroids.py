@@ -15,7 +15,7 @@ from typing import Optional
 
 from .certificates import Certificate, certify_positive, chart_grid, refuted
 from .expr import (
-    Const, ONE, ZERO, add, canon, evaluate, is_provably_zero, mul, powx,
+    Const, ONE, ZERO, add, canon, compile_float, is_provably_zero, mul, powx,
     split_x_power, substitute, var,
 )
 from .geometry import (
@@ -209,10 +209,10 @@ def nondegenerate(f: SingularForm, frame: AlgebroidFrame, grid=None,
         pieces.append(mul(c, powx(var(ch.x), wsum - k)) if k != wsum else c)
     if not pieces:
         return refuted({}, detail="top power vanishes identically")
-    scalar = canon(mul(add(*pieces), powx(det, -1)))
+    scalar = compile_float(canon(mul(add(*pieces), powx(det, -1))))
     if grid is None:
         grid = chart_grid(ch)
-    return certify_positive(lambda pt: abs(float(evaluate(scalar, pt))), grid, tol,
+    return certify_positive(lambda pt: abs(scalar(pt)), grid, tol,
                             detail="|wedge^n omega / frame volume|")
 
 

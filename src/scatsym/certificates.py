@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .expr import DomainError
-from .geometry import Chart, SingularForm, evaluate_form
+from .geometry import Chart, SingularForm, compile_form
 
 DEFAULT_POINTS_PER_AXIS = 17
 MAX_GRID_POINTS = 20000
@@ -86,7 +86,7 @@ def certify_positive(fn: Callable[[dict], float], points, tol: float,
             v = fn(pt)
         except DomainError as e:
             return refuted(pt, detail=f"{detail}: undefined, {e}")
-        if v <= tol:
+        if not v > tol:  # NaN fails too
             return refuted(pt, v, detail=detail)
         min_margin = min(min_margin, v)
     return verified(len(points), tol, min_margin, detail=detail)
@@ -98,10 +98,14 @@ def certify_nonvanishing(form: SingularForm, grid, tol: float,
     default the chart grid of the form's chart)."""
     if grid is None:
         grid = chart_grid(form.chart)
-    return certify_positive(
-        lambda pt: max((abs(v) for v in evaluate_form(form, pt).values()),
-                       default=0.0),
-        grid, tol, detail=detail)
+    values = compile_form(form)
+
+    def max_abs(pt):
+        vals = [abs(v) for v in values(pt).values()]
+        # max() keeps a NaN only when it comes first
+        return math.nan if any(map(math.isnan, vals)) else max(vals, default=0.0)
+
+    return certify_positive(max_abs, grid, tol, detail=detail)
 
 
 def geometric_refinement(locus: float, lo: float, hi: float, base: int = 64,

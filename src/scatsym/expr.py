@@ -12,7 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 DEFAULT_SEED = 0x5CA77E12
 
@@ -367,6 +367,10 @@ def _diff(e: Expr, v: str) -> Expr:
 
 
 def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
+    """Exact tree walk: rationals stay Fractions, floats propagate, and a
+    pole, a negative base under a fractional power, an exp argument above
+    700, a float overflow or sin/cos of a non-finite value raise
+    DomainError naming the subtree."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -377,39 +381,13 @@ def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
     if isinstance(e, Sum):
         return _num_sum(evaluate(a, point) for a in e.args)
     if isinstance(e, Prod):
-        out = Fraction(1)
-        for a in e.args:
-            av = evaluate(a, point)
-            if av == 0:
-                return av * 0  # keep type (Fraction 0 or float 0.0)
-            out = out * av
-        return out
+        return _num_prod(evaluate(a, point) for a in e.args)
     if isinstance(e, Pow):
-        b = evaluate(e.base, point)
-        q = e.exponent
-        if b == 0:
-            if q < 0:
-                raise DomainError("division by zero", e)
-            return Fraction(0) if isinstance(b, Fraction) else 0.0
-        if q.denominator == 1:
-            if isinstance(b, (Fraction, int)):
-                return Fraction(b) ** q.numerator
-            return b ** q.numerator
-        if b < 0:
-            raise DomainError("fractional power of a negative value", e)
-        return float(b) ** float(q)
-    if isinstance(e, Exp):
-        a = float(evaluate(e.arg, point))
-        if a > 700:
-            raise DomainError("exp overflow", e)
-        return math.exp(a)
-    if isinstance(e, Sin):
-        return math.sin(float(evaluate(e.arg, point)))
-    if isinstance(e, Cos):
-        return math.cos(float(evaluate(e.arg, point)))
+        return _pow_value(evaluate(e.base, point), e)
+    if isinstance(e, (Exp, Sin, Cos)):
+        return _unary_value(evaluate(e.arg, point), e)
     if isinstance(e, PiecewiseDecay):
-        t = evaluate(e.arg, point)
-        return _eval_piecewise(e, t)
+        return _eval_piecewise(e, evaluate(e.arg, point))
     raise ExprError(f"unknown node {e!r}")
 
 
@@ -436,38 +414,11 @@ def evaluate_dag(e: Expr, point: Mapping[str, Number], cache: dict) -> Number:
     elif isinstance(e, Sum):
         out = _num_sum(evaluate_dag(a, point, cache) for a in e.args)
     elif isinstance(e, Prod):
-        out = Fraction(1)
-        for a in e.args:
-            av = evaluate_dag(a, point, cache)
-            if av == 0:
-                out = av * 0
-                break
-            out = out * av
+        out = _num_prod(evaluate_dag(a, point, cache) for a in e.args)
     elif isinstance(e, Pow):
-        b = evaluate_dag(e.base, point, cache)
-        q = e.exponent
-        if b == 0:
-            if q < 0:
-                raise DomainError("division by zero", e)
-            out = Fraction(0) if isinstance(b, Fraction) else 0.0
-        elif q.denominator == 1:
-            if isinstance(b, (Fraction, int)):
-                out = Fraction(b) ** q.numerator
-            else:
-                out = b ** q.numerator
-        elif b < 0:
-            raise DomainError("fractional power of a negative value", e)
-        else:
-            out = float(b) ** float(q)
-    elif isinstance(e, Exp):
-        a = float(evaluate_dag(e.arg, point, cache))
-        if a > 700:
-            raise DomainError("exp overflow", e)
-        out = math.exp(a)
-    elif isinstance(e, Sin):
-        out = math.sin(float(evaluate_dag(e.arg, point, cache)))
-    elif isinstance(e, Cos):
-        out = math.cos(float(evaluate_dag(e.arg, point, cache)))
+        out = _pow_value(evaluate_dag(e.base, point, cache), e)
+    elif isinstance(e, (Exp, Sin, Cos)):
+        out = _unary_value(evaluate_dag(e.arg, point, cache), e)
     elif isinstance(e, PiecewiseDecay):
         out = _eval_piecewise(e, evaluate_dag(e.arg, point, cache))
     else:
@@ -487,6 +438,50 @@ def _num_sum(vals: Iterable[Number]) -> Number:
     return out
 
 
+def _num_prod(vals: Iterable[Number]) -> Number:
+    """Left-to-right product that stops at the first zero factor; vals may
+    be lazy, so later factors are then never computed."""
+    out = Fraction(1)
+    for v in vals:
+        if v == 0:
+            return v * 0  # keep type (Fraction 0 or float 0.0)
+        out = out * v
+    return out
+
+
+def _pow_value(b: Number, e: Pow) -> Number:
+    q = e.exponent
+    if b == 0:
+        if q < 0:
+            raise DomainError("division by zero", e)
+        return Fraction(0) if isinstance(b, Fraction) else 0.0
+    try:
+        if q.denominator == 1:
+            if isinstance(b, (Fraction, int)):
+                return Fraction(b) ** q.numerator
+            return b ** q.numerator
+        if b < 0:
+            raise DomainError("fractional power of a negative value", e)
+        return float(b) ** float(q)
+    except OverflowError:
+        raise DomainError("float overflow", e) from None
+
+
+def _unary_value(a: Number, e: Expr) -> float:
+    """exp, sin or cos (the node e) of the value a."""
+    try:
+        a = float(a)
+        if isinstance(e, Exp):
+            if a > 700:
+                raise DomainError("exp overflow", e)
+            return math.exp(a)
+        return math.sin(a) if isinstance(e, Sin) else math.cos(a)
+    except OverflowError:
+        raise DomainError("float overflow", e) from None
+    except ValueError:
+        raise DomainError("math domain error", e) from None
+
+
 def _eval_piecewise(e: PiecewiseDecay, t: Number) -> Number:
     pieces = e.pieces
     for i, p in enumerate(pieces):
@@ -503,6 +498,262 @@ def _eval_piecewise(e: PiecewiseDecay, t: Number) -> Number:
                     return cand.expr.value
             raise DomainError("piecewise breakpoint with no constant branch", e)
     raise DomainError("piecewise evaluation fell through", e)
+
+
+# ---------------------------------------------------------------------------
+# compiled float evaluation
+
+
+class _Recheck(Exception):
+    """Raised by compiled code where only the tree walk knows the answer."""
+
+
+_RECHECK = (ArithmeticError, ValueError, LookupError, ExprError, _Recheck)
+
+
+def _reference(e: Expr, point: Mapping[str, float]) -> float:
+    return float(evaluate(e, point))
+
+
+def compile_float(e: Expr) -> Callable[[Mapping[str, float]], float]:
+    """Compile e once into a straight-line Python function point -> float.
+
+    Contract: on a point that maps every free variable of e to a float,
+    the function returns exactly float(evaluate(e, point)), bit for bit,
+    and raises DomainError exactly where evaluate does.
+
+    The code has one statement per distinct node, shared by node identity;
+    subtrees without variables are folded exactly at compile time with
+    evaluate's own arithmetic.  It runs eagerly in evaluate's order of
+    operations: sums and products left to right from the same exact
+    constant prefix, b ** n for integer exponents, the negative-base and
+    exp-argument guards, and PiecewiseDecay branches picked by float
+    comparisons equivalent to the exact ones against their rational
+    bounds.  Values that may be exact Fractions (constant branches and
+    what they flow into) keep Python's mixed arithmetic and evaluate's
+    helpers.  Where eager code can differ from the tree walk, the function
+    returns float(evaluate(e, point)) instead: on any exception, at an
+    exact breakpoint, and when the result is zero or not finite (a product
+    does not stop at a zero factor, and signed zeros may differ).
+    """
+    return _FloatCompiler().function(e)
+
+
+class _FloatCompiler:
+    """Emits the body of one compile_float function.
+
+    A value is (kind, ref): ("const", number) for a folded subtree,
+    ("float", name) for a runtime float and ("mixed", name) for a runtime
+    value that may be a Fraction."""
+
+    def __init__(self):
+        self.ns = {"_Recheck": _Recheck, "_RECHECK": _RECHECK,
+                   "_reference": _reference, "_num_prod": _num_prod,
+                   "_pow_value": _pow_value, "_exp": math.exp,
+                   "_sin": math.sin, "_cos": math.cos}
+        self.lines = []
+        self.indent = 2
+        self.count = 0
+
+    def function(self, e: Expr):
+        kind, ref = self.node(e, ({}, None))
+        if kind != "float":
+            ref = f"float({self.ref((kind, ref), False)})"
+        src = "\n".join(["def compiled(pt):", "    try:", *self.lines,
+                         f"        r = {ref}",
+                         "    except _RECHECK:",
+                         "        return _reference(_e, pt)",
+                         "    if r and r - r == 0.0:",
+                         "        return r",
+                         "    return _reference(_e, pt)", ""])
+        self.ns["_e"] = e
+        exec(compile(src, "<compile_float>", "exec"), self.ns)
+        return self.ns["compiled"]
+
+    # -- emission helpers
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.indent + line)
+
+    def assign(self, code: str, kind: str) -> tuple:
+        self.count += 1
+        name = f"v{self.count}"
+        self.emit(f"{name} = {code}")
+        return kind, name
+
+    def fail(self) -> tuple:
+        """This node always needs the tree walk (e.g. a constant subtree
+        that raises); code after it in the same block is unreachable."""
+        self.emit("raise _Recheck")
+        return "float", "0.0"
+
+    def obj(self, value) -> str:
+        name = f"k{len(self.ns)}"
+        self.ns[name] = value
+        return name
+
+    def ref(self, val: tuple, floating: bool) -> str:
+        """Operand text for val.  Next to a runtime float a Fraction is
+        written as a float literal: Fraction-float arithmetic converts the
+        Fraction with float() first."""
+        kind, v = val
+        if kind != "const":
+            return v
+        if floating and isinstance(v, Fraction):
+            try:
+                v = float(v)
+            except OverflowError:
+                return self.obj(v)
+        if isinstance(v, float) and math.isfinite(v):
+            return f"({v!r})"
+        return self.obj(v)
+
+    def chain(self, op: str, vals: list) -> tuple:
+        """vals[0] op vals[1] op ... left to right, one statement per
+        operation; a result is a float when either operand is one."""
+        def is_float(v):
+            return v[0] == "float" or (v[0] == "const" and isinstance(v[1], float))
+
+        acc = vals[0]
+        for v in vals[1:]:
+            kind = "float" if is_float(acc) or is_float(v) else "mixed"
+            acc = self.assign(f"{self.ref(acc, is_float(v))} {op} "
+                              f"{self.ref(v, is_float(acc))}", kind)
+        return acc
+
+    # -- nodes
+
+    def node(self, e: Expr, scope: tuple) -> tuple:
+        """scope is (memo, bound): bound is None for the outer point, or
+        {name: value} inside a PiecewiseDecay branch."""
+        memo, bound = scope
+        key = ("var", e.name) if isinstance(e, Var) else id(e)
+        if key not in memo:
+            memo[key] = self._node(e, scope)
+        return memo[key]
+
+    def _node(self, e: Expr, scope: tuple) -> tuple:
+        if isinstance(e, Const):
+            return "const", e.value
+        if isinstance(e, Var):
+            bound = scope[1]
+            if bound is None:
+                return self.assign(f"pt[{e.name!r}]", "float")
+            return bound[e.name] if e.name in bound else self.fail()
+        if isinstance(e, (Sum, Prod)):
+            return self.sum(e, scope) if isinstance(e, Sum) else self.prod(e, scope)
+        if not isinstance(e, (Pow, Exp, Sin, Cos, PiecewiseDecay)):
+            raise ExprError(f"unknown node {e!r}")
+        kind, a = self.node(e.base if isinstance(e, Pow) else e.arg, scope)
+        if kind == "const":  # fold with evaluate's own arithmetic
+            try:
+                if isinstance(e, Pow):
+                    return "const", _pow_value(a, e)
+                if isinstance(e, PiecewiseDecay):
+                    return "const", _eval_piecewise(e, a)
+                return "const", _unary_value(a, e)
+            except _RECHECK:
+                return self.fail()
+        if isinstance(e, Pow):
+            b, q = a, e.exponent
+            if q.denominator == 1:
+                return self.assign(f"{b} ** ({q.numerator})", kind)
+            if kind == "float":
+                self.emit(f"if {b} < 0: raise _Recheck")
+                return self.assign(f"{b} ** {float(q)!r}", "float")
+            return self.assign(f"_pow_value({b}, {self.obj(e)})", "mixed")
+        if isinstance(e, (Exp, Sin, Cos)):
+            if isinstance(e, Exp):
+                if kind != "float":
+                    kind, a = self.assign(f"float({a})", "float")
+                self.emit(f"if {a} > 700: raise _Recheck")
+                return self.assign(f"_exp({a})", "float")
+            return self.assign(f"{'_sin' if isinstance(e, Sin) else '_cos'}({a})",
+                               "float")
+        return self.piecewise(e, (kind, a))
+
+    def sum(self, e: Sum, scope: tuple) -> tuple:
+        acc, vals = Fraction(0), []
+        for a in e.args:
+            v = self.node(a, scope)
+            if vals or v[0] != "const":
+                vals.append(v)
+                continue
+            try:
+                acc = acc + v[1]
+            except _RECHECK:
+                return self.fail()
+        if not vals:
+            return "const", acc
+        if not (isinstance(acc, Fraction) and acc == 0):
+            vals.insert(0, ("const", acc))
+        elif len(vals) == 1:  # 0 + v is v up to the sign of a zero
+            return vals[0]
+        return self.chain("+", vals)
+
+    def prod(self, e: Prod, scope: tuple) -> tuple:
+        acc, vals = Fraction(1), []
+        for a in e.args:
+            v = self.node(a, scope)
+            if vals or v[0] != "const":
+                vals.append(v)
+                continue
+            if v[1] == 0:  # evaluate stops here, before any later factor
+                return "const", v[1] * 0
+            try:
+                acc = acc * v[1]
+            except _RECHECK:
+                return self.fail()
+        if not vals:
+            return "const", acc
+        if acc != 1:
+            vals.insert(0, ("const", acc))
+        if any(k == "mixed" or (k == "const" and v == 0) for k, v in vals):
+            args = ", ".join(self.ref(v, False) for v in vals)
+            return self.assign(f"_num_prod(({args},))", "mixed")
+        if len(vals) == 1:  # 1 * v is v
+            return vals[0]
+        return self.chain("*", vals)
+
+    def piecewise(self, e: PiecewiseDecay, arg: tuple) -> tuple:
+        kind, t = arg
+        try:
+            bounds = [(_float_bound(p.lo, False), _float_bound(p.hi, True))
+                      for p in e.pieces]
+        except OverflowError:
+            return self.fail()
+        if kind == "mixed":
+            self.emit(f"if type({t}) is not float: raise _Recheck")
+        self.count += 1
+        out, kinds = f"v{self.count}", set()
+        for i, (p, (lo, hi)) in enumerate(zip(e.pieces, bounds)):
+            cond = " and ".join(c for c in (
+                None if lo is None else f"{t} > {lo!r}",
+                None if hi is None else f"{t} < {hi!r}") if c) or "True"
+            self.emit(f"{'elif' if i else 'if'} {cond}:")
+            self.indent += 1
+            val = self.node(p.expr, ({}, {e.var: ("float", t)}))
+            self.emit(f"{out} = {self.ref(val, False)}")
+            self.indent -= 1
+            kinds.add("float" if val[0] == "float" or isinstance(val[1], float)
+                      else "mixed")
+            if p.hi is not None and Fraction(hi) == p.hi:
+                self.emit(f"elif {t} == {hi!r}: raise _Recheck")
+        self.emit("else: raise _Recheck")
+        return ("float" if kinds == {"float"} else "mixed"), out
+
+
+def _float_bound(q: Optional[Fraction], upper: bool) -> Optional[float]:
+    """A float c with t > q iff t > c (upper False) or t < q iff t < c
+    (upper True), for every float t."""
+    if q is None:
+        return None
+    f = float(q)
+    if upper and f < q:
+        return math.nextafter(f, math.inf)
+    if not upper and f > q:
+        return math.nextafter(f, -math.inf)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +1027,7 @@ def is_zero(e: Expr, domain: Mapping[str, tuple], n_samples: int = 100,
     max_abs = 0.0
     for point in sample_points(names, domain, n_samples, seed):
         v = float(evaluate(e, point))
-        if abs(v) > tol:
+        if not abs(v) <= tol:  # NaN fails too
             witness = tuple(sorted(point.items()))
             return ZeroVerdict("nonzero", max_abs=abs(v), tolerance=tol,
                                witness=witness, value=v)

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .expr import (
     Const,
@@ -25,6 +25,7 @@ from .expr import (
     ZeroVerdict,
     add,
     canon,
+    compile_float,
     differentiate,
     evaluate,
     free_vars,
@@ -365,12 +366,24 @@ def coefficient_matrix(f: SingularForm, point: Mapping[str, float]):
 
 def evaluate_form(f: SingularForm, point: Mapping[str, float]) -> dict:
     """Numeric coefficients keyed by multi-index (poles evaluated)."""
+    return _form_values(f, point, (float(evaluate(c, point))
+                                   for _, c, _ in f.terms))
+
+
+def compile_form(f: SingularForm) -> Callable[[Mapping[str, float]], dict]:
+    """evaluate_form with each coefficient compiled once (compile_float)."""
+    coeffs = [compile_float(c) for _, c, _ in f.terms]
+    return lambda point: _form_values(f, point, (c(point) for c in coeffs))
+
+
+def _form_values(f: SingularForm, point: Mapping[str, float],
+                 values: Iterable[float]) -> dict:
+    """Sum the coefficient values of f's terms (lazy, in term order) per
+    multi-index, with the pole factors x^-k applied."""
     out: dict = {}
-    ch = f.chart
-    for k, c, idx in f.terms:
-        val = float(evaluate(c, point))
+    for (k, _, idx), val in zip(f.terms, values):
         if k != 0:
-            val *= float(point[ch.x]) ** (-k)
+            val *= float(point[f.chart.x]) ** (-k)
         out[idx] = out.get(idx, 0.0) + val
     return out
 

@@ -16,8 +16,8 @@ from .certificates import (
     Certificate, axis_points, certify_positive, geometric_refinement,
 )
 from .expr import (
-    Const, Expr, ONE, Piece, PiecewiseDecay, ZERO, add, differentiate,
-    evaluate, exp, mul, powx, substitute, var,
+    Const, Expr, ONE, Piece, PiecewiseDecay, ZERO, add, compile_float,
+    differentiate, exp, mul, powx, substitute, var,
 )
 from .geometry import (
     Chart, SingularForm, exterior_derivative, forms_equal,
@@ -322,31 +322,30 @@ def certify_sc_gluing(g: GluedForm, grid=None,
     bumps = g.bumps
     phi, psi = bumps.phi, bumps.psi_sc
     dphi = differentiate(phi, "r")
-    dpsi = differentiate(psi, "r")
+    dpsi = compile_float(differentiate(psi, "r"))
     r = var("r")
     neg = Const(Fraction(-1))
-    quotient = add(mul(dphi, powx(add(r, neg), -2)),
-                   mul(Const(Fraction(-2)), phi, powx(add(r, neg), -3)))
+    quotient = compile_float(
+        add(mul(dphi, powx(add(r, neg), -2)),
+            mul(Const(Fraction(-2)), phi, powx(add(r, neg), -3))))
     pts = [{"r": v} for v in axis_points(0.875, 1.0, constant_points)]
     c_phi = certify_positive(
-        lambda pt: float(evaluate(quotient, pt)) - 139.0, pts, 0.0,
+        lambda pt: quotient(pt) - 139.0, pts, 0.0,
         detail="phi'/(r-1)^2 - 2 phi/(r-1)^3 - 139 on (7/8, 1)")
     # inf psi' = -128 exactly (at r = 15/16), so the bound is non-strict
     c_psi = certify_positive(
-        lambda pt: float(evaluate(dpsi, pt)) + 128.0, pts, -1e-9,
+        lambda pt: dpsi(pt) + 128.0, pts, -1e-9,
         detail="psi' + 128 on (7/8, 1), non-strict")
 
-    a_expr = g.coefficient("A")
-    b_expr = g.coefficient("B")
+    a_val = compile_float(g.coefficient("A"))
+    b_val = compile_float(g.coefficient("B"))
     if grid is None:
         grid = [{GLUE_R: v}
                 for v in geometric_refinement(1.0, 0.5, 1.0, base=256,
                                               closest=1e-6)]
-    c_b = certify_positive(lambda pt: float(evaluate(b_expr, pt)), grid, 0.0,
-                           detail="B on (1/2, 1)")
-    c_ab = certify_positive(
-        lambda pt: float(evaluate(a_expr, pt)) - float(evaluate(b_expr, pt)),
-        grid, 0.0, detail="A - B on (1/2, 1)")
+    c_b = certify_positive(b_val, grid, 0.0, detail="B on (1/2, 1)")
+    c_ab = certify_positive(lambda pt: a_val(pt) - b_val(pt),
+                            grid, 0.0, detail="A - B on (1/2, 1)")
     return ScGluingCertificate(c_phi, c_psi, c_b, c_ab)
 
 
@@ -384,15 +383,13 @@ def certify_folded_gluing(g: GluedForm, grid=None,
         [p for p in ratio_pts if p["r"] > 0], 0.0,
         detail="e^{2r} - 1 on (0, 1]")
 
-    a_expr = g.coefficient("A")
-    b_expr = g.coefficient("B")
     if grid is None:
         grid = [{GLUE_R: v} for v in axis_points(0.0, 2.0, points)]
     pos_a = certify_positive(
-        lambda pt: float(evaluate(a_expr, pt)), grid, 0.0,
+        compile_float(g.coefficient("A")), grid, 0.0,
         detail="dr1 wedge alpha coefficient on (0, 2)")
     pos_b = certify_positive(
-        lambda pt: float(evaluate(b_expr, pt)), grid, 0.0,
+        compile_float(g.coefficient("B")), grid, 0.0,
         detail="d alpha coefficient on (0, 2)")
 
     fold = verify_folded(g.omega)

@@ -12,8 +12,8 @@ from .certificates import (
     refuted, verified,
 )
 from .expr import (
-    Const, ONE, ZERO, ZeroVerdict, add, canon, evaluate, is_provably_zero,
-    is_zero, mul, powx, substitute, var,
+    Const, ONE, ZERO, ZeroVerdict, add, canon, compile_float,
+    is_provably_zero, is_zero, mul, powx, substitute, var,
 )
 from .geometry import (
     Chart, GeometryError, SingularForm, ZeroVerdictMap, coefficient_matrix,
@@ -325,7 +325,7 @@ def dual_roundtrip_check(omega: SingularForm, n_samples: int = 100,
             return refuted(pt, detail="coefficient matrix is singular")
         err = max(abs(v - (i == j)) for i, row in
                   enumerate(float_matmul(p, w)) for j, v in enumerate(row))
-        if err > tol:
+        if not err <= tol:  # NaN fails too
             return refuted(pt, err, detail="P W differs from the identity")
         worst = max(worst, err)
     return verified(n_samples, tol, tol - worst,
@@ -372,7 +372,7 @@ def _jacobi_on_samples(d: int, samples: list, tol: float) -> Certificate:
                         comp += (pv[m][i] * dv[m][j][l]
                                  + pv[m][j] * dv[m][l][i]
                                  + pv[m][l] * dv[m][i][j])
-                    if abs(comp) > tol:
+                    if not abs(comp) <= tol:  # NaN fails too
                         return refuted(pt, comp,
                                        detail=f"[pi,pi]^({i},{j},{l}) != 0")
                     worst = max(worst, abs(comp))
@@ -511,11 +511,12 @@ def verify_folded(omega: SingularForm, grid=None,
         if not is_provably_zero(at_z) else \
         ZeroVerdict("proven-zero", tolerance=TOL_CLOSED)
     from .expr import differentiate
-    ddx = canon(substitute(differentiate(coeff, ch.x), {ch.x: ZERO}))
+    ddx = compile_float(
+        canon(substitute(differentiate(coeff, ch.x), {ch.x: ZERO})))
     zch = z_chart(ch)
     zgrid = chart_grid(zch) if grid is None else grid
     transversal = certify_positive(
-        lambda pt: abs(float(evaluate(ddx, pt))), zgrid, tol,
+        lambda pt: abs(ddx(pt)), zgrid, tol,
         detail="|d/dx of top coefficient| on the fold")
     sub = top_power(omega, d - 1) if d > 1 else scalar_one(ch)
     nonvanish = certify_nonvanishing(

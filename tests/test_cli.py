@@ -134,3 +134,47 @@ def test_verify_undefined_coefficient_refutes_with_witness(tmp_path):
     cert = json.loads(out.read_text())["result"]["nondegeneracy"]
     assert cert["kind"] == "refuted"
     assert dict(cert["witness"])["y"] < 0
+
+
+def _verify_one_term(tmp_path, coeff, y_range=(-1, 1)):
+    """scatsym verify of coeff dx^dy / x^3 on (-1, 1) x y_range; returns the
+    exit code and the non-degeneracy certificate of the written report."""
+    doc = {"chart": {"names": ["x", "y"], "ranges": [[-1, 1], list(y_range)],
+                     "x": "x", "circles": []},
+           "degree": 2, "kind": "form",
+           "terms": [{"k": 3, "coeff": coeff, "index": ["x", "y"]}]}
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = main(["verify", str(form), "--out", str(out)])
+    return code, json.loads(out.read_text())["result"]["nondegeneracy"]
+
+
+def test_verify_nan_coefficient_refutes(tmp_path):
+    # 1 + e^{300y} e^{301y} (e^{302y} - e^{303y}) is 1 + inf - inf = NaN for
+    # y >~ 0.8, which a comparison `v <= tol` lets through
+    e = {a: f"(exp (mul {a} (var y)))" for a in (300, 301, 302, 303)}
+    coeff = (f"(add 1 (mul {e[300]} {e[301]} {e[302]}) "
+             f"(mul -1 {e[300]} {e[301]} {e[303]}))")
+    code, cert = _verify_one_term(tmp_path, coeff)
+    assert code == EXIT_FAIL
+    assert cert["kind"] == "refuted"
+    assert dict(cert["witness"])["y"] == pytest.approx(0.8235, abs=1e-3)
+
+
+def test_verify_float_overflow_refutes_with_witness(tmp_path):
+    code, cert = _verify_one_term(tmp_path, "(add 1 (pow (var y) 400))",
+                                  (-10, 10))
+    assert code == EXIT_FAIL
+    assert cert["kind"] == "refuted"
+    assert "float overflow" in cert["detail"]
+    assert abs(dict(cert["witness"])["y"]) > 5
+
+
+def test_verify_sin_of_overflow_refutes_with_witness(tmp_path):
+    coeff = "(add 2 (sin (mul (exp (mul 400 (var y))) (exp (mul 401 (var y))))))"
+    code, cert = _verify_one_term(tmp_path, coeff)
+    assert code == EXIT_FAIL
+    assert cert["kind"] == "refuted"
+    assert "math domain error" in cert["detail"]
+    assert dict(cert["witness"])["y"] > 0.8

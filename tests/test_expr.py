@@ -1,15 +1,19 @@
 """Expression trees: exact arithmetic, differentiation, domain guards,
-deterministic sampling, and the DAG evaluator."""
+deterministic sampling, the DAG evaluator and compiled float evaluation."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from scatsym.expr import (
-    Const, DomainError, ONE, add, canon, cos, differentiate, evaluate,
+    Const, Cos, DomainError, Exp, ONE, Piece, PiecewiseDecay, Pow, Prod,
+    Sin, Sum, Var, add, canon, compile_float, cos, differentiate, evaluate,
     evaluate_dag, exp, is_provably_zero, is_zero, mul, parse, powx,
-    sample_points, ser, sin, sqrt, var,
+    sample_points, ser, sin, sqrt, substitute, var,
 )
+from scatsym.gluing import bump_phi, bump_psi_f, bump_psi_sc
 
 X = var("x")
 Y = var("y")
@@ -112,3 +116,153 @@ def test_evaluate_dag_shared_cache_keeps_temporaries():
     stale = [k for k in range(200)
              if evaluate_dag(add(X, Const(Fraction(k))), pt, cache) != 0.5 + k]
     assert stale == []
+
+
+def test_float_overflow_and_math_domain_raise_domain_error():
+    with pytest.raises(DomainError, match="float overflow"):
+        evaluate(powx(X, 400), {"x": 10.0})
+    big = mul(exp(mul(Const(Fraction(400)), X)), exp(mul(Const(Fraction(401)), X)))
+    with pytest.raises(DomainError, match="math domain error"):
+        evaluate(sin(big), {"x": 1.0})
+
+
+def test_is_zero_fails_on_nan():
+    # exp(300x) exp(301x) (exp(302x) - exp(303x)) is inf - inf = NaN near x = 1
+    def e_(a):
+        return exp(mul(Const(Fraction(a)), X))
+    nan_expr = add(mul(e_(300), e_(301), e_(302)),
+                   mul(Const(Fraction(-1)), e_(300), e_(301), e_(303)))
+    v = is_zero(nan_expr, {"x": (0.9, 1.0)}, n_samples=10)
+    assert v.kind == "nonzero"
+    assert math.isnan(v.value)
+
+
+# -- compile_float against evaluate
+
+
+def _outcome(fn):
+    try:
+        return "value", fn()
+    except (DomainError, ArithmeticError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+def _same(a, b):
+    if a[0] != b[0] or a[0] != "value":
+        return a == b
+    x, y = a[1], b[1]
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def _random_tree(rng, depth, names=("x", "y")):
+    """A tree over every node kind; raw dataclass nodes (unfolded constants,
+    zero factors, constant pieces) as well as smart-constructor ones."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.6:
+            return Var(rng.choice(names))
+        return Const(Fraction(rng.choice([0, 1, -1, 2, -3, 7]),
+                              rng.choice([1, 2, 3, 8, 10])))
+    raw = rng.random() < 0.3
+    sub = [_random_tree(rng, depth - 1, names) for _ in range(rng.randint(2, 4))]
+    kind = rng.randrange(8)
+    if kind == 0:
+        return Sum(tuple(sub)) if raw else add(*sub)
+    if kind == 1:
+        return Prod(tuple(sub)) if raw else mul(*sub)
+    if kind == 2:
+        q = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+        if raw or sub[0] == Const(Fraction(0)):  # powx refuses 0^-k
+            return Pow(sub[0], q)
+        return powx(sub[0], q)
+    if kind == 3:
+        scale = Const(Fraction(rng.choice([1, 300, 800])))
+        return Exp(mul(scale, sub[0])) if raw else exp(sub[0])
+    if kind == 4:
+        return (Sin if raw else sin)(sub[0])
+    if kind == 5:
+        return (Cos if raw else cos)(sub[0])
+    cuts = sorted({Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 5]))
+                   for _ in range(rng.randint(1, 3))})
+    pieces = tuple(
+        Piece(lo, hi, _random_tree(rng, max(depth - 2, 0), ("t",))
+              if rng.random() < 0.5 else Const(Fraction(rng.randint(-2, 2), 3)))
+        for lo, hi in zip([None] + cuts, cuts + [None]))
+    return PiecewiseDecay(sub[0], "t", pieces)
+
+
+# the x = 0 slice, exact breakpoints of the random pieces and the bumps,
+# 1/x and x^-k poles, and magnitudes that overflow
+_SPECIAL = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1 / 3, 0.875, 0.94,
+            1.5, -1.5, 4.0, 700.0, 1e-300, 1e300]
+
+
+def _points(rng, names, count):
+    return [{n: rng.choice(_SPECIAL) if rng.random() < 0.6
+             else rng.uniform(-3.0, 3.0) for n in names} for _ in range(count)]
+
+
+def test_compile_float_matches_evaluate_on_random_trees():
+    rng = random.Random(20161)
+    for _ in range(400):
+        e = _random_tree(rng, rng.randint(1, 5))
+        fn = compile_float(e)
+        for pt in _points(rng, ("x", "y"), 12):
+            want = _outcome(lambda: float(evaluate(e, pt)))
+            assert _same(_outcome(lambda: fn(pt)), want), (ser(e), pt, want)
+
+
+def test_compile_float_matches_evaluate_on_bumps():
+    r = var("r")
+    exprs = []
+    for bump in (bump_phi(), bump_psi_sc(), bump_psi_f()):
+        d = differentiate(bump, "r")
+        exprs += [bump, d, substitute(d, {"r": powx(r, -1)}),
+                  mul(d, powx(add(r, Const(Fraction(-1))), -2))]
+    pts = [{"r": v} for v in [0.5, 2.0, 0.875, 1.0, -1.0, -2.0, 47 / 50, 0.0,
+                              0.75, 15 / 16, 1.25, -1.5, 3.0, -3.0]]
+    pts += [{"r": 0.25 + i / 200} for i in range(400)]
+    for e in exprs:
+        fn = compile_float(e)
+        for pt in pts:
+            want = _outcome(lambda: float(evaluate(e, pt)))
+            assert _same(_outcome(lambda: fn(pt)), want), (ser(e), pt, want)
+
+
+_T = Var("t")
+_STEP = PiecewiseDecay(X, "t", (Piece(None, Fraction(0), Const(Fraction(0))),
+                                Piece(Fraction(0), None, _T)))
+# pieces need not increase: at t = 1 evaluate stops at the first breakpoint
+_FOLDED = PiecewiseDecay(X, "t", (Piece(None, Fraction(1), _T),
+                                  Piece(Fraction(1), Fraction(0), Const(Fraction(5))),
+                                  Piece(Fraction(0), None, mul(Const(Fraction(3)), _T))))
+
+
+@pytest.mark.parametrize("e, pt", [
+    # a product stopped at an exact zero stays a Fraction, so the two
+    # constants after it add exactly: 3/10, not 0.1 + 0.2
+    (Sum((Prod((_STEP, Y)), Const(Fraction(1, 10)), Const(Fraction(2, 10)), Y)),
+     {"x": -1.0, "y": 0.0}),
+    (_FOLDED, {"x": 1.0, "y": 0.0}),
+    (mul(X, powx(Y, -1)), {"x": 0.0, "y": 0.0}),          # zero factor, pole
+    (mul(X, exp(mul(Const(Fraction(800)), Y))), {"x": 0.0, "y": 1.0}),
+    (powx(X, Fraction(1, 2)), {"x": -1.0, "y": 0.0}),     # negative base
+    (powx(mul(X, Y), Fraction(-3, 2)), {"x": -1e300, "y": 1e300}),
+    (exp(mul(Const(Fraction(800)), X)), {"x": 1.0, "y": 0.0}),  # exp > 700
+    (add(X, mul(Const(Fraction(-1)), X)), {"x": 0.3, "y": 0.0}),  # zero
+    (sin(mul(exp(mul(Const(Fraction(400)), X)),
+             exp(mul(Const(Fraction(401)), X)))), {"x": 1.0, "y": 0.0}),
+])
+def test_compile_float_edge_cases(e, pt):
+    want = _outcome(lambda: float(evaluate(e, pt)))
+    assert _same(_outcome(lambda: compile_float(e)(pt)), want)
+
+
+def test_compile_float_long_sum():
+    # one flat Sum of 3000 terms; a single `a + b + ...` expression of that
+    # length would exceed CPython's compiler recursion limit
+    e = add(*[mul(Const(Fraction(k, 7)), powx(X, k % 5 + 1), Y)
+              for k in range(1, 3001)])
+    pt = {"x": 0.3, "y": -1.7}
+    assert _same(("value", compile_float(e)(pt)), ("value", float(evaluate(e, pt))))

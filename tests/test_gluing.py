@@ -1,9 +1,11 @@
 """Bump functions, collar forms, and the three gluing constructions."""
 
 import math
+import sys
 
 import pytest
 
+from scatsym import expr
 from scatsym.catalog import s2xs1_contact, torus_contact
 from scatsym.expr import evaluate
 from scatsym.gluing import (
@@ -73,3 +75,28 @@ def test_glue_concave_concave_certified():
     assert glued.kind == "folded"
     cert = certify_folded_gluing(glued)
     assert cert.passed
+
+
+def test_sc_gluing_does_not_walk_trees_per_point(monkeypatch):
+    # each certified scalar is compiled once; evaluate runs only at the
+    # rare points compiled code hands back, where a per-point tree walk
+    # would make about 20,800 calls (10,000 + 10,000 + 273 + 546)
+    collar = FillingCollar(torus_contact(), "convex")
+    glued = glue_convex_convex(collar, collar)
+    original, depth, calls = expr.evaluate, 0, 0
+
+    def counting(e, point):
+        nonlocal depth, calls
+        calls += depth == 0
+        depth += 1
+        try:
+            return original(e, point)
+        finally:
+            depth -= 1
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("scatsym") and \
+                getattr(module, "evaluate", None) is original:
+            monkeypatch.setattr(module, "evaluate", counting)
+    assert certify_sc_gluing(glued).passed
+    assert 0 < calls < 2000
