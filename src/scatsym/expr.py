@@ -49,9 +49,15 @@ def _frac(q: Number) -> Fraction:
 
 
 class Expr:
-    """Base class; subclasses are frozen dataclasses."""
+    """Base class; subclasses are frozen dataclasses (see _node)."""
 
     __slots__ = ()
+
+    def __getstate__(self):
+        # the memoized hash is per process (str hashes are salted)
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def __add__(self, other):
         return add(self, _as_expr(other))
@@ -92,7 +98,26 @@ def _as_expr(v) -> Expr:
     raise ExprError(f"cannot coerce {v!r} to an expression")
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """Frozen dataclass whose hash is computed once per node.  The generated
+    hash recurses through the whole subtree, and nodes are hashed on every
+    dict and lru_cache lookup; the memo stays out of __eq__, repr and the
+    pickled state."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = field_hash(self)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Const(Expr):
     value: Fraction
 
@@ -100,22 +125,22 @@ class Const(Expr):
         object.__setattr__(self, "value", _frac(self.value))
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Sum(Expr):
     args: tuple
 
 
-@dataclass(frozen=True)
+@_node
 class Prod(Expr):
     args: tuple
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: Fraction
@@ -124,17 +149,17 @@ class Pow(Expr):
         object.__setattr__(self, "exponent", _frac(self.exponent))
 
 
-@dataclass(frozen=True)
+@_node
 class Exp(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sin(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Cos(Expr):
     arg: Expr
 
@@ -154,7 +179,7 @@ class Piece:
             object.__setattr__(self, "hi", _frac(self.hi))
 
 
-@dataclass(frozen=True)
+@_node
 class PiecewiseDecay(Expr):
     """Piecewise function of `arg`, branches written in bound variable `var`.
 
@@ -248,18 +273,33 @@ def powx(base, q) -> Expr:
     return Pow(base, q)
 
 
-def _exact_root(c: Fraction, q: Fraction) -> Optional[Fraction]:
-    """c**q as an exact rational, or None."""
+def _exact_root(c: Rational, q: Fraction) -> Optional[Fraction]:
+    """c**q as an exact rational, or None: c = a/b in lowest terms has a
+    rational r-th root (r the denominator of q) only if a and b are r-th
+    powers of integers."""
     if c < 0:
         return None
     if c == 0:
         return Fraction(0) if q > 0 else None
-    num = round(c.numerator ** float(q))
-    den = round(c.denominator ** float(q))
-    cand = Fraction(num, den) if den else None
-    if cand is not None and cand > 0 and cand ** (1 / q) == c:
-        return cand
-    return None
+    r = q.denominator
+    num, den = _int_root(c.numerator, r), _int_root(c.denominator, r)
+    if num is None or den is None:
+        return None
+    return Fraction(num, den) ** q.numerator
+
+
+def _int_root(n: int, r: int) -> Optional[int]:
+    """The integer r-th root of n >= 1, or None if n is not an r-th power."""
+    if r == 2:
+        root = math.isqrt(n)
+    else:
+        root = 1 << -(-n.bit_length() // r)  # >= the root; Newton descends
+        while True:
+            step = ((r - 1) * root + n // root ** (r - 1)) // r
+            if step >= root:
+                break
+            root = step
+    return root if root ** r == n else None
 
 
 def exp(a) -> Expr:
@@ -791,15 +831,22 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 # canonicalized arguments.  Equal canonical forms imply equal functions; the
 # converse fails (e.g. sin^2 + cos^2 - 1), which is what sampling is for.
 
-_Poly = dict  # monomial tuple -> Fraction
+_Poly = dict  # monomial tuple -> rational; memoized, so never mutate one
+# Exponents and coefficients with denominator 1 are stored as ints, whose
+# arithmetic is much faster than Fraction's; the two compare and hash equal,
+# so keys still merge, and Const/Pow turn them back into Fractions.
+
+
+def _q(v: Rational) -> Rational:
+    return v.numerator if v.denominator == 1 else v
 
 
 def _mono_mul(m1: tuple, m2: tuple) -> tuple:
     d = dict(m1)
     for atom, q in m2:
-        q2 = d.get(atom, Fraction(0)) + q
+        q2 = d.get(atom, 0) + q
         if q2:
-            d[atom] = q2
+            d[atom] = _q(q2)
         elif atom in d:
             del d[atom]
     return tuple(sorted(d.items(), key=lambda kv: _sort_key(kv[0])))
@@ -810,23 +857,21 @@ def _poly_mul(p1: _Poly, p2: _Poly) -> _Poly:
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
             m = _mono_mul(m1, m2)
-            c = out.get(m, Fraction(0)) + c1 * c2
+            c = out.get(m, 0) + c1 * c2
             if c:
-                out[m] = c
+                out[m] = _q(c)
             elif m in out:
                 del out[m]
     return out
 
 
-def _poly_add(p1: _Poly, p2: _Poly) -> _Poly:
-    out = dict(p1)
-    for m, c in p2.items():
-        c2 = out.get(m, Fraction(0)) + c
+def _poly_add_into(out: _Poly, p: _Poly) -> None:
+    for m, c in p.items():
+        c2 = out.get(m, 0) + c
         if c2:
-            out[m] = c2
+            out[m] = _q(c2)
         elif m in out:
             del out[m]
-    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -834,8 +879,8 @@ def _sort_key(e: Expr) -> str:
     return ser(e)
 
 
-def _atom(e: Expr, q: Fraction = Fraction(1)) -> _Poly:
-    return {((e, q),): Fraction(1)}
+def _atom(e: Expr, q: Rational = 1) -> _Poly:
+    return {((e, q),): 1}
 
 
 @functools.lru_cache(maxsize=None)
@@ -845,18 +890,19 @@ def poly(e: Expr) -> tuple:
     return tuple(sorted(p.items(), key=lambda kv: tuple(map(_sort_key, (a for a, _ in kv[0])))))
 
 
+@functools.lru_cache(maxsize=None)
 def _poly(e: Expr) -> _Poly:
     if isinstance(e, Const):
-        return {(): e.value} if e.value else {}
+        return {(): _q(e.value)} if e.value else {}
     if isinstance(e, Var):
         return _atom(e)
     if isinstance(e, Sum):
         out: _Poly = {}
         for a in e.args:
-            out = _poly_add(out, _poly(a))
+            _poly_add_into(out, _poly(a))
         return out
     if isinstance(e, Prod):
-        out = {(): Fraction(1)}
+        out = {(): 1}
         for a in e.args:
             out = _poly_mul(out, _poly(a))
         return out
@@ -865,7 +911,7 @@ def _poly(e: Expr) -> _Poly:
     if isinstance(e, Exp):
         a = canon(e.arg)
         if isinstance(a, Const) and a.value == 0:
-            return {(): Fraction(1)}
+            return {(): 1}
         return _atom(Exp(a))
     if isinstance(e, Sin):
         a = canon(e.arg)
@@ -875,7 +921,7 @@ def _poly(e: Expr) -> _Poly:
     if isinstance(e, Cos):
         a = canon(e.arg)
         if isinstance(a, Const) and a.value == 0:
-            return {(): Fraction(1)}
+            return {(): 1}
         return _atom(Cos(a))
     if isinstance(e, PiecewiseDecay):
         return _atom(PiecewiseDecay(canon(e.arg), e.var, e.pieces))
@@ -889,9 +935,9 @@ def _poly_pow(base: Expr, q: Fraction) -> _Poly:
             raise ExprError("0 raised to a nonpositive power")
         return {}
     if q == 0:
-        return {(): Fraction(1)}
+        return {(): 1}
     if q.denominator == 1 and q > 0:
-        out = {(): Fraction(1)}
+        out = {(): 1}
         k = q.numerator
         acc = pb
         while k:
@@ -904,20 +950,20 @@ def _poly_pow(base: Expr, q: Fraction) -> _Poly:
     if len(pb) == 1:
         (mono, c), = pb.items()
         scaled = tuple(
-            sorted(((a, e0 * q) for a, e0 in mono), key=lambda kv: _sort_key(kv[0]))
+            sorted(((a, _q(e0 * q)) for a, e0 in mono), key=lambda kv: _sort_key(kv[0]))
         )
         if q.denominator == 1:
-            coeff = c ** q.numerator
-            return {scaled: coeff}
+            # Fraction first: an int to a negative power is a float
+            return {scaled: _q(Fraction(c) ** q.numerator)}
         if c == 1:
-            return {scaled: Fraction(1)}
+            return {scaled: 1}
         root = _exact_root(c, q)
         if root is not None:
-            return {scaled: root}
+            return {scaled: _q(root)}
         cpart = _atom(Const(c), q)
-        return _poly_mul({scaled: Fraction(1)}, cpart)
+        return _poly_mul({scaled: 1}, cpart)
     # opaque power of a multi-term base
-    return _atom(_rebuild(dict(pb)), q)
+    return _atom(_rebuild(pb), _q(q))
 
 
 def _rebuild(p: _Poly) -> Expr:

@@ -311,16 +311,6 @@ def laurent_decompose(f: SingularForm, order: int = 0):
     return out
 
 
-def reassemble(ch: Chart, degree: int, slots) -> SingularForm:
-    terms = []
-    for s in slots:
-        for k, c, idx in s.dx_part.terms:
-            terms.append((s.exponent + k, c, (ch.x,) + idx))
-        for k, c, idx in s.rest.terms:
-            terms.append((s.exponent + k, c, idx))
-    return make_form(ch, degree, terms)
-
-
 def _check_expandable(e: Expr, xname: str):
     if isinstance(e, PiecewiseDecay):
         if xname in free_vars(e.arg):
@@ -346,22 +336,27 @@ def _children(e: Expr):
 # pointwise evaluation
 
 
-def coefficient_matrix(f: SingularForm, point: Mapping[str, float]):
+def compile_matrix(f: SingularForm) -> Callable[[Mapping[str, float]], list]:
     """Numeric antisymmetric matrix of a degree-2 form/bivector at a point,
-    poles evaluated (x must be nonzero for terms with k > 0)."""
+    poles evaluated (x must be nonzero for terms with k > 0), with each
+    coefficient compiled once (compile_float)."""
     if f.degree != 2:
         raise GeometryError("matrix evaluation expects degree 2")
     ch = f.chart
     n = ch.dim
-    m = [[0.0] * n for _ in range(n)]
-    for k, c, (a, b) in f.terms:
-        val = float(evaluate(c, point))
-        if k != 0:
-            val *= float(point[ch.x]) ** (-k)
-        i, j = ch.index(a), ch.index(b)
-        m[i][j] += val
-        m[j][i] -= val
-    return m
+    entries = [(k, compile_float(c), ch.index(a), ch.index(b))
+               for k, c, (a, b) in f.terms]
+
+    def matrix(point: Mapping[str, float]) -> list:
+        m = [[0.0] * n for _ in range(n)]
+        for k, c, i, j in entries:
+            val = c(point)
+            if k != 0:
+                val *= float(point[ch.x]) ** (-k)
+            m[i][j] += val
+            m[j][i] -= val
+        return m
+    return matrix
 
 
 def evaluate_form(f: SingularForm, point: Mapping[str, float]) -> dict:

@@ -10,7 +10,9 @@ from .expr import Const, Expr, ExprError, ZERO, add, canon, mul, powx
 
 
 def _laplace(m: List[List[Expr]]) -> Expr:
-    """Raw (uncanonicalized) Laplace expansion of the determinant."""
+    """Raw (uncanonicalized) Laplace expansion of the determinant.  A zero
+    Const entry of the expansion row is skipped with its minor: mul would
+    make its term ZERO and add drop it."""
     n = len(m)
     if n == 0:
         return Const(Fraction(1))
@@ -18,6 +20,8 @@ def _laplace(m: List[List[Expr]]) -> Expr:
         return m[0][0]
     terms = []
     for j in range(n):
+        if isinstance(m[0][j], Const) and m[0][j].value == 0:
+            continue
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
         sign = Const(Fraction((-1) ** j))
         terms.append(mul(sign, m[0][j], _laplace(minor)))
@@ -77,8 +81,3 @@ def float_inverse(m: List[List[float]]) -> Optional[List[List[float]]]:
 def float_matmul(a: List[List[float]], b: List[List[float]]) -> List[List[float]]:
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
             for row in a]
-
-
-def mat_vec(m: List[List[Expr]], v: List[Expr]) -> List[Expr]:
-    return [canon(add(*[mul(m[i][j], v[j]) for j in range(len(v))]))
-            for i in range(len(m))]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -16,9 +17,9 @@ from .expr import (
     is_provably_zero, is_zero, mul, powx, substitute, var,
 )
 from .geometry import (
-    Chart, GeometryError, SingularForm, ZeroVerdictMap, coefficient_matrix,
-    exterior_derivative, forms_equal, interior_product, laurent_decompose,
-    make_form, scalar_one, top_power, wedge, zero_form,
+    Chart, GeometryError, SingularForm, ZeroVerdictMap, compile_form,
+    compile_matrix, exterior_derivative, forms_equal, interior_product,
+    laurent_decompose, make_form, scalar_one, top_power, wedge, zero_form,
 )
 from .linalg import float_inverse, float_matmul, sym_inverse
 
@@ -185,26 +186,28 @@ def reeb(alpha: SingularForm, closed_two: Optional[SingularForm] = None,
     cand = make_form(ch, 1, [(k, c, idx) for k, c, idx in alpha.terms], "vector")
     if _reeb_identities(cand, alpha, two, tol):
         return cand
-    # numeric fallback
-    import numpy as np
+    # numeric fallback: least squares for S R = (1; 0), S = (alpha; two), at
+    # each grid point through the normal equations S^T S R = S^T (1; 0) = alpha
     if grid is None:
         grid = chart_grid(ch)
     d = ch.dim
+    alpha_at, two_at = compile_form(alpha), compile_matrix(two)
+    rhs = [1.0] + [0.0] * d
     samples = []
-    from .geometry import evaluate_form
     for pt in grid:
-        a = np.zeros(d)
-        for idx, v in evaluate_form(alpha, pt).items():
+        a = [0.0] * d
+        for idx, v in alpha_at(pt).items():
             a[ch.index(idx[0])] = v
-        m = np.array(coefficient_matrix(two, pt))
-        sys = np.vstack([a, m])
-        rhs = np.zeros(d + 1)
-        rhs[0] = 1.0
-        sol, res, rank, _ = np.linalg.lstsq(sys, rhs, rcond=None)
-        err = np.linalg.norm(sys @ sol - rhs)
-        if err > 1e-6:
+        rows = [a] + two_at(pt)
+        inv = float_inverse(float_matmul(list(zip(*rows)), rows))
+        if inv is None:
+            return refuted(pt, detail="contact condition fails: singular system")
+        sol = [sum(v * w for v, w in zip(row, a)) for row in inv]
+        err = math.hypot(*(sum(v * w for v, w in zip(row, sol)) - b
+                           for row, b in zip(rows, rhs)))
+        if not err <= 1e-6:  # NaN fails too
             return refuted(pt, err, detail="contact condition fails: singular system")
-        samples.append((tuple(sorted(pt.items())), tuple(map(float, sol))))
+        samples.append((tuple(sorted(pt.items())), tuple(sol)))
     return SampledField(ch, tuple(samples))
 
 

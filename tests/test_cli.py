@@ -178,3 +178,11 @@ def test_verify_sin_of_overflow_refutes_with_witness(tmp_path):
     assert cert["kind"] == "refuted"
     assert "math domain error" in cert["detail"]
     assert dict(cert["witness"])["y"] > 0.8
+
+
+def test_verify_exact_root_of_huge_constant(tmp_path):
+    # sqrt(10^400) = 10^200 exactly; a float root estimate of 10^400
+    # overflowed and the run exited 3 without a report
+    code, cert = _verify_one_term(tmp_path, "(pow 1" + "0" * 400 + " 1/2)")
+    assert code == EXIT_PASS
+    assert cert["kind"] == "numerically-verified"

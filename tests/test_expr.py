@@ -2,16 +2,17 @@
 deterministic sampling, the DAG evaluator and compiled float evaluation."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from scatsym.expr import (
-    Const, Cos, DomainError, Exp, ONE, Piece, PiecewiseDecay, Pow, Prod,
-    Sin, Sum, Var, add, canon, compile_float, cos, differentiate, evaluate,
-    evaluate_dag, exp, is_provably_zero, is_zero, mul, parse, powx,
-    sample_points, ser, sin, sqrt, substitute, var,
+    Const, Cos, DomainError, Exp, ExprError, ONE, Piece, PiecewiseDecay, Pow,
+    Prod, Sin, Sum, Var, ZERO, add, canon, compile_float, cos, differentiate,
+    evaluate, evaluate_dag, exp, is_provably_zero, is_zero, mul, parse, poly,
+    powx, sample_points, ser, sin, sqrt, substitute, var,
 )
 from scatsym.gluing import bump_phi, bump_psi_f, bump_psi_sc
 
@@ -266,3 +267,103 @@ def test_compile_float_long_sum():
               for k in range(1, 3001)])
     pt = {"x": 0.3, "y": -1.7}
     assert _same(("value", compile_float(e)(pt)), ("value", float(evaluate(e, pt))))
+
+
+# -- exact normal forms
+
+
+def test_exact_roots_of_large_rationals():
+    # 10^400 does not fit a float; its square root is 10^200 exactly
+    big = Fraction(10) ** 400
+    assert powx(Const(big), Fraction(1, 2)) == Const(Fraction(10) ** 200)
+    assert powx(Const(big / 3 ** 600), Fraction(-1, 2)) \
+        == Const(Fraction(3) ** 300 / Fraction(10) ** 200)
+    assert powx(Const(Fraction(2) ** 999), Fraction(2, 3)) == Const(Fraction(2) ** 666)
+    assert isinstance(powx(Const(big + 1), Fraction(1, 2)), Pow)
+    assert isinstance(powx(Const(big * 2), Fraction(1, 3)), Pow)
+    e = mul(powx(Const(big), Fraction(3, 2)), X)
+    assert canon(e) == mul(Const(Fraction(10) ** 600), X)
+    assert parse("(pow 1" + "0" * 400 + " 1/2)") == Const(Fraction(10) ** 200)
+
+
+def test_exact_roots_of_small_rationals():
+    assert sqrt(Const(Fraction(9, 4))) == Const(Fraction(3, 2))
+    assert powx(Const(Fraction(1, 8)), Fraction(2, 3)) == Const(Fraction(1, 4))
+    assert powx(Const(Fraction(27)), Fraction(1, 3)) == Const(Fraction(3))
+    assert powx(Const(Fraction(0)), Fraction(1, 2)) == ZERO
+    assert isinstance(sqrt(Const(Fraction(2))), Pow)
+    assert isinstance(sqrt(Const(Fraction(-4))), Pow)  # no real root taken
+
+
+def _rationals(p):
+    for mono, c in p:
+        yield c
+        for _, q in mono:
+            yield q
+
+
+def test_poly_coefficients_and_exponents_are_exact():
+    # (2x)^-3 = x^-3 / 8: an int to a negative power would be a float
+    assert poly(powx(mul(Const(Fraction(2)), X), -3)) == ((((X, -3),), Fraction(1, 8)),)
+    exprs = [
+        powx(mul(Const(Fraction(2)), X), -3),
+        mul(powx(Const(Fraction(8, 27)), Fraction(2, 3)), X),
+        mul(powx(Const(Fraction(2)), Fraction(1, 2)), powx(X, Fraction(3, 2))),
+        powx(mul(Const(Fraction(3)), X, powx(Y, 2)), Fraction(-1, 2)),
+        powx(add(X, ONE), -2),
+        add(mul(Const(Fraction(1, 2)), X), mul(Const(Fraction(1, 2)), X)),
+    ]
+    rng = random.Random(20163)
+    exprs += [_random_tree(rng, rng.randint(1, 4)) for _ in range(200)]
+    for e in exprs:
+        try:
+            p = poly(e)
+        except ExprError:  # a raw 0 ** -k node
+            continue
+        for v in _rationals(p):
+            assert type(v) in (int, Fraction), (ser(e), v)
+
+
+def test_canon_evaluates_like_the_tree():
+    # exact rational points with x, y > 0, where the formal power rules
+    # (a^p)^q = a^pq and (ab)^q = a^q b^q hold; canon may cancel a pole
+    # (x/x is 1), so only points where the tree evaluates are compared
+    rng = random.Random(20162)
+    compared = 0
+    for _ in range(400):
+        e = _random_tree(rng, rng.randint(1, 5))
+        try:
+            c = canon(e)
+        except ExprError:  # a raw 0 ** -k node
+            continue
+        for _ in range(6):
+            pt = {n: Fraction(rng.randint(1, 40), rng.randint(1, 20))
+                  for n in ("x", "y")}
+            want = _outcome(lambda: float(evaluate(e, pt)))
+            if want[0] != "value":
+                continue
+            # skip points where a 1e-12 nudge already moves the tree's value
+            # (a float argument next to a jump of a random piecewise node)
+            nudged = {n: float(v) * (1 + 1e-12) for n, v in pt.items()}
+            near = _outcome(lambda: float(evaluate(e, nudged)))
+            if near[0] != "value" or not math.isclose(near[1], want[1],
+                                                      rel_tol=1e-6, abs_tol=1e-6):
+                continue
+            got = float(evaluate(c, pt))
+            assert math.isclose(got, want[1], rel_tol=1e-9, abs_tol=1e-9), \
+                (ser(e), pt, got, want)
+            compared += 1
+    assert compared > 2000
+
+
+def test_node_hash_is_memoized_outside_eq_repr_and_pickle():
+    e = add(mul(X, sin(Y)), powx(X, Fraction(1, 2)))
+    twin = add(mul(X, sin(Y)), powx(X, Fraction(1, 2)))
+    assert hash(e) == hash(twin) == hash(e)
+    assert "_hash" in e.__dict__
+    assert e == twin and repr(e) == repr(twin)
+    assert "_hash" not in repr(e)
+    state = e.__reduce_ex__(2)[2]
+    assert "_hash" not in state
+    back = pickle.loads(pickle.dumps(e))
+    assert back == e and hash(back) == hash(e)

@@ -10,10 +10,21 @@ from scatsym.expr import Const, ONE, cos, mul, sin, var
 from scatsym.geometry import (
     Chart, GeometryError, exterior_derivative, form_from_json, form_to_json,
     forms_equal, interior_product, laurent_decompose, make_form,
-    pointwise_equal, reassemble, smooth_form, top_power, wedge, zero_form,
+    pointwise_equal, smooth_form, top_power, wedge, zero_form,
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def reassemble(ch, degree, slots):
+    """The form whose Laurent slots are `slots` (inverse of laurent_decompose)."""
+    terms = []
+    for s in slots:
+        for k, c, idx in s.dx_part.terms:
+            terms.append((s.exponent + k, c, (ch.x,) + idx))
+        for k, c, idx in s.rest.terms:
+            terms.append((s.exponent + k, c, idx))
+    return make_form(ch, degree, terms)
 
 
 @pytest.fixture

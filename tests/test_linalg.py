@@ -4,16 +4,22 @@ from fractions import Fraction
 
 import pytest
 
+from scatsym import linalg
 from scatsym.expr import (
     Const, ExprError, ONE, ZERO, add, canon, evaluate, is_provably_zero, mul,
-    var,
+    powx, var,
 )
 from scatsym.linalg import (
-    float_inverse, float_matmul, mat_vec, sym_adjugate, sym_det, sym_inverse,
+    float_inverse, float_matmul, sym_adjugate, sym_det, sym_inverse,
 )
 
 X = var("x")
 Y = var("y")
+
+
+def mat_vec(m, v):
+    return [canon(add(*[mul(m[i][j], v[j]) for j in range(len(v))]))
+            for i in range(len(m))]
 
 
 def _entry_zero(e):
@@ -69,3 +75,24 @@ def test_float_inverse_pivots():
 def test_float_inverse_flags_singular():
     assert float_inverse([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0],
                           [0.0, 0.0, 1.0]]) is None
+
+
+def test_laplace_skips_zero_entries(monkeypatch):
+    # a diagonal 6x6 inverse expands only the nonzero entries' minors; the
+    # full expansion makes 8,653 _laplace calls
+    calls = 0
+    expand = linalg._laplace
+
+    def counted(m):
+        nonlocal calls
+        calls += 1
+        return expand(m)
+
+    monkeypatch.setattr(linalg, "_laplace", counted)
+    d = [var(f"d{i}") for i in range(6)]
+    inv = sym_inverse([[d[i] if i == j else ZERO for j in range(6)]
+                       for i in range(6)])
+    assert calls < 500
+    for i in range(6):
+        for j in range(6):
+            assert inv[i][j] == (powx(d[i], -1) if i == j else ZERO)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,13 +18,14 @@ from scatsym.catalog import (
 from scatsym.certificates import chart_grid
 from scatsym.expr import Const, ONE, add, cos, mul, sin, var
 from scatsym.geometry import (
-    Chart, forms_equal, make_form, smooth_form, zero_form,
+    Chart, compile_matrix, evaluate_form, exterior_derivative, forms_equal,
+    make_form, smooth_form, zero_form,
 )
 from scatsym.structures import (
-    ContactData, CosymplecticData, StructureError, closedness,
+    ContactData, CosymplecticData, SampledField, StructureError, closedness,
     cosymplectic_extract, decompose,
     dual_jacobi_check, dual_roundtrip_check, dualize, dualize_inverse,
-    induced_contact, lift, normal_form, schouten_jacobi_check,
+    induced_contact, lift, normal_form, reeb, schouten_jacobi_check,
     strong_filling_check, verify_sc_symplectic, z_chart,
 )
 
@@ -176,6 +178,71 @@ def test_dual_checks_do_not_import_numpy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_reeb_fallback_does_not_import_numpy():
+    # the sampled Reeb field of the symplectization record is solved in
+    # pure Python
+    code = (
+        "import sys\n"
+        "from scatsym.catalog import build_example, run_example\n"
+        "from scatsym.structures import SampledField, induced_contact\n"
+        "rec = build_example('symplectization', z='t3')\n"
+        "assert isinstance(induced_contact(rec.omega).reeb, SampledField)\n"
+        "assert run_example(rec)['passed']\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = str(Path(scatsym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_imports_numpy():
+    pkg = Path(scatsym.__file__).resolve().parent
+    pattern = re.compile(r"^\s*(import|from)\s+numpy\b", re.MULTILINE)
+    offenders = [f.name for f in sorted(pkg.rglob("*.py"))
+                 if pattern.search(f.read_text(encoding="utf-8"))]
+    assert offenders == []
+
+
+def test_sampled_reeb_field_solves_the_reeb_equations():
+    rec = build_example("symplectization", z="s1")
+    data = induced_contact(rec.omega)
+    assert isinstance(data.reeb, SampledField)
+    ch = data.chart
+    two = exterior_derivative(data.alpha)
+    for items, vec in data.reeb.samples:
+        pt = dict(items)
+        a = evaluate_form(data.alpha, pt)
+        r = dict(zip(ch.names, vec))
+        assert sum(v * r[idx[0]] for idx, v in a.items()) == pytest.approx(1.0)
+        m = compile_matrix(two)(pt)
+        for row in m:
+            assert sum(v * w for v, w in zip(row, vec)) == pytest.approx(0.0, abs=1e-9)
+
+
+_XYZ = Chart(("x", "y", "z"), ((0.5, 1.0),) * 3, None)
+_UV = Chart(("u", "v"), ((0.5, 1.0),) * 2, None)
+
+
+@pytest.mark.parametrize("alpha, two", [
+    # alpha = x dy: no coordinate field and not the metric dual; the z
+    # column of (alpha; d alpha) is zero, so the normal equations are singular
+    (make_form(_XYZ, 1, [(0, var("x"), ("y",))]), None),
+    # on a plane i_R (du ^ dv) = 0 forces R = 0: a full-rank system whose
+    # least-squares residual stays near 1
+    (make_form(_UV, 1, [(0, var("u"), ("v",))]),
+     make_form(_UV, 2, [(0, ONE, ("u", "v"))])),
+])
+def test_reeb_fallback_refutes_with_witness(alpha, two):
+    cert = reeb(alpha, two)
+    assert cert.kind == "refuted"
+    assert "contact condition fails" in cert.detail
+    assert min(v for _, v in cert.witness) >= 0.5
+    if two is not None:
+        assert cert.min_margin > 1e-6
 
 
 def test_schouten_refutes_non_poisson():
