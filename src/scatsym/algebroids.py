@@ -9,14 +9,13 @@ Laurent exponent <= 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .certificates import Certificate, certify_positive, chart_grid, refuted
 from .expr import (
-    Const, ONE, ZERO, add, canon, compile_float, is_provably_zero, mul, powx,
-    split_x_power, substitute, var,
+    Const, ONE, Record, ZERO, add, canon, compile_float, is_provably_zero,
+    mul, powx, split_x_power, substitute, var,
 )
 from .geometry import (
     Chart, GeometryError, SingularForm, exterior_derivative, laurent_decompose,
@@ -28,8 +27,7 @@ class FrameError(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class AlgebroidFrame:
+class AlgebroidFrame(Record):
     flavor: str
     chart: Chart
     generators: tuple  # of (label: str, covector: SingularForm deg 1 smooth, weight: int)
@@ -170,8 +168,7 @@ def _perm_sign(seq) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class SectionVerdict:
+class SectionVerdict(Record):
     accepted: bool
     offending: tuple = ()  # ((exponent, labels), ...) with exponent > 0
 
@@ -216,8 +213,7 @@ def nondegenerate(f: SingularForm, frame: AlgebroidFrame, grid=None,
                             detail="|wedge^n omega / frame volume|")
 
 
-@dataclass(frozen=True)
-class NoGoReport:
+class NoGoReport(Record):
     applicable: bool
     beta_forced_zero: Optional[bool] = None
     top_power_vanishes: Optional[bool] = None

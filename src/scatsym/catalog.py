@@ -4,14 +4,15 @@ properties its verification run is expected to reproduce."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .algebroids import coframe, is_smooth_section, nondegenerate
 from .certificates import Certificate, chart_grid
 from .cohomology import BettiProfile, horizontal_d, lie_derivative
-from .expr import Const, Expr, ONE, ZERO, add, canon, mul, powx, sin, cos, sqrt, var
+from .expr import (
+    Const, Expr, ONE, Record, ZERO, add, canon, mul, powx, sin, cos, sqrt, var,
+)
 from .geometry import (
     Chart, SingularForm, evaluate_form, exterior_derivative, make_form,
     smooth_form, wedge,
@@ -35,14 +36,13 @@ class CatalogError(StructureError):
     pass
 
 
-@dataclass(frozen=True)
-class ExampleRecord:
+class ExampleRecord(Record, uncompared=("extras",)):
     name: str
     params: tuple  # sorted ((key, value), ...)
     flavor: str
     omega: Optional[SingularForm]
     expected: tuple  # of check names, see CHECKS
-    extras: dict = field(default_factory=dict, compare=False)
+    extras: dict  # named builder outputs the checks read
 
     def param(self, key: str):
         for k, v in self.params:
@@ -417,7 +417,7 @@ def _folded_darboux(n: int = 2) -> ExampleRecord:
     terms += [(0, ONE, (f"x{i}", f"y{i}")) for i in range(2, n + 1)]
     omega = make_form(ch, 2, terms)
     return ExampleRecord("folded-darboux", (("n", n),), "folded", omega,
-                         ("folded",))
+                         ("folded",), {})
 
 
 def _sc_darboux(n: int = 2) -> ExampleRecord:

@@ -4,18 +4,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from .expr import DomainError
+from .expr import DomainError, Record
 from .geometry import Chart, SingularForm, compile_form
 
 DEFAULT_POINTS_PER_AXIS = 17
 MAX_GRID_POINTS = 20000
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     kind: str  # "proven" | "numerically-verified" | "refuted"
     grid_points: int = 0
     tolerance: float = 0.0
@@ -62,6 +60,9 @@ def chart_grid(chart_: Chart, per_axis: int = DEFAULT_POINTS_PER_AXIS,
 
     Axis counts shrink uniformly until the total stays under max_points.
     """
+    if per_axis < 1:
+        raise ValueError(
+            f"grid needs at least one point per axis, got {per_axis}")
     n = chart_.dim
     count = per_axis
     while count > 2 and count ** n > max_points:
@@ -78,8 +79,10 @@ def certify_positive(fn: Callable[[dict], float], points, tol: float,
     """fn(point) > tol on every grid point, reporting the minimum margin.
 
     A point where fn is undefined (DomainError) refutes, with that point as
-    the witness."""
+    the witness.  No points certify nothing, so an empty set refutes."""
     points = list(points)
+    if not points:
+        return refuted({}, detail=f"{detail}: no grid points")
     min_margin = math.inf
     for pt in points:
         try:

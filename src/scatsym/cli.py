@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +20,7 @@ from .catalog import (
 )
 from .certificates import chart_grid, refuted
 from .cohomology import BettiProfile, bk_poisson, sc_derham, sc_poisson
-from .expr import DEFAULT_SEED, Expr, ExprError, ser
+from .expr import DEFAULT_SEED, Expr, ExprError, Record, ser
 from .geometry import GeometryError, SingularForm, form_from_json, form_to_json
 from .gluing import (
     FillingCollar, certify_folded_gluing, certify_sc_gluing,
@@ -42,19 +42,24 @@ _PARSE_ERRORS = (json.JSONDecodeError, KeyError, ValueError, TypeError,
 
 
 def to_jsonable(obj):
-    """Lower report objects to JSON-safe values; Exprs become S-expressions."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    """Lower report objects to JSON-safe values; Exprs become S-expressions.
+
+    Non-finite floats become the strings "nan", "inf" and "-inf", which
+    keeps every report strict JSON (RFC 8259 has no NaN or Infinity)."""
+    if obj is None or isinstance(obj, (bool, int, str)):
         return obj
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, Expr):
         return ser(obj)
     if isinstance(obj, SingularForm):
-        return json.loads(form_to_json(obj))
-    if is_dataclass(obj):
+        return to_jsonable(json.loads(form_to_json(obj)))
+    if isinstance(obj, Record):
         out = {"type": type(obj).__name__}
-        for f in fields(obj):
-            out[f.name] = to_jsonable(getattr(obj, f.name))
+        for name in obj._fields:
+            out[name] = to_jsonable(getattr(obj, name))
         for name in ("passed", "is_zero", "refutes", "finite_rank"):
             prop = getattr(type(obj), name, None)
             if isinstance(prop, property):
@@ -71,7 +76,8 @@ def to_jsonable(obj):
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(to_jsonable(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(to_jsonable(report), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def _config(args, *used) -> dict:

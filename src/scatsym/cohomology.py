@@ -8,11 +8,10 @@ summands; the latter are carried as first-class entries and never dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .expr import Const
+from .expr import Const, Record
 from .geometry import (
     Chart, SingularForm, ZeroVerdictMap, exterior_derivative, forms_equal,
     interior_product, make_form, scalar_one, wedge, zero_form,
@@ -49,8 +48,7 @@ def sphere_betti(dim: int) -> tuple:
     return (1,) + (0,) * (dim - 1) + (1,)
 
 
-@dataclass(frozen=True)
-class BettiProfile:
+class BettiProfile(Record):
     dim_m: int
     betti_m: tuple
     dim_z: int
@@ -59,13 +57,15 @@ class BettiProfile:
     tag: str = ""
 
     def __post_init__(self):
+        if self.dim_m < 0 or self.dim_z < 0:
+            raise CohomologyError("dimensions must be nonnegative")
+        if len(self.betti_m) != self.dim_m + 1 or len(self.betti_z) != self.dim_z + 1:
+            raise CohomologyError("Betti table length must be dim + 1")
         for b in self.betti_m + self.betti_z:
             if b < 0:
                 raise CohomologyError("Betti numbers must be nonnegative")
         if self.betti_m[0] < 1 or self.betti_z[0] < 1:
             raise CohomologyError("b_0 must be at least 1")
-        if len(self.betti_m) != self.dim_m + 1 or len(self.betti_z) != self.dim_z + 1:
-            raise CohomologyError("Betti table length must be dim + 1")
         if self.z_components < 1:
             raise CohomologyError("Z must have at least one component")
 
@@ -101,29 +101,24 @@ class BettiProfile:
 # report summands
 
 
-@dataclass(frozen=True)
-class FiniteRank:
+class FiniteRank(Record):
     rank: int
     label: str
 
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(Record):
     label: str
 
 
-@dataclass(frozen=True)
-class InfiniteDimensional:
+class InfiniteDimensional(Record):
     descriptor: str
 
 
-@dataclass(frozen=True)
-class Unresolved:
+class Unresolved(Record):
     descriptor: str
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(Record):
     theorem: str
     degree: int
     summands: tuple
@@ -233,8 +228,7 @@ def horizontal_d(sigma: SingularForm, theta: SingularForm,
     return exterior_derivative(sigma) - wedge(theta, lie_derivative(sigma, reeb_field))
 
 
-@dataclass(frozen=True)
-class HorizontalComplexVerdict:
+class HorizontalComplexVerdict(Record):
     d_squared: ZeroVerdictMap
     reeb_contraction: ZeroVerdictMap
 
@@ -260,8 +254,7 @@ def d_h_squared_check(sigma: SingularForm, theta: SingularForm,
 # quotient complex of the scattering algebroid
 
 
-@dataclass(frozen=True)
-class QuotientVerdict:
+class QuotientVerdict(Record):
     closed: ZeroVerdictMap
     relations: tuple  # of (name, ZeroVerdictMap)
     offending: tuple = ()

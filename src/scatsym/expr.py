@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Union
 
@@ -48,10 +47,98 @@ def _frac(q: Number) -> Fraction:
     raise ExprError(f"not a rational constant: {q!r}")
 
 
-class Expr:
-    """Base class; subclasses are frozen dataclasses (see _node)."""
+class Record:
+    """Immutable value with named fields, built without generated code.
+
+    The fields are the names a subclass annotates, in order after its base
+    record's fields; a class attribute of the same name is the default.
+    Records take fields positionally or by keyword and run `__post_init__`
+    when a class defines one; they compare equal when the type and the field
+    tuple match, hash that tuple, print as `Name(field=value, ...)` and
+    refuse assignment.  A field named in the class keyword `uncompared`
+    stays out of == and the hash.  No code is generated, so defining a
+    record costs no more than defining a plain class.
+    """
 
     __slots__ = ()
+    _fields = ()
+    _compared = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, uncompared=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = cls._fields + own
+        cls._compared = cls._compared + tuple(
+            name for name in own if name not in uncompared)
+        cls._defaults = {**cls._defaults, **{
+            name: cls.__dict__[name] for name in own if name in cls.__dict__}}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments "
+                            f"but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in cls._defaults:
+                values[name] = cls._defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument '{name}'")
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got unexpected arguments "
+                            f"{sorted(kwargs)}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _key(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[name] for name in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        d = self.__dict__
+        body = ", ".join(f"{name}={d[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+
+class Expr(Record):
+    """Base class of the expression nodes, which are Records.
+
+    Each node class has an explicit __init__ and __eq__ (construction and
+    comparison are hot), and hashes its field tuple once: nodes are hashed
+    on every dict and lru_cache lookup, and the hash recurses through the
+    whole subtree.  The memo lives in the instance dict as `_hash`, outside
+    __eq__, repr and the pickled state.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self):
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash(self._key())
+            return h
 
     def __getstate__(self):
         # the memoized hash is per process (str hashes are salted)
@@ -98,74 +185,119 @@ def _as_expr(v) -> Expr:
     raise ExprError(f"cannot coerce {v!r} to an expression")
 
 
-def _node(cls):
-    """Frozen dataclass whose hash is computed once per node.  The generated
-    hash recurses through the whole subtree, and nodes are hashed on every
-    dict and lru_cache lookup; the memo stays out of __eq__, repr and the
-    pickled state."""
-    cls = dataclass(frozen=True)(cls)
-    field_hash = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = self.__dict__["_hash"] = field_hash(self)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_node
 class Const(Expr):
     value: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", _frac(self.value))
+    def __init__(self, value):
+        self.__dict__["value"] = _frac(value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value,) == (other.value,)
+        return NotImplemented
+
+    def _key(self) -> tuple:
+        return (self.value,)
+
+    __hash__ = Expr.__hash__
 
 
-@_node
 class Var(Expr):
     name: str
 
+    def __init__(self, name):
+        self.__dict__["name"] = name
 
-@_node
-class Sum(Expr):
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def _key(self) -> tuple:
+        return (self.name,)
+
+    __hash__ = Expr.__hash__
+
+
+class _Operands(Expr):
+    """Shape of Sum and Prod: one tuple of operands."""
+
     args: tuple
 
+    def __init__(self, args):
+        self.__dict__["args"] = args
 
-@_node
-class Prod(Expr):
-    args: tuple
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.args == other.args
+        return NotImplemented
+
+    def _key(self) -> tuple:
+        return (self.args,)
+
+    __hash__ = Expr.__hash__
 
 
-@_node
+class Sum(_Operands):
+    """args[0] + args[1] + ..."""
+
+
+class Prod(_Operands):
+    """args[0] * args[1] * ..."""
+
+
 class Pow(Expr):
     base: Expr
     exponent: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", _frac(self.exponent))
+    def __init__(self, base, exponent):
+        d = self.__dict__
+        d["base"] = base
+        d["exponent"] = _frac(exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.exponent) == (other.base, other.exponent)
+        return NotImplemented
+
+    def _key(self) -> tuple:
+        return (self.base, self.exponent)
+
+    __hash__ = Expr.__hash__
 
 
-@_node
-class Exp(Expr):
+class _Unary(Expr):
+    """Shape of Exp, Sin and Cos: one operand."""
+
     arg: Expr
 
+    def __init__(self, arg):
+        self.__dict__["arg"] = arg
 
-@_node
-class Sin(Expr):
-    arg: Expr
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.arg,) == (other.arg,)
+        return NotImplemented
+
+    def _key(self) -> tuple:
+        return (self.arg,)
+
+    __hash__ = Expr.__hash__
 
 
-@_node
-class Cos(Expr):
-    arg: Expr
+class Exp(_Unary):
+    """exp(arg)"""
 
 
-@dataclass(frozen=True)
-class Piece:
+class Sin(_Unary):
+    """sin(arg)"""
+
+
+class Cos(_Unary):
+    """cos(arg)"""
+
+
+class Piece(Record):
     """One branch of a PiecewiseDecay; lo/hi are rationals or None for ±inf."""
 
     lo: Optional[Fraction]
@@ -179,7 +311,6 @@ class Piece:
             object.__setattr__(self, "hi", _frac(self.hi))
 
 
-@_node
 class PiecewiseDecay(Expr):
     """Piecewise function of `arg`, branches written in bound variable `var`.
 
@@ -192,14 +323,29 @@ class PiecewiseDecay(Expr):
     var: str
     pieces: tuple  # of Piece
 
-    def __post_init__(self):
+    def __init__(self, arg, var, pieces):
         lo = None
-        for p in self.pieces:
+        for p in pieces:
             if p.lo != lo:
                 raise ExprError("PiecewiseDecay pieces must partition the line")
             lo = p.hi
-        if self.pieces[0].lo is not None or self.pieces[-1].hi is not None:
+        if pieces[0].lo is not None or pieces[-1].hi is not None:
             raise ExprError("PiecewiseDecay pieces must cover (-inf, inf)")
+        d = self.__dict__
+        d["arg"] = arg
+        d["var"] = var
+        d["pieces"] = pieces
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.arg, self.var, self.pieces)
+                    == (other.arg, other.var, other.pieces))
+        return NotImplemented
+
+    def _key(self) -> tuple:
+        return (self.arg, self.var, self.pieces)
+
+    __hash__ = Expr.__hash__
 
 
 ZERO = Const(Fraction(0))
@@ -1014,8 +1160,7 @@ def split_x_power(e: Expr, x: str) -> dict:
 # zero testing
 
 
-@dataclass(frozen=True)
-class ZeroVerdict:
+class ZeroVerdict(Record):
     kind: str  # "proven-zero" | "numerically-zero" | "nonzero"
     max_abs: float = 0.0
     tolerance: float = 0.0

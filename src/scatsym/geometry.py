@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -21,6 +20,7 @@ from .expr import (
     ExprError,
     ONE,
     PiecewiseDecay,
+    Record,
     ZERO,
     ZeroVerdict,
     add,
@@ -44,8 +44,7 @@ class GeometryError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     """Named coordinates with ranges; at most one Z-defining coordinate."""
 
     names: tuple
@@ -102,8 +101,7 @@ def _sorted_index(chart_: Chart, idx: Sequence[str]):
     return sign, tuple(idx[o] for o in order)
 
 
-@dataclass(frozen=True)
-class SingularForm:
+class SingularForm(Record):
     chart: Chart
     degree: int
     terms: tuple  # of (k: int, coeff: Expr, idx: tuple[str])
@@ -258,8 +256,7 @@ def top_power(f: SingularForm, n: int) -> SingularForm:
     return out
 
 
-@dataclass(frozen=True)
-class LaurentSlot:
+class LaurentSlot(Record):
     exponent: int  # the k of x^{-k}
     dx_part: SingularForm  # alpha with term x^{-k} dx wedge alpha
     rest: SingularForm  # beta with term x^{-k} beta (no dx factor)
@@ -440,8 +437,7 @@ def _total_coefficient(f: SingularForm, idx: tuple, pt: dict) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class ZeroVerdictMap:
+class ZeroVerdictMap(Record):
     verdicts: dict
 
     @property

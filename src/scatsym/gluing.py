@@ -8,7 +8,6 @@ r1 = 0 (r2 = -r1).  A convex/concave pair glues classically to d(e^r alpha).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -16,7 +15,7 @@ from .certificates import (
     Certificate, axis_points, certify_positive, geometric_refinement,
 )
 from .expr import (
-    Const, Expr, ONE, Piece, PiecewiseDecay, ZERO, add, compile_float,
+    Const, Expr, ONE, Piece, PiecewiseDecay, Record, ZERO, add, compile_float,
     differentiate, exp, mul, powx, substitute, var,
 )
 from .geometry import (
@@ -100,8 +99,7 @@ def bump_psi_f() -> Expr:
     ))
 
 
-@dataclass(frozen=True)
-class BumpFunctions:
+class BumpFunctions(Record):
     phi: Expr
     psi_sc: Expr
     psi_f: Expr
@@ -120,8 +118,7 @@ def _at(f: Expr, arg: Expr) -> Expr:
 # collars
 
 
-@dataclass(frozen=True)
-class FillingCollar:
+class FillingCollar(Record):
     """Collar Z x [0, length)_r with normal form d(e^{-r} alpha) (convex)
     or d(e^{r} alpha) (concave)."""
 
@@ -171,8 +168,7 @@ def _check_pair(c1: FillingCollar, c2: FillingCollar, want: tuple):
 # glued forms
 
 
-@dataclass(frozen=True)
-class GluedForm:
+class GluedForm(Record):
     kind: str  # "sc" | "folded" | "classic"
     chart: Chart
     omega: SingularForm
@@ -299,8 +295,7 @@ def glue_concave_concave(c1: FillingCollar, c2: FillingCollar,
 # certification
 
 
-@dataclass(frozen=True)
-class ScGluingCertificate:
+class ScGluingCertificate(Record):
     phi_quotient_exceeds_139: Certificate
     psi_slope_at_least_minus_128: Certificate
     b_positive: Certificate
@@ -349,8 +344,7 @@ def certify_sc_gluing(g: GluedForm, grid=None,
     return ScGluingCertificate(c_phi, c_psi, c_b, c_ab)
 
 
-@dataclass(frozen=True)
-class FoldedGluingCertificate:
+class FoldedGluingCertificate(Record):
     gap_on_1_2: Certificate  # e^r - 4 e^{-r} > 0, i.e. e^2 > 4
     ratio_on_0_1: Certificate  # e^{2r} > 1
     dr_alpha_coefficient_positive: Certificate

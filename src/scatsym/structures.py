@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -13,7 +12,7 @@ from .certificates import (
     refuted, verified,
 )
 from .expr import (
-    Const, ONE, ZERO, ZeroVerdict, add, canon, compile_float,
+    Const, ONE, Record, ZERO, ZeroVerdict, add, canon, compile_float,
     is_provably_zero, is_zero, mul, powx, substitute, var,
 )
 from .geometry import (
@@ -38,8 +37,7 @@ def closedness(f: SingularForm, n_samples: int = 500,
                        n_samples=n_samples, tol=tol)
 
 
-@dataclass(frozen=True)
-class SymplecticReport:
+class SymplecticReport(Record):
     section: SectionVerdict
     closed: ZeroVerdictMap
     nondegeneracy: Certificate
@@ -107,8 +105,7 @@ def lift(f: SingularForm, ch: Chart, k: int = 0) -> SingularForm:
                      f.kind)
 
 
-@dataclass(frozen=True)
-class SampledField:
+class SampledField(Record):
     """Reeb field sampled on a grid when no symbolic solution is recognized."""
     chart: Chart
     samples: tuple  # of (point items tuple, vector tuple)
@@ -139,8 +136,7 @@ def _verify_reeb_pair(one: SingularForm, two: SingularForm, field, grid,
     return cert
 
 
-@dataclass(frozen=True)
-class ContactData:
+class ContactData(Record):
     chart: Chart  # chart of Z
     alpha: SingularForm
     reeb: object  # SingularForm (kind vector) or SampledField
@@ -151,8 +147,7 @@ class ContactData:
                                  "|alpha wedge (d alpha)^{n-1}|")
 
 
-@dataclass(frozen=True)
-class CosymplecticData:
+class CosymplecticData(Record):
     chart: Chart
     theta: SingularForm  # closed 1-form
     eta: SingularForm  # closed 2-form
@@ -410,8 +405,7 @@ def normal_form(ch: Chart, alpha: SingularForm, beta1: Optional[SingularForm],
     return make_form(ch, 2, terms)
 
 
-@dataclass(frozen=True)
-class FillingVerdict:
+class FillingVerdict(Record):
     filling: bool
     nonzero_slot: Optional[str] = None  # "b1" | "b2"
     liouville_contraction: Optional[ZeroVerdictMap] = None
@@ -480,8 +474,7 @@ def cosymplectic_extract(omega: SingularForm, k: int) -> CosymplecticData:
 # folded forms
 
 
-@dataclass(frozen=True)
-class FoldedVerdict:
+class FoldedVerdict(Record):
     closed: ZeroVerdictMap
     vanishing_on_fold: ZeroVerdict
     transversal: Certificate

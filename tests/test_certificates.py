@@ -24,3 +24,9 @@ def test_certify_nonvanishing_refutes_nan_in_any_slot():
         cert = certify_nonvanishing(smooth_form(ch, terms), None, 1e-8)
         assert cert.kind == "refuted"
         assert dict(cert.witness)["y"] > 0.8
+
+
+def test_certify_positive_refutes_an_empty_point_set():
+    cert = certify_positive(lambda pt: 1.0, [], 1e-8, detail="scan")
+    assert cert.kind == "refuted" and not cert.passed
+    assert cert.grid_points == 0 and cert.witness == ()

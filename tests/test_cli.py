@@ -57,6 +57,13 @@ def test_catalog_run_unknown_exits_2():
     assert main(["catalog", "run", "nonsense"]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_catalog_run_empty_grid_exits_2(grid):
+    # a grid of no points certifies nothing; it used to pass the record
+    assert main(["catalog", "run", "sc-darboux", "--param", "n=1",
+                 "--grid", grid]) == EXIT_PARSE
+
+
 def test_catalog_run_with_params(tmp_path):
     out = tmp_path / "cat.json"
     # catalog run reads --grid only, so --tol-nondeg is neither used nor
@@ -83,6 +90,13 @@ def test_cohomology_bad_profile_exits_2():
                  "--profile", "moebius:1", "--p", "1"]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("profile", ["torus:0", "sphere:0"])
+def test_cohomology_zero_dimensional_profile_exits_2(profile):
+    # torus:0 has an empty Betti table for Z and used to exit 3
+    assert main(["cohomology", "--theorem", "sc-derham",
+                 "--profile", profile, "--p", "0"]) == EXIT_PARSE
+
+
 def test_cohomology_profile_file(tmp_path, capsys):
     prof = {"dim_m": 2, "betti_m": [1, 2, 1], "dim_z": 1,
             "betti_z": [1, 1], "z_components": 1, "tag": ""}
@@ -99,6 +113,19 @@ def test_decompose_command(form_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["filling"]["filling"] is True
     assert doc["a"]["degree"] == 1
+
+
+def test_decompose_echoes_an_infinite_chart_range_as_strict_json(tmp_path):
+    doc = {"chart": {"names": ["x", "y"], "ranges": [[-1, 1], [0, "inf"]],
+                     "x": "x", "circles": []},
+           "degree": 2, "kind": "form",
+           "terms": [{"k": 3, "coeff": "1", "index": ["x", "y"]}]}
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps(doc).replace('"inf"', "Infinity"))
+    out = tmp_path / "report.json"
+    assert main(["decompose", str(form), "--out", str(out)]) == EXIT_PASS
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["a"]["chart"]["ranges"] == [[0.0, "inf"]]  # the Z chart
 
 
 def test_glue_classic(tmp_path):
@@ -147,7 +174,12 @@ def _verify_one_term(tmp_path, coeff, y_range=(-1, 1)):
     form.write_text(json.dumps(doc))
     out = tmp_path / "report.json"
     code = main(["verify", str(form), "--out", str(out)])
-    return code, json.loads(out.read_text())["result"]["nondegeneracy"]
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    return code, doc["result"]["nondegeneracy"]
+
+
+def _reject_constant(token):
+    raise ValueError(f"report is not strict JSON: {token}")
 
 
 def test_verify_nan_coefficient_refutes(tmp_path):
@@ -160,6 +192,23 @@ def test_verify_nan_coefficient_refutes(tmp_path):
     assert code == EXIT_FAIL
     assert cert["kind"] == "refuted"
     assert dict(cert["witness"])["y"] == pytest.approx(0.8235, abs=1e-3)
+    assert cert["min_margin"] == "nan"
+
+
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_verify_empty_grid_exits_2(tmp_path, grid):
+    # on no grid points the NaN coefficient used to verify, with
+    # min_margin Infinity
+    e = {a: f"(exp (mul {a} (var y)))" for a in (300, 301, 302, 303)}
+    doc = {"chart": {"names": ["x", "y"], "ranges": [[-1, 1], [-1, 1]],
+                     "x": "x", "circles": []},
+           "degree": 2, "kind": "form",
+           "terms": [{"k": 3, "index": ["x", "y"],
+                      "coeff": f"(add 1 (mul {e[300]} {e[301]} {e[302]}) "
+                               f"(mul -1 {e[300]} {e[301]} {e[303]}))"}]}
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps(doc))
+    assert main(["verify", str(form), "--grid", grid]) == EXIT_PARSE
 
 
 def test_verify_float_overflow_refutes_with_witness(tmp_path):

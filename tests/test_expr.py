@@ -158,7 +158,7 @@ def _same(a, b):
 
 
 def _random_tree(rng, depth, names=("x", "y")):
-    """A tree over every node kind; raw dataclass nodes (unfolded constants,
+    """A tree over every node kind; nodes built directly (unfolded constants,
     zero factors, constant pieces) as well as smart-constructor ones."""
     if depth == 0 or rng.random() < 0.2:
         if rng.random() < 0.6:
