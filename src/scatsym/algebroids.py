@@ -269,7 +269,9 @@ def no_go_check(m: int, k: int, dim: int, seed: int = 1) -> NoGoReport:
     if found is None:
         slot_ok = is_provably_zero(canon(add(*[c for _, c, _ in target.terms], ZERO)))
     else:
-        diff = found.dx_part - _restrict_to_z(target)
+        # imported here because structures imports this module
+        from .structures import lift, restrict_to_z
+        diff = found.dx_part - lift(restrict_to_z(target), ch)
         slot_ok = diff.is_zero_form
 
     # impose beta|_Z = 0 (beta -> x * beta) and inspect the top power at Z
@@ -289,12 +291,6 @@ def no_go_check(m: int, k: int, dim: int, seed: int = 1) -> NoGoReport:
             vanishes = False
     return NoGoReport(True, slot_ok, vanishes,
                       detail=f"m={m}, k={k}, dim={dim}")
-
-
-def _restrict_to_z(f: SingularForm) -> SingularForm:
-    terms = [(0, substitute(c, {f.chart.x: ZERO}), idx)
-             for k, c, idx in f.terms if k == 0 and f.chart.x not in idx]
-    return make_form(f.chart, f.degree, terms)
 
 
 def _lcg(seed: int):

@@ -24,7 +24,7 @@ from .gluing import (
 from .structures import (
     ContactData, StructureError, certify_symplectic, closedness,
     cosymplectic_extract, dual_jacobi_check, dual_roundtrip_check, dualize,
-    induced_contact, normal_form, strong_filling_check, verify_folded,
+    induced_contact, lift, normal_form, strong_filling_check, verify_folded,
     verify_sc_symplectic, z_chart,
 )
 
@@ -96,22 +96,6 @@ def _round_sphere_primitive(ch: Chart, pairs, dependent: str,
     return make_form(ch, 1, terms)
 
 
-def _singular_primitive_derivative(ch: Chart, primitive: SingularForm,
-                                   pole: int) -> SingularForm:
-    """d(primitive / x^pole) assembled slotwise:
-    -pole dx/x^{pole+1} wedge primitive + d(primitive)/x^pole."""
-    xname = ch.x
-    terms = []
-    for k, c, idx in primitive.terms:
-        if xname in idx:
-            continue
-        terms.append((pole + 1 + k, mul(Const(Fraction(-pole)), c),
-                      (xname,) + idx))
-    dp = exterior_derivative(primitive)
-    terms += [(pole + k, c, idx) for k, c, idx in dp.terms]
-    return make_form(ch, primitive.degree + 1, terms)
-
-
 # ---------------------------------------------------------------------------
 # sphere constructions
 
@@ -139,8 +123,7 @@ def sphere_form(n: int, ch: Optional[Chart] = None) -> SingularForm:
     """beta = -2 dz/z^3 wedge sigma + d(sigma)/z^2 = d(sigma/z^2)."""
     if ch is None:
         ch = sphere_chart(n)
-    sigma = sphere_primitive(n, ch)
-    return _singular_primitive_derivative(ch, sigma, 2)
+    return exterior_derivative(lift(sphere_primitive(n, ch), ch, 2))
 
 
 def sphere_pole_chart(n: int, bound: float = 0.3) -> Chart:
@@ -279,7 +262,7 @@ def _euclidean_end(n: int = 2) -> ExampleRecord:
     alpha = _round_sphere_primitive(ch, pairs, "s1", half=False,
                                     exclude=("x",))
     # dx/x^3 ^ alpha - d(alpha)/(2x^2) = -d(alpha/x^2)/2
-    omega = _singular_primitive_derivative(ch, alpha, 2).scale(
+    omega = exterior_derivative(lift(alpha, ch, 2)).scale(
         Const(Fraction(-1, 2)))
     return ExampleRecord("euclidean-end", (("n", n),), "sc", omega,
                          ("sc-symplectic", "filling", "dual-jacobi",
@@ -308,9 +291,7 @@ def _symplectization(z: str = "s1") -> ExampleRecord:
     else:
         raise CatalogError(f"unknown symplectization base '{z}'")
     ch = _x_chart(contact)
-    omega = _singular_primitive_derivative(
-        ch, make_form(ch, 1, [(0, c, idx) for _, c, idx in contact.alpha.terms]),
-        2)
+    omega = exterior_derivative(lift(contact.alpha, ch, 2))
     return ExampleRecord("symplectization", (("z", z),), "sc", omega,
                          ("sc-symplectic", "filling", "induced-contact",
                           "dual-roundtrip"),

@@ -63,6 +63,10 @@ def chart_grid(chart_: Chart, per_axis: int = DEFAULT_POINTS_PER_AXIS,
     if per_axis < 1:
         raise ValueError(
             f"grid needs at least one point per axis, got {per_axis}")
+    for name, (lo, hi) in zip(chart_.names, chart_.ranges):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"grid needs a finite range for '{name}', "
+                             f"got ({lo}, {hi})")
     n = chart_.dim
     count = per_axis
     while count > 2 and count ** n > max_points:

@@ -318,10 +318,14 @@ def sc_reduction_primitive(ch: Chart, alphas: Sequence[SingularForm],
     return out
 
 
+def _exact_singular(ch: Chart, f: SingularForm, j: int) -> SingularForm:
+    """-d(f/x^j)/j = dx/x^{j+1} wedge f - d(f)/(j x^j), f on the Z chart."""
+    return exterior_derivative(lift(f, ch, j)).scale(Const(Fraction(-1, j)))
+
+
 def sc_reduced_element(ch: Chart, alpha0: SingularForm, p: int) -> SingularForm:
     """dx/x^{p+1} wedge alpha_0 - d(alpha_0)/(p x^p)."""
-    da = exterior_derivative(alpha0).scale(Const(Fraction(-1, p)))
-    return _prefix_dx(ch, alpha0, p + 1) + lift(da, ch, k=p)
+    return _exact_singular(ch, alpha0, p)
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +430,8 @@ def rigged_closed_representative(ch: Chart, contact: ContactData,
         da_theta = wedge(exterior_derivative(alpha), th)
         if not forms_equal(da_theta, zero_form(zch, k), tol=tol).is_zero:
             raise CohomologyError("theta must satisfy d alpha ^ theta = 0")
-    eta0 = delta0 + wedge(alpha, gamma0)
-    nu = _prefix_dx(ch, eta0, 2 * k + 1)
-    nu = nu + _prefix_dx(ch, delta1, 2 * k)
+    nu = _exact_singular(ch, delta0 + wedge(alpha, gamma0), 2 * k)
+    nu = nu + _exact_singular(ch, delta1, 2 * k - 1)
     if th.terms:
-        nu = nu + _prefix_dx(ch, wedge(alpha, th), 2 * k + 2)
-    nu = nu + lift(exterior_derivative(eta0).scale(Const(Fraction(-1, 2 * k))),
-                   ch, k=2 * k)
-    nu = nu + lift(exterior_derivative(delta1).scale(
-        Const(Fraction(-1, 2 * k - 1))), ch, k=2 * k - 1)
-    if th.terms:
-        nu = nu + lift(exterior_derivative(wedge(alpha, th)).scale(
-            Const(Fraction(-1, 2 * k + 1))), ch, k=2 * k + 1)
+        nu = nu + _exact_singular(ch, wedge(alpha, th), 2 * k + 1)
     return nu

@@ -391,6 +391,17 @@ def forms_equal(a: SingularForm, b: SingularForm, n_samples: int = 200,
     return ZeroVerdictMap(verdicts)
 
 
+def off_pole_domain(ch: Chart, domain: Optional[dict] = None) -> dict:
+    """The sampling box (the chart's by default) with the x axis kept away
+    from the pole locus x = 0."""
+    dom = dict(domain or ch.box())
+    if ch.x is not None and ch.x in dom:
+        lo, hi = (float(v) for v in dom[ch.x])
+        if lo < 0.0 < hi:
+            dom[ch.x] = (0.05 * (hi - lo), hi)
+    return dom
+
+
 def pointwise_equal(a: SingularForm, b: SingularForm, n_samples: int = 200,
                     tol: float = 1e-8,
                     domain: Optional[dict] = None) -> "ZeroVerdictMap":
@@ -399,14 +410,8 @@ def pointwise_equal(a: SingularForm, b: SingularForm, n_samples: int = 200,
     forms compare as equal).  Relative tolerance against the larger value."""
     if a.chart != b.chart or a.degree != b.degree or a.kind != b.kind:
         raise GeometryError("pointwise comparison needs matching shapes")
-    dom = dict(domain or a.chart.box())
-    if a.chart.x is not None:
-        # keep samples away from the pole locus
-        lo, hi = dom[a.chart.x]
-        span = float(hi) - float(lo)
-        if float(lo) < 0.0 < float(hi):
-            dom[a.chart.x] = (0.05 * span, float(hi))
-    pts = sample_points(a.chart.names, dom, n_samples)
+    pts = sample_points(a.chart.names, off_pole_domain(a.chart, domain),
+                        n_samples)
     verdicts: dict = {}
     indices = {idx for _, _, idx in a.terms} | {idx for _, _, idx in b.terms}
     for idx in sorted(indices):

@@ -4,6 +4,14 @@ Two convex collars glue to a scattering form on an annulus r1 in (1/2, 2)
 with singular locus r1 = 1 (the second collar enters through r2 = 1/r1).
 Two concave collars glue to a folded form on r1 in (-2, 2) with fold at
 r1 = 0 (r2 = -r1).  A convex/concave pair glues classically to d(e^r alpha).
+
+Each glued form is omega = d(B base) for one scalar profile B(r1) and one
+1-form base: gamma = e^{-r1} alpha (sc) or alpha (folded, classic).  So
+omega = A dr1 wedge base + B d(base) with A = dB/dr1, and the certificates
+bound coefficients of omega itself:
+- sc: B, and A - B; since d(gamma) = e^{-r1} (d alpha - dr1 wedge alpha),
+  omega = e^{-r1} ((A - B) dr1 wedge alpha + B d alpha).
+- folded: A on dr1 wedge alpha and B on d alpha, for r1 in (0, 2).
 """
 
 from __future__ import annotations
@@ -169,19 +177,20 @@ def _check_pair(c1: FillingCollar, c2: FillingCollar, want: tuple):
 
 
 class GluedForm(Record):
+    """omega = d(B base) for the profile B(r1) and the 1-form base
+    e^{-r1} alpha ("sc") or alpha ("folded", "classic").
+
+    d(B base) = A dr1 wedge base + B d(base) with A = dB/dr1, so the
+    certifiers take A and B from the profile, and both are coefficients of
+    omega by construction."""
+
     kind: str  # "sc" | "folded" | "classic"
     chart: Chart
     omega: SingularForm
     alpha: SingularForm  # contact form on the Z chart
+    profile: Expr  # B, a function of r1
     locus: Optional[float] = None  # r1 value of the singular locus / fold
     bumps: Optional[BumpFunctions] = None
-    coefficients: tuple = ()  # named scalar coefficients ((name, Expr), ...)
-
-    def coefficient(self, name: str) -> Expr:
-        for nm, e in self.coefficients:
-            if nm == name:
-                return e
-        raise GluingError(f"no stored coefficient '{name}'")
 
 
 def _annulus_chart(zch: Chart, lo: float, hi: float,
@@ -190,105 +199,62 @@ def _annulus_chart(zch: Chart, lo: float, hi: float,
                  zch.circles)
 
 
+def _glued(kind: str, collar: FillingCollar, base: SingularForm,
+           profile: Expr, locus: Optional[float] = None,
+           bumps: Optional[BumpFunctions] = None) -> GluedForm:
+    return GluedForm(kind, base.chart, exterior_derivative(base.scale(profile)),
+                     collar.contact.alpha, profile, locus, bumps)
+
+
 def glue_convex_convex(c1: FillingCollar, c2: FillingCollar,
                        bumps: Optional[BumpFunctions] = None) -> GluedForm:
-    """omega = d((phi(r1)/(r1-1)^2 + psi(r1)) gamma~)
-             + d((phi(r2)/(r2-1)^2 + psi(r2)) gamma),  r2 = 1/r1,
-    with gamma = e^{-r1} alpha and gamma~ = e^{-1/r1 + r1} gamma."""
+    """omega = d(f(r1) e^{-r2} alpha) + d(f(r2) e^{-r1} alpha) = d(B gamma),
+    r2 = 1/r1, f(s) = phi(s)/(s-1)^2 + psi(s), gamma = e^{-r1} alpha and
+    B = e^{r1 - r2} f(r1) + f(r2)."""
     _check_pair(c1, c2, ("convex", "convex"))
     if min(c1.length, c2.length) <= 2:
         raise GluingError("convex-convex gluing needs collar lengths > 2")
     if bumps is None:
         bumps = BumpFunctions.default()
-    zch = c1.contact.chart
-    ch = _annulus_chart(zch, 0.5, 2.0)
+    ch = _annulus_chart(c1.contact.chart, 0.5, 2.0)
     r1 = var(GLUE_R)
     r2 = powx(r1, -1)
-    alpha = lift(c1.contact.alpha, ch)
+    neg = Const(Fraction(-1))
 
     def f(s: Expr) -> Expr:
-        return add(mul(_at(bumps.phi, s), powx(add(s, Const(Fraction(-1))), -2)),
+        return add(mul(_at(bumps.phi, s), powx(add(s, neg), -2)),
                    _at(bumps.psi_sc, s))
 
-    gamma = alpha.scale(exp(mul(Const(Fraction(-1)), r1)))
-    gammatilde = alpha.scale(exp(mul(Const(Fraction(-1)), r2)))
-    eta = gammatilde.scale(f(r1)) + gamma.scale(f(r2))
-    omega = exterior_derivative(eta)
-
-    a_expr, b_expr = _sc_coefficients(bumps)
-    return GluedForm("sc", ch, omega, c1.contact.alpha, 1.0, bumps,
-                     (("A", a_expr), ("B", b_expr)))
-
-
-def _sc_coefficients(bumps: BumpFunctions):
-    """The dr1-wedge-gamma and d-gamma coefficients A and B of the glued
-    form, assembled term by term."""
-    r1 = var(GLUE_R)
-    r2 = powx(r1, -1)
-    phi, psi = bumps.phi, bumps.psi_sc
-    dphi = differentiate(phi, "r")
-    dpsi = differentiate(psi, "r")
-    neg = Const(Fraction(-1))
-    rm1_2 = powx(add(r1, neg), -2)
-    rm1_3 = powx(add(r1, neg), -3)
-    efac = exp(add(mul(neg, r2), r1))
-    one_plus = add(powx(r1, -2), ONE)
-    a_expr = add(
-        mul(efac, _at(dphi, r1), rm1_2),
-        mul(Const(Fraction(-2)), efac, _at(phi, r1), rm1_3),
-        mul(efac, _at(dpsi, r1)),
-        mul(neg, _at(dpsi, r2), powx(r1, -2)),
-        mul(one_plus, efac, _at(phi, r1), rm1_2),
-        mul(one_plus, efac, _at(psi, r1)),
-        mul(neg, _at(dphi, r2), rm1_2),
-        mul(Const(Fraction(-2)), _at(phi, r2), r1, rm1_3),
-    )
-    b_expr = add(
-        mul(efac, _at(phi, r1), rm1_2),
-        mul(efac, _at(psi, r1)),
-        mul(_at(phi, r2), powx(r1, 2), rm1_2),
-        _at(psi, r2),
-    )
-    return a_expr, b_expr
+    profile = add(mul(exp(add(mul(neg, r2), r1)), f(r1)), f(r2))
+    gamma = lift(c1.contact.alpha, ch).scale(exp(mul(neg, r1)))
+    return _glued("sc", c1, gamma, profile, 1.0, bumps)
 
 
 def glue_convex_concave(c1: FillingCollar, c2: FillingCollar) -> GluedForm:
     """Classical gluing: omega = d(e^r alpha), smooth symplectic on the
     joined collar r in (-1, 1)."""
     _check_pair(c1, c2, ("convex", "concave"))
-    zch = c1.contact.chart
-    ch = _annulus_chart(zch, -1.0, 1.0)
-    eta = lift(c1.contact.alpha, ch).scale(exp(var(GLUE_R)))
-    omega = exterior_derivative(eta)
-    return GluedForm("classic", ch, omega, c1.contact.alpha)
+    ch = _annulus_chart(c1.contact.chart, -1.0, 1.0)
+    return _glued("classic", c1, lift(c1.contact.alpha, ch), exp(var(GLUE_R)))
 
 
 def glue_concave_concave(c1: FillingCollar, c2: FillingCollar,
                          bumps: Optional[BumpFunctions] = None) -> GluedForm:
-    """omega = d(psi(r1) e^{r1} alpha) + d(psi(r2) e^{r2} alpha), r2 = -r1;
-    folded with fold at r1 = 0."""
+    """omega = d(psi(r1) e^{r1} alpha) + d(psi(r2) e^{r2} alpha) = d(B alpha),
+    r2 = -r1, B = psi(r1) e^{r1} + psi(r2) e^{r2}; folded with fold at
+    r1 = 0."""
     _check_pair(c1, c2, ("concave", "concave"))
     if min(c1.length, c2.length) <= 2:
         raise GluingError("concave-concave gluing needs collar lengths > 2")
     if bumps is None:
         bumps = BumpFunctions.default()
-    zch = c1.contact.chart
-    ch = _annulus_chart(zch, -2.0, 2.0, x=GLUE_R)
+    ch = _annulus_chart(c1.contact.chart, -2.0, 2.0, x=GLUE_R)
     r1 = var(GLUE_R)
     r2 = mul(Const(Fraction(-1)), r1)
     psi = bumps.psi_f
-    alpha = lift(c1.contact.alpha, ch)
-    eta = alpha.scale(add(mul(_at(psi, r1), exp(r1)),
-                          mul(_at(psi, r2), exp(r2))))
-    omega = exterior_derivative(eta)
-    dpsi = differentiate(psi, "r")
-    a_expr = add(mul(exp(r1), _at(dpsi, r1)),
-                 mul(exp(r1), _at(psi, r1)),
-                 mul(Const(Fraction(-1)), exp(r2), _at(dpsi, r2)),
-                 mul(Const(Fraction(-1)), exp(r2), _at(psi, r2)))
-    b_expr = add(mul(_at(psi, r1), exp(r1)), mul(_at(psi, r2), exp(r2)))
-    return GluedForm("folded", ch, omega, c1.contact.alpha, 0.0, bumps,
-                     (("A", a_expr), ("B", b_expr)))
+    profile = add(mul(_at(psi, r1), exp(r1)), mul(_at(psi, r2), exp(r2)))
+    return _glued("folded", c1, lift(c1.contact.alpha, ch), profile, 0.0,
+                  bumps)
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +280,11 @@ def certify_sc_gluing(g: GluedForm, grid=None,
     plus the two slope constants the positivity argument rests on."""
     if g.kind != "sc":
         raise GluingError("expected a convex-convex glued form")
-    bumps = g.bumps
-    phi, psi = bumps.phi, bumps.psi_sc
-    dphi = differentiate(phi, "r")
+    phi, psi = g.bumps.phi, g.bumps.psi_sc
     dpsi = compile_float(differentiate(psi, "r"))
-    r = var("r")
-    neg = Const(Fraction(-1))
-    quotient = compile_float(
-        add(mul(dphi, powx(add(r, neg), -2)),
-            mul(Const(Fraction(-2)), phi, powx(add(r, neg), -3))))
+    # (phi/(r-1)^2)' = phi'/(r-1)^2 - 2 phi/(r-1)^3
+    quotient = compile_float(differentiate(
+        mul(phi, powx(add(var("r"), Const(Fraction(-1))), -2)), "r"))
     pts = [{"r": v} for v in axis_points(0.875, 1.0, constant_points)]
     c_phi = certify_positive(
         lambda pt: quotient(pt) - 139.0, pts, 0.0,
@@ -332,8 +294,8 @@ def certify_sc_gluing(g: GluedForm, grid=None,
         lambda pt: dpsi(pt) + 128.0, pts, -1e-9,
         detail="psi' + 128 on (7/8, 1), non-strict")
 
-    a_val = compile_float(g.coefficient("A"))
-    b_val = compile_float(g.coefficient("B"))
+    a_val = compile_float(differentiate(g.profile, GLUE_R))
+    b_val = compile_float(g.profile)
     if grid is None:
         grid = [{GLUE_R: v}
                 for v in geometric_refinement(1.0, 0.5, 1.0, base=256,
@@ -380,10 +342,10 @@ def certify_folded_gluing(g: GluedForm, grid=None,
     if grid is None:
         grid = [{GLUE_R: v} for v in axis_points(0.0, 2.0, points)]
     pos_a = certify_positive(
-        compile_float(g.coefficient("A")), grid, 0.0,
+        compile_float(differentiate(g.profile, GLUE_R)), grid, 0.0,
         detail="dr1 wedge alpha coefficient on (0, 2)")
     pos_b = certify_positive(
-        compile_float(g.coefficient("B")), grid, 0.0,
+        compile_float(g.profile), grid, 0.0,
         detail="d alpha coefficient on (0, 2)")
 
     fold = verify_folded(g.omega)

@@ -18,7 +18,8 @@ from .expr import (
 from .geometry import (
     Chart, GeometryError, SingularForm, ZeroVerdictMap, compile_form,
     compile_matrix, exterior_derivative, forms_equal, interior_product,
-    laurent_decompose, make_form, scalar_one, top_power, wedge, zero_form,
+    laurent_decompose, make_form, off_pole_domain, scalar_one, top_power,
+    wedge, zero_form,
 )
 from .linalg import float_inverse, float_matmul, sym_inverse
 
@@ -285,16 +286,6 @@ def dualize_inverse(pi: SingularForm) -> SingularForm:
     return _matrix_to_bivector(pi.chart, inv, "form")
 
 
-def _sample_domain(ch: Chart, domain: Optional[dict]) -> dict:
-    """Chart box with the x axis kept away from the pole locus."""
-    dom = dict(domain or ch.box())
-    if ch.x is not None and ch.x in dom:
-        lo, hi = (float(v) for v in dom[ch.x])
-        if lo < 0.0 < hi:
-            dom[ch.x] = (0.05 * (hi - lo), hi)
-    return dom
-
-
 def _sample_matrix(f: SingularForm, n_samples: int, domain: Optional[dict],
                    partials: bool):
     """Yield each sample point with the float values there of the matrix m
@@ -304,7 +295,7 @@ def _sample_matrix(f: SingularForm, n_samples: int, domain: Optional[dict],
     ch, m = f.chart, _full_matrix(f)
     dm = [[[differentiate(e, nm) for e in row] for row in m]
           for nm in ch.names] if partials else []
-    for pt in sample_points(ch.names, _sample_domain(ch, domain), n_samples):
+    for pt in sample_points(ch.names, off_pole_domain(ch, domain), n_samples):
         cache: dict = {}
         values = [[[float(evaluate_dag(e, pt, cache)) for e in row]
                    for row in a] for a in [m] + dm]
@@ -391,17 +382,13 @@ def normal_form(ch: Chart, alpha: SingularForm, beta1: Optional[SingularForm],
     for b in (beta1, beta2):
         if b is not None and not closedness(b).is_zero:
             raise StructureError("beta inputs must be closed")
-    xname = ch.x
-    a = lift(alpha, ch)
-    terms = [(3, c, (xname,) + idx) for k, c, idx in a.terms]
+    # dx/x^3 ^ alpha - d(alpha)/(2 x^2) = -d(alpha/x^2)/2
+    omega = exterior_derivative(lift(alpha, ch, 2)).scale(Const(Fraction(-1, 2)))
+    terms = list(omega.terms)
     if beta1 is not None:
-        b1 = lift(beta1, ch)
-        terms += [(1, c, (xname,) + idx) for k, c, idx in b1.terms]
-    da = lift(exterior_derivative(alpha), ch)
-    terms += [(2, mul(Const(Fraction(-1, 2)), c), idx) for k, c, idx in da.terms]
+        terms += [(1, c, (ch.x,) + idx) for _, c, idx in beta1.terms]
     if beta2 is not None:
-        b2 = lift(beta2, ch)
-        terms += [(0, c, idx) for k, c, idx in b2.terms]
+        terms += [(0, c, idx) for _, c, idx in beta2.terms]
     return make_form(ch, 2, terms)
 
 

@@ -39,6 +39,8 @@ def test_parameter_cap():
     ("torus-sc-folded", {"m": 2, "n": 1}),
     ("euclidean-end", {"n": 1}),
     ("sc-sphere", {"n": 1}),
+    ("t2xs2", {}),
+    ("s3xs1", {}),
 ])
 def test_fast_records_pass(name, params):
     rec = build_example(name, **params)

@@ -128,6 +128,20 @@ def test_decompose_echoes_an_infinite_chart_range_as_strict_json(tmp_path):
     assert report["a"]["chart"]["ranges"] == [[0.0, "inf"]]  # the Z chart
 
 
+def test_verify_infinite_chart_range_exits_2(tmp_path, capsys):
+    # a grid over y in (-inf, inf) has only NaN y values, on which the
+    # constant coefficient 1 used to pass as numerically verified
+    doc = {"chart": {"names": ["x", "y"], "ranges": [[-1, 1], ["-inf", "inf"]],
+                     "x": "x", "circles": []},
+           "degree": 2, "kind": "form",
+           "terms": [{"k": 3, "coeff": "1", "index": ["x", "y"]}]}
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps(doc).replace('"-inf"', "-Infinity")
+                    .replace('"inf"', "Infinity"))
+    assert main(["verify", str(form)]) == EXIT_PARSE
+    assert "'y'" in capsys.readouterr().err
+
+
 def test_glue_classic(tmp_path):
     out = tmp_path / "glue.json"
     code = main(["glue", "--kind", "classic", "--out", str(out)])

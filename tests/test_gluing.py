@@ -7,13 +7,14 @@ import pytest
 
 from scatsym import expr
 from scatsym.catalog import s2xs1_contact, torus_contact
-from scatsym.expr import evaluate
+from scatsym.expr import ONE, differentiate, evaluate, exp, mul, var
+from scatsym.geometry import exterior_derivative, smooth_form, wedge
 from scatsym.gluing import (
-    FillingCollar, GluingError, bump_phi, bump_psi_f, bump_psi_sc,
+    GLUE_R, FillingCollar, GluingError, bump_phi, bump_psi_f, bump_psi_sc,
     certify_folded_gluing, certify_sc_gluing, glue_concave_concave,
     glue_convex_concave, glue_convex_convex,
 )
-from scatsym.structures import closedness
+from scatsym.structures import closedness, lift
 
 
 def test_bump_phi_endpoints():
@@ -75,6 +76,23 @@ def test_glue_concave_concave_certified():
     assert glued.kind == "folded"
     cert = certify_folded_gluing(glued)
     assert cert.passed
+
+
+@pytest.mark.parametrize("contact", [torus_contact, s2xs1_contact])
+@pytest.mark.parametrize("convexity,glue,base_scalar", [
+    ("convex", glue_convex_convex, exp(mul(-1, var(GLUE_R)))),
+    ("concave", glue_concave_concave, ONE),
+])
+def test_glued_form_is_structurally_a_dr1_base_plus_b_dbase(
+        contact, convexity, glue, base_scalar):
+    # the certified A = dB/dr1 and B are the coefficients of omega itself:
+    # omega - (A dr1 ^ base + B d(base)) is the zero form, term for term
+    collar = FillingCollar(contact(), convexity)
+    g = glue(collar, collar)
+    base = lift(g.alpha, g.chart).scale(base_scalar)
+    a_dr1 = smooth_form(g.chart, {(GLUE_R,): differentiate(g.profile, GLUE_R)})
+    want = wedge(a_dr1, base) + exterior_derivative(base).scale(g.profile)
+    assert (g.omega - want).is_zero_form
 
 
 def test_sc_gluing_does_not_walk_trees_per_point(monkeypatch):
