@@ -19,7 +19,7 @@ from .expr import (
 )
 from .geometry import (
     Chart, GeometryError, SingularForm, exterior_derivative, laurent_decompose,
-    make_form, smooth_form, top_power,
+    make_form, restrict_to_z, smooth_form, top_power,
 )
 from .linalg import sym_det, sym_inverse
 
@@ -198,15 +198,13 @@ def nondegenerate(f: SingularForm, frame: AlgebroidFrame, grid=None,
     wsum = frame.volume_weight()
     det = sym_det(frame.coefficient_matrix())
     # top = sum_t c_t x^{-k_t} dVol; frame volume = det / x^{wsum} dVol
-    pieces = []
-    for k, c, _ in top.terms:
-        if k > wsum:
-            return refuted({}, detail=f"top power exceeds frame volume pole "
-                                      f"({k} > {wsum})")
-        pieces.append(mul(c, powx(var(ch.x), wsum - k)) if k != wsum else c)
-    if not pieces:
+    if top.max_pole() > wsum:
+        return refuted({}, detail=f"top power exceeds frame volume pole "
+                                  f"({top.max_pole()} > {wsum})")
+    if top.is_zero_form:
         return refuted({}, detail="top power vanishes identically")
-    scalar = compile_float(canon(mul(add(*pieces), powx(det, -1))))
+    (volume,) = top.pole_sums(wsum).values()
+    scalar = compile_float(canon(mul(volume, powx(det, -1))))
     if grid is None:
         grid = chart_grid(ch)
     return certify_positive(lambda pt: abs(scalar(pt)), grid, tol,
@@ -269,9 +267,7 @@ def no_go_check(m: int, k: int, dim: int, seed: int = 1) -> NoGoReport:
     if found is None:
         slot_ok = is_provably_zero(canon(add(*[c for _, c, _ in target.terms], ZERO)))
     else:
-        # imported here because structures imports this module
-        from .structures import lift, restrict_to_z
-        diff = found.dx_part - lift(restrict_to_z(target), ch)
+        diff = found.dx_part - restrict_to_z(target)
         slot_ok = diff.is_zero_form
 
     # impose beta|_Z = 0 (beta -> x * beta) and inspect the top power at Z

@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .algebroids import coframe, is_smooth_section, nondegenerate
+from .algebroids import coframe
 from .certificates import Certificate, chart_grid
 from .cohomology import BettiProfile, horizontal_d, lie_derivative
 from .expr import (
@@ -22,7 +22,7 @@ from .gluing import (
     glue_concave_concave, glue_convex_convex,
 )
 from .structures import (
-    ContactData, StructureError, certify_symplectic, closedness,
+    ContactData, StructureError, certify_symplectic,
     cosymplectic_extract, dual_jacobi_check, dual_roundtrip_check, dualize,
     induced_contact, lift, normal_form, strong_filling_check, verify_folded,
     verify_sc_symplectic, z_chart,
@@ -149,14 +149,9 @@ def sphere_pole_form(n: int) -> SingularForm:
 def sphere_slot_coefficient(omega: SingularForm, a: str, b: str) -> Expr:
     """Total coefficient of dz/z^3 wedge (the a, b slot), reassembled across
     Laurent grading: sum of c * z^{3 - k} over terms with index {a, b}."""
-    ch = omega.chart
-    want = tuple(sorted((a, b), key=ch.index))
+    want = tuple(sorted((a, b), key=omega.chart.index))
     sign = 1 if (a, b) == want else -1
-    total = ZERO
-    for k, c, idx in omega.terms:
-        if idx != want:
-            continue
-        total = add(total, mul(c, powx(var(ch.x), 3 - k)))
+    total = omega.pole_sums(3).get(want, ZERO)
     return canon(mul(Const(Fraction(sign)), total))
 
 
@@ -351,7 +346,7 @@ def _torus_sc_folded(m: int = 2, n: int = 1) -> ExampleRecord:
         ("closed-proven", "loci", "symplectic-off-loci"),
         {"sc_loci": sc_loci, "fold_loci": fold_loci,
          "locus_factors": ((sin, sc_loci), (cos, fold_loci)), "m": m,
-         "off_locus_form": off_omega, "primitive": eta})
+         "symplectic_form": off_omega, "primitive": eta})
 
 
 def _bk_torus(k: int = 2, n: int = 2) -> ExampleRecord:
@@ -376,7 +371,7 @@ def _bk_torus(k: int = 2, n: int = 2) -> ExampleRecord:
         ("closed-proven", "bk-symplectic", "cosymplectic",
          "symplectic-off-loci"),
         {"normal_form": nf, "k": k, "profile": BettiProfile.bk_torus(n),
-         "off_locus_form": off_omega})
+         "symplectic_form": off_omega})
 
 
 def _b2_r_times_t3() -> ExampleRecord:
@@ -490,27 +485,18 @@ def _cert_result(cert: Certificate) -> dict:
 
 def _run_check(rec: ExampleRecord, check: str, per_axis: Optional[int]) -> dict:
     omega = rec.omega
-    if check == "sc-symplectic":
-        grid = _grid_for(omega.chart, per_axis)
-        rep = verify_sc_symplectic(omega, grid=grid)
+    if check in ("sc-symplectic", "bk-symplectic"):
+        f, frame = omega, None
+        if check == "bk-symplectic":
+            f = rec.extras["normal_form"]
+            frame = coframe("b^k", f.chart, k=rec.extras["k"])
+        rep = verify_sc_symplectic(f, frame, _grid_for(f.chart, per_axis))
         return {"passed": rep.passed,
                 "detail": f"section={bool(rep.section)} "
                           f"closed={rep.closed.is_zero} "
                           f"nondegenerate={rep.nondegeneracy.passed}"}
-    if check == "bk-symplectic":
-        nf = rec.extras["normal_form"]
-        frame = coframe("b^k", nf.chart, k=rec.extras["k"])
-        section = is_smooth_section(nf, frame)
-        closed = closedness(nf)
-        nd = nondegenerate(nf, frame, _grid_for(nf.chart, per_axis))
-        return {"passed": bool(section) and closed.is_zero and nd.passed,
-                "detail": f"section={bool(section)} closed={closed.is_zero} "
-                          f"nondegenerate={nd.passed}"}
-    if check == "symplectic":
+    if check in ("symplectic", "symplectic-off-loci"):
         f = rec.extras["symplectic_form"]
-        return _cert_result(certify_symplectic(f, _grid_for(f.chart, per_axis)))
-    if check == "symplectic-off-loci":
-        f = rec.extras["off_locus_form"]
         return _cert_result(certify_symplectic(f, _grid_for(f.chart, per_axis)))
     if check == "pole-symplectic":
         f = rec.extras["pole_form"]

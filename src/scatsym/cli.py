@@ -13,12 +13,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .algebroids import FrameError, coframe, is_smooth_section, no_go_check, nondegenerate
+from .algebroids import coframe, no_go_check
 from .catalog import (
     CatalogError, build_example, list_examples, run_example, s2xs1_contact,
     torus_contact,
 )
-from .certificates import chart_grid, refuted
+from .certificates import chart_grid
 from .cohomology import BettiProfile, bk_poisson, sc_derham, sc_poisson
 from .expr import DEFAULT_SEED, Expr, ExprError, Record, ser
 from .geometry import GeometryError, SingularForm, form_from_json, form_to_json
@@ -27,8 +27,8 @@ from .gluing import (
     glue_concave_concave, glue_convex_concave, glue_convex_convex,
 )
 from .structures import (
-    TOL_CLOSED, TOL_NONDEG, SymplecticReport, closedness, decompose,
-    strong_filling_check,
+    TOL_CLOSED, TOL_NONDEG, closedness, decompose, strong_filling_check,
+    verify_sc_symplectic,
 )
 
 EXIT_PASS = 0
@@ -105,12 +105,9 @@ def _cmd_verify(args):
         raise ValueError("a form file is required unless --no-go is given")
     f = _load_form(args.form)
     frame = coframe(args.flavor, f.chart, k=args.k, m=args.m)
-    grid = chart_grid(f.chart, args.grid)
-    section = is_smooth_section(f, frame)
-    closed = closedness(f, tol=args.tol_closed)
-    nd = nondegenerate(f, frame, grid, tol=args.tol_nondeg) if section else \
-        refuted({}, detail="not a smooth section")
-    rep = SymplecticReport(section, closed, nd)
+    rep = verify_sc_symplectic(f, frame, chart_grid(f.chart, args.grid),
+                               tol_closed=args.tol_closed,
+                               tol_nondeg=args.tol_nondeg)
     report = {"command": "verify", "mode": "symplectic",
               "config": _config(args, "grid", "tol_closed", "tol_nondeg"),
               "flavor": args.flavor, "result": rep}

@@ -14,9 +14,9 @@ from typing import Optional, Sequence
 from .expr import Const, Record
 from .geometry import (
     Chart, SingularForm, ZeroVerdictMap, exterior_derivative, forms_equal,
-    interior_product, make_form, scalar_one, wedge, zero_form,
+    interior_product, lift, make_form, scalar_one, wedge, zero_form,
 )
-from .structures import ContactData, StructureError, lift
+from .structures import ContactData, StructureError
 
 
 class CohomologyError(StructureError):

@@ -5,6 +5,12 @@ symbolic expression, x is the chart's Z-defining coordinate, k is an exact
 integer, and dI is a strictly increasing covector multi-index.  The same
 container (kind="vector") holds multivector fields, where k <= 0 records
 the vanishing order at Z on the vector side.
+
+Only this module reads the grading.  There are two ways out of it:
+``SingularForm.pole_sums`` folds each pole back into one coefficient per
+multi-index (the matrices, top-power scalars and numeric values are built
+from it), and ``laurent_decompose`` splits the form into its dx and rest
+slots per exponent, as forms on the chart of Z.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .expr import (
     Const,
@@ -33,10 +39,12 @@ from .expr import (
     is_zero,
     mul,
     parse,
+    powx,
     sample_points,
     ser,
     split_x_power,
     substitute,
+    var,
 )
 
 
@@ -134,15 +142,14 @@ class SingularForm(Record):
     def max_pole(self) -> int:
         return max((k for k, _, _ in self.terms), default=0)
 
-    def coefficient(self, k: int, idx: Sequence[str]) -> Expr:
-        srt = _sorted_index(self.chart, idx)
-        if srt is None:
-            return ZERO
-        sign, key = srt
-        for k0, c, i in self.terms:
-            if k0 == k and i == key:
-                return mul(sign, c)
-        return ZERO
+    def pole_sums(self, shift: int = 0) -> dict:
+        """The coefficient of x^{-shift} dI per multi-index I: the sum of
+        c * x^{shift-k} over the terms (k, c, I), added in term order."""
+        out: dict = {}
+        for k, c, idx in self.terms:
+            part = mul(c, powx(var(self.chart.x), shift - k)) if k != shift else c
+            out[idx] = add(out.get(idx, ZERO), part)
+        return out
 
 
 def make_form(chart_: Chart, degree: int, terms, kind: str = "form") -> SingularForm:
@@ -256,18 +263,46 @@ def top_power(f: SingularForm, n: int) -> SingularForm:
     return out
 
 
+def z_chart(ch: Chart) -> Chart:
+    if ch.x is None:
+        raise GeometryError("chart has no Z coordinate")
+    names = tuple(n for n in ch.names if n != ch.x)
+    ranges = tuple(r for n, r in zip(ch.names, ch.ranges) if n != ch.x)
+    circles = frozenset(c for c in ch.circles if c != ch.x)
+    return Chart(names, ranges, None, circles)
+
+
+def restrict_to_z(f: SingularForm) -> SingularForm:
+    """Restrict a smooth form to Z = {x = 0}: drop dx terms, set x = 0."""
+    ch = f.chart
+    terms = []
+    for k, c, idx in f.terms:
+        # x^{-k} c vanishes at Z when k < 0
+        if k != 0 or ch.x in idx:
+            continue
+        terms.append((0, substitute(c, {ch.x: ZERO}), idx))
+    return make_form(z_chart(ch), f.degree, terms)
+
+
+def lift(f: SingularForm, ch: Chart, k: int = 0) -> SingularForm:
+    """Interpret a form on Z as a form on the chart with x, scaled x^{-k}."""
+    return make_form(ch, f.degree, [(k + k0, c, idx) for k0, c, idx in f.terms],
+                     f.kind)
+
+
 class LaurentSlot(Record):
     exponent: int  # the k of x^{-k}
-    dx_part: SingularForm  # alpha with term x^{-k} dx wedge alpha
-    rest: SingularForm  # beta with term x^{-k} beta (no dx factor)
+    dx_part: SingularForm  # alpha with term x^{-k} dx wedge alpha, on Z
+    rest: SingularForm  # beta with term x^{-k} beta (no dx factor), on Z
 
 
 def laurent_decompose(f: SingularForm, order: int = 0):
     """Expand coefficients in x about Z and split off dx components.
 
     Returns LaurentSlots sorted by decreasing exponent, covering exponents
-    from the deepest pole down to -order.  Coefficients must be analytic
-    in x at 0; PiecewiseDecay nodes in x are rejected.
+    from the deepest pole down to -order, with both parts of each slot
+    forms on z_chart(f.chart).  Coefficients must be analytic in x at 0;
+    PiecewiseDecay nodes in x are rejected.
     """
     ch = f.chart
     if ch.x is None:
@@ -295,13 +330,14 @@ def laurent_decompose(f: SingularForm, order: int = 0):
             if not is_provably_zero(cj):
                 put(k - j, idx, cj)
             g = differentiate(g, xname)
+    zch = z_chart(ch)
     out = []
     for expo in sorted(slots, reverse=True):
         dx_terms, rest_terms = slots[expo]
         if expo < -order:
             continue
-        dxf = make_form(ch, f.degree - 1, dx_terms) if dx_terms else zero_form(ch, f.degree - 1)
-        restf = make_form(ch, f.degree, rest_terms) if rest_terms else zero_form(ch, f.degree)
+        dxf = make_form(zch, f.degree - 1, dx_terms)
+        restf = make_form(zch, f.degree, rest_terms)
         if dxf.is_zero_form and restf.is_zero_form:
             continue
         out.append(LaurentSlot(expo, dxf, restf))
@@ -333,51 +369,35 @@ def _children(e: Expr):
 # pointwise evaluation
 
 
-def compile_matrix(f: SingularForm) -> Callable[[Mapping[str, float]], list]:
-    """Numeric antisymmetric matrix of a degree-2 form/bivector at a point,
-    poles evaluated (x must be nonzero for terms with k > 0), with each
-    coefficient compiled once (compile_float)."""
-    if f.degree != 2:
-        raise GeometryError("matrix evaluation expects degree 2")
-    ch = f.chart
-    n = ch.dim
-    entries = [(k, compile_float(c), ch.index(a), ch.index(b))
-               for k, c, (a, b) in f.terms]
-
-    def matrix(point: Mapping[str, float]) -> list:
-        m = [[0.0] * n for _ in range(n)]
-        for k, c, i, j in entries:
-            val = c(point)
-            if k != 0:
-                val *= float(point[ch.x]) ** (-k)
-            m[i][j] += val
-            m[j][i] -= val
-        return m
-    return matrix
-
-
 def evaluate_form(f: SingularForm, point: Mapping[str, float]) -> dict:
     """Numeric coefficients keyed by multi-index (poles evaluated)."""
-    return _form_values(f, point, (float(evaluate(c, point))
-                                   for _, c, _ in f.terms))
+    return {idx: float(evaluate(c, point)) for idx, c in f.pole_sums().items()}
 
 
 def compile_form(f: SingularForm) -> Callable[[Mapping[str, float]], dict]:
     """evaluate_form with each coefficient compiled once (compile_float)."""
-    coeffs = [compile_float(c) for _, c, _ in f.terms]
-    return lambda point: _form_values(f, point, (c(point) for c in coeffs))
+    coeffs = [(idx, compile_float(c)) for idx, c in f.pole_sums().items()]
+    return lambda point: {idx: c(point) for idx, c in coeffs}
 
 
-def _form_values(f: SingularForm, point: Mapping[str, float],
-                 values: Iterable[float]) -> dict:
-    """Sum the coefficient values of f's terms (lazy, in term order) per
-    multi-index, with the pole factors x^-k applied."""
-    out: dict = {}
-    for (k, _, idx), val in zip(f.terms, values):
-        if k != 0:
-            val *= float(point[f.chart.x]) ** (-k)
-        out[idx] = out.get(idx, 0.0) + val
-    return out
+def compile_matrix(f: SingularForm) -> Callable[[Mapping[str, float]], list]:
+    """Numeric antisymmetric matrix of a degree-2 form/bivector at a point,
+    built on compile_form."""
+    if f.degree != 2:
+        raise GeometryError("matrix evaluation expects degree 2")
+    ch = f.chart
+    n = ch.dim
+    values = compile_form(f)
+    slots = {(a, b): (ch.index(a), ch.index(b)) for _, _, (a, b) in f.terms}
+
+    def matrix(point: Mapping[str, float]) -> list:
+        m = [[0.0] * n for _ in range(n)]
+        for idx, val in values(point).items():
+            i, j = slots[idx]
+            m[i][j] += val
+            m[j][i] -= val
+        return m
+    return matrix
 
 
 def forms_equal(a: SingularForm, b: SingularForm, n_samples: int = 200,
@@ -412,15 +432,16 @@ def pointwise_equal(a: SingularForm, b: SingularForm, n_samples: int = 200,
         raise GeometryError("pointwise comparison needs matching shapes")
     pts = sample_points(a.chart.names, off_pole_domain(a.chart, domain),
                         n_samples)
+    va, vb = compile_form(a), compile_form(b)
+    values = [(va(pt), vb(pt), pt) for pt in pts]
     verdicts: dict = {}
     indices = {idx for _, _, idx in a.terms} | {idx for _, _, idx in b.terms}
     for idx in sorted(indices):
         worst = 0.0
         witness = None
-        for pt in pts:
-            va = _total_coefficient(a, idx, pt)
-            vb = _total_coefficient(b, idx, pt)
-            err = abs(va - vb) / max(1.0, abs(va), abs(vb))
+        for at_a, at_b, pt in values:
+            xa, xb = at_a.get(idx, 0.0), at_b.get(idx, 0.0)
+            err = abs(xa - xb) / max(1.0, abs(xa), abs(xb))
             if err > worst:
                 worst = err
                 witness = tuple(sorted(pt.items()))
@@ -428,18 +449,6 @@ def pointwise_equal(a: SingularForm, b: SingularForm, n_samples: int = 200,
         verdicts[idx] = ZeroVerdict(kind, worst, tol,
                                     witness if kind == "nonzero" else None)
     return ZeroVerdictMap(verdicts)
-
-
-def _total_coefficient(f: SingularForm, idx: tuple, pt: dict) -> float:
-    total = 0.0
-    for k, c, i in f.terms:
-        if i != idx:
-            continue
-        v = float(evaluate(c, pt))
-        if k != 0:
-            v *= float(pt[f.chart.x]) ** (-k)
-        total += v
-    return total
 
 
 class ZeroVerdictMap(Record):

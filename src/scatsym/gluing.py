@@ -27,11 +27,11 @@ from .expr import (
     differentiate, exp, mul, powx, substitute, var,
 )
 from .geometry import (
-    Chart, SingularForm, exterior_derivative, forms_equal,
+    Chart, SingularForm, exterior_derivative, forms_equal, lift, restrict_to_z,
 )
 from .structures import (
-    ContactData, FoldedVerdict, StructureError, certify_symplectic, lift,
-    restrict_to_z, verify_folded,
+    ContactData, FoldedVerdict, StructureError, certify_symplectic,
+    verify_folded,
 )
 
 GLUE_R = "r1"

@@ -13,13 +13,13 @@ from .certificates import (
 )
 from .expr import (
     Const, ONE, Record, ZERO, ZeroVerdict, add, canon, compile_float,
-    is_provably_zero, is_zero, mul, powx, substitute, var,
+    differentiate, is_provably_zero, is_zero, mul, substitute,
 )
-from .geometry import (
+from .geometry import (  # z_chart, restrict_to_z, lift: re-exported
     Chart, GeometryError, SingularForm, ZeroVerdictMap, compile_form,
     compile_matrix, exterior_derivative, forms_equal, interior_product,
-    laurent_decompose, make_form, off_pole_domain, scalar_one, top_power,
-    wedge, zero_form,
+    laurent_decompose, lift, make_form, off_pole_domain, restrict_to_z,
+    scalar_one, top_power, wedge, z_chart, zero_form,
 )
 from .linalg import float_inverse, float_matmul, sym_inverse
 
@@ -49,14 +49,18 @@ class SymplecticReport(Record):
 
 
 def verify_sc_symplectic(omega: SingularForm, frame: Optional[AlgebroidFrame] = None,
-                         grid=None, n_samples: int = 500) -> SymplecticReport:
+                         grid=None, n_samples: int = 500,
+                         tol_closed: float = TOL_CLOSED,
+                         tol_nondeg: float = TOL_NONDEG) -> SymplecticReport:
+    """A smooth section of the frame (sc by default), closed, and
+    non-degenerate against the frame volume."""
     if omega.degree != 2:
         raise StructureError("expected a degree-2 form")
     if frame is None:
         frame = coframe("sc", omega.chart)
     section = is_smooth_section(omega, frame)
-    closed = closedness(omega, n_samples)
-    nd = nondegenerate(omega, frame, grid) if section else refuted(
+    closed = closedness(omega, n_samples, tol_closed)
+    nd = nondegenerate(omega, frame, grid, tol_nondeg) if section else refuted(
         {}, detail="not a smooth section")
     return SymplecticReport(section, closed, nd)
 
@@ -78,34 +82,6 @@ def certify_symplectic(omega: SingularForm, grid=None, tol: float = TOL_NONDEG,
 # contact / cosymplectic data
 
 
-def z_chart(ch: Chart) -> Chart:
-    if ch.x is None:
-        raise StructureError("chart has no Z coordinate")
-    names = tuple(n for n in ch.names if n != ch.x)
-    ranges = tuple(r for n, r in zip(ch.names, ch.ranges) if n != ch.x)
-    circles = frozenset(c for c in ch.circles if c != ch.x)
-    return Chart(names, ranges, None, circles)
-
-
-def restrict_to_z(f: SingularForm) -> SingularForm:
-    """Restrict a smooth form to Z = {x = 0}: drop dx terms, set x = 0."""
-    ch = f.chart
-    zch = z_chart(ch)
-    terms = []
-    for k, c, idx in f.terms:
-        # x^{-k} c vanishes at Z when k < 0
-        if k != 0 or ch.x in idx:
-            continue
-        terms.append((0, substitute(c, {ch.x: ZERO}), idx))
-    return make_form(zch, f.degree, terms)
-
-
-def lift(f: SingularForm, ch: Chart, k: int = 0) -> SingularForm:
-    """Interpret a form on Z as a form on the chart with x, scaled x^{-k}."""
-    return make_form(ch, f.degree, [(k + k0, c, idx) for k0, c, idx in f.terms],
-                     f.kind)
-
-
 class SampledField(Record):
     """Reeb field sampled on a grid when no symbolic solution is recognized."""
     chart: Chart
@@ -125,7 +101,9 @@ def _reeb_identities(field: SingularForm, one: SingularForm,
 def _verify_reeb_pair(one: SingularForm, two: SingularForm, field, grid,
                       tol: float, detail: str) -> Certificate:
     """one wedge two^{n-1} nonvanishing on the grid, then the Reeb identities
-    when the field is symbolic."""
+    when the field is symbolic; a Reeb solve that refuted refutes."""
+    if isinstance(field, Certificate):
+        return field
     n = (one.chart.dim + 1) // 2
     vol = one
     for _ in range(n - 1):
@@ -214,13 +192,12 @@ def reeb(alpha: SingularForm, closed_two: Optional[SingularForm] = None,
 def induced_contact(omega: SingularForm, grid=None) -> ContactData:
     """Read alpha from the dx/x^3 slot and check the x^{-2} slot is -d(alpha)/2
     at Z."""
-    ch = omega.chart
     slots = {s.exponent: s for s in laurent_decompose(omega, order=0)}
     if 3 not in slots or slots[3].dx_part.is_zero_form:
         raise StructureError("no dx/x^3 slot; not a scattering form")
-    zch = z_chart(ch)
-    alpha = _drop_x(slots[3].dx_part, zch)
-    beta = _drop_x(slots[2].rest, zch) if 2 in slots else zero_form(zch, 2)
+    alpha = slots[3].dx_part
+    zch = alpha.chart
+    beta = slots[2].rest if 2 in slots else zero_form(zch, 2)
     expected = exterior_derivative(alpha).scale(Const(Fraction(-1, 2)))
     diff = forms_equal(beta, expected, tol=TOL_CLOSED)
     if not diff.is_zero:
@@ -228,16 +205,6 @@ def induced_contact(omega: SingularForm, grid=None) -> ContactData:
                              "form is not closed")
     r = reeb(alpha, grid=grid)
     return ContactData(zch, alpha, r)
-
-
-def _drop_x(f: SingularForm, zch: Chart) -> SingularForm:
-    xname = f.chart.x
-    terms = []
-    for k, c, idx in f.terms:
-        if xname in idx or k != 0:
-            raise StructureError("slot coefficient still involves x")
-        terms.append((0, c, idx))
-    return make_form(zch, f.degree, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +216,10 @@ def _full_matrix(f: SingularForm):
     ch = f.chart
     d = ch.dim
     m = [[ZERO] * d for _ in range(d)]
-    for k, c, (a, b) in f.terms:
-        entry = mul(c, powx(var(ch.x), -k)) if k != 0 else c
+    for (a, b), entry in f.pole_sums().items():
         i, j = ch.index(a), ch.index(b)
-        m[i][j] = add(m[i][j], entry)
-        m[j][i] = add(m[j][i], mul(Const(Fraction(-1)), entry))
+        m[i][j] = entry
+        m[j][i] = mul(Const(Fraction(-1)), entry)
     return m
 
 
@@ -291,7 +257,7 @@ def _sample_matrix(f: SingularForm, n_samples: int, domain: Optional[dict],
     """Yield each sample point with the float values there of the matrix m
     of f and, if partials, of its derivative along each coordinate; one
     evaluate_dag cache per point evaluates shared subtrees once."""
-    from .expr import differentiate, evaluate_dag, sample_points
+    from .expr import evaluate_dag, sample_points
     ch, m = f.chart, _full_matrix(f)
     dm = [[[differentiate(e, nm) for e in row] for row in m]
           for nm in ch.names] if partials else []
@@ -408,14 +374,11 @@ class FillingVerdict(Record):
 
 def decompose(omega: SingularForm):
     """Cohomology decomposition slots (a, b1, b2) of a normal-form omega."""
-    ch = omega.chart
-    zch = z_chart(ch)
+    zch = z_chart(omega.chart)
     slots = {s.exponent: s for s in laurent_decompose(omega, order=0)}
-    a = _drop_x(slots[3].dx_part, zch) if 3 in slots else zero_form(zch, 1)
-    b1 = _drop_x(slots[1].dx_part, zch) if 1 in slots and not slots[1].dx_part.is_zero_form \
-        else zero_form(zch, 1)
-    b2 = _drop_x(slots[0].rest, zch) if 0 in slots and not slots[0].rest.is_zero_form \
-        else zero_form(zch, 2)
+    a = slots[3].dx_part if 3 in slots else zero_form(zch, 1)
+    b1 = slots[1].dx_part if 1 in slots else zero_form(zch, 1)
+    b2 = slots[0].rest if 0 in slots else zero_form(zch, 2)
     return a, b1, b2
 
 
@@ -442,13 +405,12 @@ def strong_filling_check(omega: SingularForm, tol: float = TOL_CLOSED) -> Fillin
 
 def cosymplectic_extract(omega: SingularForm, k: int) -> CosymplecticData:
     """theta from the dx/x^k slot and eta from the smooth slot, at Z."""
-    ch = omega.chart
     slots = {s.exponent: s for s in laurent_decompose(omega, order=0)}
-    zch = z_chart(ch)
     if k not in slots or slots[k].dx_part.is_zero_form:
         raise StructureError(f"no dx/x^{k} slot")
-    theta = _drop_x(slots[k].dx_part, zch)
-    eta = _drop_x(slots[0].rest, zch) if 0 in slots else zero_form(zch, 2)
+    theta = slots[k].dx_part
+    zch = theta.chart
+    eta = slots[0].rest if 0 in slots else zero_form(zch, 2)
     r = reeb(theta, closed_two=eta)
     data = CosymplecticData(zch, theta, eta, r)
     cert = data.verify()
@@ -485,18 +447,14 @@ def verify_folded(omega: SingularForm, grid=None,
         raise StructureError("even-dimensional chart required")
     d = ch.dim // 2
     closed = closedness(omega)
-    top = top_power(omega, d)
-    coeff = ZERO
-    for k, c, _ in top.terms:
-        coeff = add(coeff, mul(c, powx(var(ch.x), -k)) if k else c)
+    coeff = add(ZERO, *top_power(omega, d).pole_sums().values())
     at_z = canon(substitute(coeff, {ch.x: ZERO}))
-    vanish = is_zero(at_z, z_chart(ch).box() or {"_": (0, 1)}, 200, TOL_CLOSED) \
+    zch = z_chart(ch)
+    vanish = is_zero(at_z, zch.box() or {"_": (0, 1)}, 200, TOL_CLOSED) \
         if not is_provably_zero(at_z) else \
         ZeroVerdict("proven-zero", tolerance=TOL_CLOSED)
-    from .expr import differentiate
     ddx = compile_float(
         canon(substitute(differentiate(coeff, ch.x), {ch.x: ZERO})))
-    zch = z_chart(ch)
     zgrid = chart_grid(zch) if grid is None else grid
     transversal = certify_positive(
         lambda pt: abs(ddx(pt)), zgrid, tol,

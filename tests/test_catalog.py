@@ -29,6 +29,34 @@ def test_parameter_cap():
         build_example("euclidean-end", n=0)
 
 
+# the certificate kind of every check ("kind" of its result, None for checks
+# that report only pass/fail); a refactor must keep each one
+V, P = "numerically-verified", "proven"
+KINDS = {
+    "b2-r-times-t3": {"closed-proven": None, "bk-symplectic": None,
+                      "cosymplectic": V, "horizontal-example": None},
+    "bk-torus": {"closed-proven": None, "bk-symplectic": None,
+                 "cosymplectic": V, "symplectic-off-loci": V},
+    "folded-darboux": {"folded": None},
+    "sc-darboux": {"sc-symplectic": None, "filling": None,
+                   "dual-roundtrip": V},
+    "sc-poisson-darboux": {"sc-symplectic": None, "darboux-dual": None,
+                           "dual-jacobi": V, "dual-roundtrip": V},
+    "symplectization": {"sc-symplectic": None, "filling": None,
+                        "induced-contact": V, "dual-roundtrip": V},
+    "torus-sc-folded": {"closed-proven": None, "loci": None,
+                        "symplectic-off-loci": V},
+    "euclidean-end": {"sc-symplectic": None, "filling": None,
+                      "dual-jacobi": P, "dual-roundtrip": V},
+    "sc-sphere": {"sc-symplectic": None, "sphere-coefficient": None,
+                  "pole-symplectic": None, "dual-roundtrip": V},
+    "t2xs2": {"contact": V, "collar": V, "sc-gluing": None,
+              "folded-gluing": None, "glued-dual": V},
+    "s3xs1": {"contact": V, "symplectic": V, "sc-gluing": None,
+              "glued-dual": V},
+}
+
+
 @pytest.mark.parametrize("name,params", [
     ("b2-r-times-t3", {}),
     ("bk-torus", {"k": 2, "n": 1}),
@@ -47,6 +75,7 @@ def test_fast_records_pass(name, params):
     rep = run_example(rec)
     failing = {k: v for k, v in rep["checks"].items() if not v["passed"]}
     assert rep["passed"], failing
+    assert {k: v.get("kind") for k, v in rep["checks"].items()} == KINDS[name]
 
 
 def test_torus_sc_folded_loci():

@@ -2,9 +2,9 @@
 
 import math
 
-from scatsym.certificates import certify_nonvanishing, certify_positive
+from scatsym.certificates import certify_nonvanishing, certify_positive, chart_grid
 from scatsym.expr import ONE, parse
-from scatsym.geometry import Chart, smooth_form
+from scatsym.geometry import Chart, make_form, smooth_form
 
 
 def test_certify_positive_refutes_nan():
@@ -30,3 +30,12 @@ def test_certify_positive_refutes_an_empty_point_set():
     cert = certify_positive(lambda pt: 1.0, [], 1e-8, detail="scan")
     assert cert.kind == "refuted" and not cert.passed
     assert cert.grid_points == 0 and cert.witness == ()
+
+
+def test_certify_nonvanishing_refutes_at_a_pole():
+    # x^{-2} dy is undefined on the x = 0 slice of the grid
+    ch = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)), "x", ())
+    form = make_form(ch, 1, [(2, ONE, ("y",))])
+    cert = certify_nonvanishing(form, chart_grid(ch, 3), 1e-8)
+    assert cert.kind == "refuted"
+    assert dict(cert.witness)["x"] == 0.0

@@ -6,11 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from scatsym.expr import Const, ONE, cos, mul, sin, var
+from scatsym.expr import (
+    Const, ONE, add, canon, cos, evaluate, is_provably_zero, mul, powx, sin,
+    var,
+)
 from scatsym.geometry import (
-    Chart, GeometryError, exterior_derivative, form_from_json, form_to_json,
-    forms_equal, interior_product, laurent_decompose, make_form,
-    pointwise_equal, smooth_form, top_power, wedge, zero_form,
+    Chart, GeometryError, compile_form, compile_matrix, evaluate_form,
+    exterior_derivative, form_from_json, form_to_json, forms_equal,
+    interior_product, laurent_decompose, make_form, pointwise_equal,
+    smooth_form, top_power, wedge, z_chart, zero_form,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -88,6 +92,44 @@ def test_laurent_roundtrip(torus4):
     slots = laurent_decompose(f, order=0)
     back = reassemble(torus4, 2, slots)
     assert forms_equal(f, back).is_zero
+
+
+def test_laurent_slots_live_on_z(torus4):
+    f = make_form(torus4, 2, [(3, ONE, ("x", "t1")),
+                              (0, sin(var("t1")), ("t2", "t3"))])
+    for s in laurent_decompose(f, order=0):
+        assert s.dx_part.chart == s.rest.chart == z_chart(torus4)
+
+
+def _two_grades(plane):
+    """x^{-3} c1 + x^{-1} c2 on dx ^ dy."""
+    c1, c2 = cos(var("y")), add(var("y"), Const(Fraction(2)))
+    f = make_form(plane, 2, [(3, c1, ("x", "y")), (1, c2, ("x", "y"))])
+    x = var("x")
+    return f, add(mul(c1, powx(x, -3)), mul(c2, powx(x, -1)))
+
+
+def test_pole_sums_fold_every_grade(plane):
+    f, total = _two_grades(plane)
+    (idx, folded), = f.pole_sums().items()
+    assert idx == ("x", "y")
+    assert is_provably_zero(canon(add(folded, mul(Const(Fraction(-1)), total))))
+    # shift = 3 reads the coefficient against x^{-3}: c1 + c2 x^2
+    shifted = f.pole_sums(3)[idx]
+    assert is_provably_zero(canon(add(shifted, mul(Const(Fraction(-1)),
+                                                   total, powx(var("x"), 3)))))
+
+
+def test_numeric_forms_agree_with_the_folded_coefficient(plane):
+    f, total = _two_grades(plane)
+    values, matrix = compile_form(f), compile_matrix(f)
+    for x in (-0.7, 0.3, 0.9):
+        for y in (-0.5, 0.4):
+            pt = {"x": x, "y": y}
+            want = float(evaluate(total, pt))
+            assert evaluate_form(f, pt) == {("x", "y"): want}
+            assert values(pt) == {("x", "y"): want}
+            assert matrix(pt) == [[0.0, want], [-want, 0.0]]
 
 
 def test_pole_grading_absorbs_bare_x_powers(torus4):

@@ -207,6 +207,16 @@ def test_no_module_imports_numpy():
     assert offenders == []
 
 
+def test_only_geometry_folds_poles():
+    # the pole x^{-k} is folded into a coefficient by SingularForm.pole_sums
+    pkg = Path(scatsym.__file__).resolve().parent
+    pattern = re.compile(r"powx\(var\([^)]*\.x\)|\*\* \(-k\)")
+    offenders = [f.name for f in sorted(pkg.rglob("*.py"))
+                 if f.name != "geometry.py"
+                 and pattern.search(f.read_text(encoding="utf-8"))]
+    assert offenders == []
+
+
 def test_sampled_reeb_field_solves_the_reeb_equations():
     rec = build_example("symplectization", z="s1")
     data = induced_contact(rec.omega)
@@ -243,6 +253,22 @@ def test_reeb_fallback_refutes_with_witness(alpha, two):
     assert min(v for _, v in cert.witness) >= 0.5
     if two is not None:
         assert cert.min_margin > 1e-6
+
+
+@pytest.mark.parametrize("data", [
+    ContactData(_UV, make_form(_UV, 1, [(0, var("u"), ("v",))]),
+                reeb(make_form(_UV, 1, [(0, var("u"), ("v",))]))),
+    CosymplecticData(_UV, make_form(_UV, 1, [(0, ONE, ("u",))]),
+                     make_form(_UV, 2, [(0, ONE, ("u", "v"))]),
+                     reeb(make_form(_UV, 1, [(0, ONE, ("u",))]),
+                          make_form(_UV, 2, [(0, ONE, ("u", "v"))]))),
+])
+def test_data_with_a_refuted_reeb_solve_refutes(data):
+    # the volume alone is nonvanishing, but no Reeb field exists
+    assert data.reeb.kind == "refuted"
+    cert = data.verify(chart_grid(_UV, 5))
+    assert cert == data.reeb
+    assert cert.witness
 
 
 def test_schouten_refutes_non_poisson():
