@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 DEFAULT_SEED = 0x5CA77E12
 
@@ -580,12 +580,13 @@ def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
 def evaluate_dag(e: Expr, point: Mapping[str, Number], cache: dict) -> Number:
     """evaluate with per-point memoization on node identity.
 
-    Expressions with heavy structural sharing (the entries of a coefficient
-    matrix and their partial derivatives) evaluate in time proportional to
-    the number of distinct nodes; the cache must not be reused across
-    points.  The cache also keeps every node it has evaluated alive, under
-    the key None, so that a freed node's id cannot be reused while the
-    cache lives.
+    No code in the package calls it: the duality checks sample their
+    matrices through compile_floats.  It is kept only because the
+    benchmark tracer (perfbench/tracer.py) still times it by name.
+
+    The cache must not be reused across points.  It also keeps every node
+    it has evaluated alive, under the key None, so that a freed node's id
+    cannot be reused while the cache lives.
     """
     key = id(e)
     if key in cache:
@@ -720,13 +721,26 @@ def compile_float(e: Expr) -> Callable[[Mapping[str, float]], float]:
     helpers.  Where eager code can differ from the tree walk, the function
     returns float(evaluate(e, point)) instead: on any exception, at an
     exact breakpoint, and when the result is zero or not finite (a product
-    does not stop at a zero factor, and signed zeros may differ).
+    does not stop at a zero factor, and signed zeros may differ).  A
+    result that folds to a constant is converted to float at compile time.
     """
-    return _FloatCompiler().function(e)
+    return _FloatCompiler().function([e], False)
+
+
+def compile_floats(exprs: Sequence[Expr]) -> Callable[[Mapping[str, float]], list]:
+    """compile_float for a list of expressions: one straight-line function
+    point -> [float(evaluate(e, point)) for e in exprs], bit for bit.
+
+    One walk shares its node memo across all outputs, so a node common to
+    several of them is computed once per point.  On any exception every
+    entry is evaluated again in list order, so the first entry that
+    evaluate rejects raises as it would alone; a zero or non-finite entry
+    is evaluated again on its own."""
+    return _FloatCompiler().function(list(exprs), True)
 
 
 class _FloatCompiler:
-    """Emits the body of one compile_float function.
+    """Emits the body of one compile_float or compile_floats function.
 
     A value is (kind, ref): ("const", number) for a folded subtree,
     ("float", name) for a runtime float and ("mixed", name) for a runtime
@@ -741,18 +755,33 @@ class _FloatCompiler:
         self.indent = 2
         self.count = 0
 
-    def function(self, e: Expr):
-        kind, ref = self.node(e, ({}, None))
-        if kind != "float":
-            ref = f"float({self.ref((kind, ref), False)})"
-        src = "\n".join(["def compiled(pt):", "    try:", *self.lines,
-                         f"        r = {ref}",
+    def function(self, exprs: list, listed: bool):
+        """The function of exprs: it returns the list of their values if
+        listed, else the value of the only one."""
+        memo, outs, checks = {}, [], []
+        for i, e in enumerate(exprs):
+            self.ns[f"_e{i}"] = e
+            kind, ref = self.node(e, (memo, None))
+            if kind == "const":
+                try:
+                    outs.append(self.ref(("const", float(ref)), False))
+                    continue
+                except OverflowError:  # float(evaluate(e, pt)) raises
+                    kind, ref = self.fail()
+            if kind != "float":
+                ref = f"float({ref})"
+            self.emit(f"r{i} = {ref}")
+            outs.append(f"r{i}")
+            checks += [f"    if not (r{i} and r{i} - r{i} == 0.0):",
+                       f"        r{i} = _reference(_e{i}, pt)"]
+        self.ns["_es"] = exprs
+        result = f"[{', '.join(outs)}]" if listed else outs[0]
+        src = "\n".join(["def compiled(pt):", "    try:",
+                         *(self.lines or ["        pass"]),
                          "    except _RECHECK:",
-                         "        return _reference(_e, pt)",
-                         "    if r and r - r == 0.0:",
-                         "        return r",
-                         "    return _reference(_e, pt)", ""])
-        self.ns["_e"] = e
+                         "        return " + ("[_reference(e, pt) for e in _es]"
+                                             if listed else "_reference(_e0, pt)"),
+                         *checks, f"    return {result}", ""])
         exec(compile(src, "<compile_float>", "exec"), self.ns)
         return self.ns["compiled"]
 

@@ -3,6 +3,7 @@ and a float inverse (Gauss-Jordan) and product for their values at a point."""
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import List, Optional
 
@@ -79,5 +80,5 @@ def float_inverse(m: List[List[float]]) -> Optional[List[List[float]]]:
 
 
 def float_matmul(a: List[List[float]], b: List[List[float]]) -> List[List[float]]:
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
-            for row in a]
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]

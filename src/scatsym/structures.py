@@ -13,7 +13,8 @@ from .certificates import (
 )
 from .expr import (
     Const, ONE, Record, ZERO, ZeroVerdict, add, canon, compile_float,
-    differentiate, is_provably_zero, is_zero, mul, substitute,
+    compile_floats, differentiate, is_provably_zero, is_zero, mul,
+    sample_points, substitute,
 )
 from .geometry import (  # z_chart, restrict_to_z, lift: re-exported
     Chart, GeometryError, SingularForm, ZeroVerdictMap, compile_form,
@@ -180,7 +181,8 @@ def reeb(alpha: SingularForm, closed_two: Optional[SingularForm] = None,
         err = math.hypot(*(sum(v * w for v, w in zip(row, sol)) - b
                            for row, b in zip(rows, rhs)))
         if not err <= 1e-6:  # NaN fails too
-            return refuted(pt, err, detail="contact condition fails: singular system")
+            return refuted(pt, err, detail="contact condition fails: "
+                                           "least-squares residual above 1e-6")
         samples.append((tuple(sorted(pt.items())), tuple(sol)))
     return SampledField(ch, tuple(samples))
 
@@ -255,16 +257,18 @@ def dualize_inverse(pi: SingularForm) -> SingularForm:
 def _sample_matrix(f: SingularForm, n_samples: int, domain: Optional[dict],
                    partials: bool):
     """Yield each sample point with the float values there of the matrix m
-    of f and, if partials, of its derivative along each coordinate; one
-    evaluate_dag cache per point evaluates shared subtrees once."""
-    from .expr import evaluate_dag, sample_points
+    of f and, if partials, of its derivative along each coordinate; m and
+    its partials are compiled once into one function (compile_floats), so
+    subtrees they share are computed once per point."""
     ch, m = f.chart, _full_matrix(f)
-    dm = [[[differentiate(e, nm) for e in row] for row in m]
-          for nm in ch.names] if partials else []
+    mats = [m] + ([[[differentiate(e, nm) for e in row] for row in m]
+                   for nm in ch.names] if partials else [])
+    values_at = compile_floats([e for a in mats for row in a for e in row])
+    d = ch.dim
     for pt in sample_points(ch.names, off_pole_domain(ch, domain), n_samples):
-        cache: dict = {}
-        values = [[[float(evaluate_dag(e, pt, cache)) for e in row]
-                   for row in a] for a in [m] + dm]
+        flat = values_at(pt)
+        values = [[flat[k + i:k + i + d] for i in range(0, d * d, d)]
+                  for k in range(0, len(flat), d * d)]
         yield pt, values[0], values[1:]
 
 

@@ -8,11 +8,12 @@ from fractions import Fraction
 
 import pytest
 
+import scatsym.expr as expr_module
 from scatsym.expr import (
     Const, Cos, DomainError, Exp, ExprError, ONE, Piece, PiecewiseDecay, Pow,
-    Prod, Sin, Sum, Var, ZERO, add, canon, compile_float, cos, differentiate,
-    evaluate, evaluate_dag, exp, is_provably_zero, is_zero, mul, parse, poly,
-    powx, sample_points, ser, sin, sqrt, substitute, var,
+    Prod, Sin, Sum, Var, ZERO, add, canon, compile_float, compile_floats, cos,
+    differentiate, evaluate, evaluate_dag, exp, is_provably_zero, is_zero, mul,
+    parse, poly, powx, sample_points, ser, sin, sqrt, substitute, var,
 )
 from scatsym.gluing import bump_phi, bump_psi_f, bump_psi_sc
 
@@ -267,6 +268,53 @@ def test_compile_float_long_sum():
               for k in range(1, 3001)])
     pt = {"x": 0.3, "y": -1.7}
     assert _same(("value", compile_float(e)(pt)), ("value", float(evaluate(e, pt))))
+
+
+def _same_values(a, b):
+    if a[0] != "value" or b[0] != "value":
+        return a == b
+    return len(a[1]) == len(b[1]) and all(
+        _same(("value", x), ("value", y)) for x, y in zip(a[1], b[1]))
+
+
+def test_compile_floats_matches_evaluate_entry_by_entry():
+    rng = random.Random(20161)
+    trees = [_random_tree(rng, rng.randint(1, 5)) for _ in range(400)]
+    big = mul(exp(mul(Const(Fraction(400)), X)), exp(mul(Const(Fraction(401)), Y)))
+    extras = [
+        ZERO, Const(Fraction(1, 3)), Const(Fraction(10 ** 400)),  # constants
+        powx(X, -1), powx(Y, Fraction(1, 2)),  # raise at x = 0, at y < 0
+        add(X, mul(Const(Fraction(-1)), X)),  # 0.0
+        big, add(big, mul(Const(Fraction(-1)), big)),  # inf, nan near 1
+    ]
+    seen = set()
+    for k in range(0, len(trees), 4):
+        exprs = trees[k:k + 4] + rng.sample(extras, rng.randint(0, 3))
+        rng.shuffle(exprs)
+        fn = compile_floats(exprs)
+        for pt in _points(rng, ("x", "y"), 12):
+            want = _outcome(lambda: [float(evaluate(e, pt)) for e in exprs])
+            assert _same_values(_outcome(lambda: fn(pt)), want), (
+                [ser(e) for e in exprs], pt, want)
+            seen.add(want[0])
+            if want[0] == "value":
+                seen.update("zero" if v == 0 else "non-finite"
+                            for v in want[1] if not v - v == 0.0 or v == 0)
+    assert seen == {"value", "zero", "non-finite", "DomainError",
+                    "OverflowError"}
+
+
+def test_compile_floats_folds_constant_entries(monkeypatch):
+    fn = compile_floats([ZERO, Const(Fraction(1, 3)), mul(Const(Fraction(-1)), ZERO),
+                         exp(Const(Fraction(1)))])
+    want = [0.0, 1 / 3, 0.0, math.e]
+
+    def tree_walk(*args):
+        raise AssertionError("constant entry evaluated per point")
+
+    monkeypatch.setattr(expr_module, "evaluate", tree_walk)
+    assert _same_values(("value", fn({})), ("value", want))
+    assert compile_floats([])({}) == []
 
 
 # -- exact normal forms
