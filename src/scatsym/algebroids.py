@@ -14,12 +14,12 @@ from typing import Optional
 
 from .certificates import Certificate, certify_positive, chart_grid, refuted
 from .expr import (
-    Const, ONE, Record, ZERO, add, canon, compile_float, is_provably_zero,
-    mul, powx, split_x_power, substitute, var,
+    Const, ONE, Record, ZERO, add, canon, collect_x_powers, compile_float,
+    is_provably_zero, mul, powx, substitute, var,
 )
 from .geometry import (
     Chart, GeometryError, SingularForm, exterior_derivative, laurent_decompose,
-    make_form, restrict_to_z, smooth_form, top_power,
+    make_form, restrict_to_z, smooth_form, top_power, z_chart, zero_form,
 )
 from .linalg import sym_det, sym_inverse
 
@@ -131,7 +131,7 @@ def rewrite_in_frame(f: SingularForm, frame: AlgebroidFrame):
     weights = frame.weights
     labels = frame.labels
     # dc_j = sum_l inv[j][l] * x^{w_l} * gen_l
-    out: dict = {}
+    terms = []
     for k, c, idx in f.terms:
         expansions = [
             [(l, inv[ch.index(name)][l]) for l in range(ch.dim)
@@ -145,17 +145,9 @@ def rewrite_in_frame(f: SingularForm, frame: AlgebroidFrame):
             sign = _perm_sign(ls)
             coeff = mul(Const(Fraction(sign)), c, *[e for _, e in combo])
             wsum = sum(weights[l] for l in ls)
-            key_idx = tuple(sorted(ls))
-            # absorb bare x powers from the coefficient
-            for j, part in split_x_power(coeff, ch.x).items():
-                slot = (k - wsum - j, key_idx)
-                out[slot] = add(out.get(slot, ZERO), part)
-    result = {}
-    for (expo, ls), coeff in out.items():
-        coeff = canon(coeff)
-        if not is_provably_zero(coeff):
-            result[(expo, tuple(labels[l] for l in ls))] = coeff
-    return result
+            terms.append((k - wsum, coeff, tuple(sorted(ls))))
+    return {(expo, tuple(labels[l] for l in ls)): coeff
+            for (expo, ls), coeff in collect_x_powers(terms, ch.x).items()}
 
 
 def _perm_sign(seq) -> int:
@@ -256,19 +248,10 @@ def no_go_check(m: int, k: int, dim: int, seed: int = 1) -> NoGoReport:
 
     # closedness at the x^{-(m+1)} dx-slot: equals -m * beta|_Z exactly,
     # because k + m != m + 1 keeps the d(alpha) term out of this slot
-    slot_ok = True
-    slots = laurent_decompose(d_omega, order=0)
     target = beta.scale(Const(Fraction(-m)))
-    found = None
-    for s in slots:
-        if s.exponent == m + 1:
-            found = s
-            break
-    if found is None:
-        slot_ok = is_provably_zero(canon(add(*[c for _, c, _ in target.terms], ZERO)))
-    else:
-        diff = found.dx_part - restrict_to_z(target)
-        slot_ok = diff.is_zero_form
+    slot = {s.exponent: s for s in laurent_decompose(d_omega)}.get(m + 1)
+    dx_part = slot.dx_part if slot else zero_form(z_chart(ch), 2)
+    slot_ok = (dx_part - restrict_to_z(target)).is_zero_form
 
     # impose beta|_Z = 0 (beta -> x * beta) and inspect the top power at Z
     omega2 = make_form(ch, 2,

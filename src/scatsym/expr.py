@@ -1162,27 +1162,32 @@ def is_provably_zero(e: Expr) -> bool:
     return not poly(e)
 
 
-def split_x_power(e: Expr, x: str) -> dict:
-    """Split into {j: coeff} with e = sum_j x**j * coeff, x-free coeffs.
+def collect_x_powers(terms, x: Optional[str]) -> dict:
+    """Collect (k, coeff, key) triples into {(k - j, key): coeff}.
 
-    Integer powers of the bare variable `x` are extracted per monomial;
-    occurrences of x inside opaque atoms stay in place (mapped to j=0).
+    x**j is the integer power of the bare variable `x` in a monomial of
+    coeff (j = 0 when x is None); occurrences of x inside opaque atoms or
+    at fractional powers stay in the coefficient.  Each slot's monomials
+    are summed exactly and rebuilt once into a canonical coefficient;
+    slots that cancel are dropped.
     """
-    xv = Var(x)
-    out: dict = {}
-    for mono, c in poly(e):
-        j = Fraction(0)
-        rest = []
-        for atom, q in mono:
-            if atom == xv and q.denominator == 1:
-                j = q
-            else:
-                rest.append((atom, q))
-        key = int(j)
-        p = out.setdefault(key, {})
-        mono2 = tuple(rest)
-        p[mono2] = p.get(mono2, Fraction(0)) + c
-    return {j: _rebuild(p) for j, p in out.items() if p}
+    xv = None if x is None else Var(x)
+    slots: dict = {}
+    for k, coeff, key in terms:
+        if xv is None:
+            parts = {0: _poly(coeff)}
+        else:
+            parts = {}
+            for mono, c in _poly(coeff).items():
+                j, rest = 0, mono
+                for i, (atom, q) in enumerate(mono):
+                    if atom == xv and q.denominator == 1:
+                        j, rest = int(q), mono[:i] + mono[i + 1:]
+                        break
+                parts.setdefault(j, {})[rest] = c
+        for j, p in parts.items():
+            _poly_add_into(slots.setdefault((k - j, key), {}), p)
+    return {slot: _rebuild(p) for slot, p in slots.items() if p}
 
 
 # ---------------------------------------------------------------------------

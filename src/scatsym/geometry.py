@@ -30,19 +30,17 @@ from .expr import (
     ZERO,
     ZeroVerdict,
     add,
-    canon,
+    collect_x_powers,
     compile_float,
     differentiate,
     evaluate,
     free_vars,
-    is_provably_zero,
     is_zero,
     mul,
     parse,
     powx,
     sample_points,
     ser,
-    split_x_power,
     substitute,
     var,
 )
@@ -155,7 +153,7 @@ class SingularForm(Record):
 def make_form(chart_: Chart, degree: int, terms, kind: str = "form") -> SingularForm:
     """Normalize: sort indices, absorb bare x powers from coefficients into
     the Laurent exponent, merge duplicates, drop zero coefficients."""
-    merged: dict = {}
+    signed = []
     for k, coeff, idx in terms:
         if len(idx) != degree:
             raise GeometryError(f"index {idx} does not match degree {degree}")
@@ -163,20 +161,9 @@ def make_form(chart_: Chart, degree: int, terms, kind: str = "form") -> Singular
         if srt is None:
             continue
         sign, key = srt
-        coeff = mul(sign, coeff)
-        if chart_.x is not None:
-            for j, part in split_x_power(coeff, chart_.x).items():
-                kk = int(k) - j
-                slot = (kk, key)
-                merged[slot] = add(merged.get(slot, ZERO), part)
-        else:
-            slot = (int(k), key)
-            merged[slot] = add(merged.get(slot, ZERO), coeff)
-    out = []
-    for (k, key), coeff in merged.items():
-        coeff = canon(coeff)
-        if not is_provably_zero(coeff):
-            out.append((k, coeff, key))
+        signed.append((int(k), mul(sign, coeff), key))
+    out = [(k, c, key)
+           for (k, key), c in collect_x_powers(signed, chart_.x).items()]
     out.sort(key=lambda t: (-t[0], t[2]))
     return SingularForm(chart_, degree, tuple(out), kind)
 
@@ -222,10 +209,7 @@ def exterior_derivative(f: SingularForm) -> SingularForm:
         for name in ch.names:
             if name in idx:
                 continue
-            dc = differentiate(c, name)
-            if is_provably_zero(dc):
-                continue
-            terms.append((k, dc, (name,) + idx))
+            terms.append((k, differentiate(c, name), (name,) + idx))
     return make_form(ch, f.degree + 1, terms)
 
 
@@ -325,10 +309,7 @@ def laurent_decompose(f: SingularForm, order: int = 0):
         g = c
         for j in range(0, k + order + 1):
             cj = substitute(g, {xname: ZERO})
-            cj = mul(Fraction(1, math.factorial(j)), cj)
-            cj = canon(cj)
-            if not is_provably_zero(cj):
-                put(k - j, idx, cj)
+            put(k - j, idx, mul(Fraction(1, math.factorial(j)), cj))
             g = differentiate(g, xname)
     zch = z_chart(ch)
     out = []

@@ -226,13 +226,9 @@ def _full_matrix(f: SingularForm):
 
 
 def _matrix_to_bivector(ch: Chart, m, kind: str) -> SingularForm:
-    terms = []
     d = ch.dim
-    for i in range(d):
-        for j in range(i + 1, d):
-            if is_provably_zero(canon(m[i][j])):
-                continue
-            terms.append((0, m[i][j], (ch.names[i], ch.names[j])))
+    terms = [(0, m[i][j], (ch.names[i], ch.names[j]))
+             for i in range(d) for j in range(i + 1, d)]
     return make_form(ch, 2, terms, kind)
 
 

@@ -3,6 +3,7 @@ existence obstruction."""
 
 import pytest
 
+from scatsym import algebroids
 from scatsym.algebroids import (
     FrameError, coframe, is_smooth_section, no_go_check, nondegenerate,
 )
@@ -70,6 +71,18 @@ def test_no_go_refutes(m, k, dim):
     assert rep.beta_forced_zero
     assert rep.top_power_vanishes
     assert rep.refutes
+
+
+def test_no_go_compares_a_missing_slot_with_beta_on_z(monkeypatch):
+    # alpha = dy1 + dy2 + dy3 and beta = dy1^dy2 - dy1^dy3, whose
+    # coefficients cancel across indices although beta|_Z != 0
+    draws = [4, 2, 2, 2] * 3 + [4, 2, 2, 2] + [2, 2, 2, 2] + [3, 2, 2, 2]
+    monkeypatch.setattr(algebroids, "_lcg", lambda seed: iter(draws))
+    assert no_go_check(1, 0, 4).beta_forced_zero
+    monkeypatch.setattr(algebroids, "laurent_decompose",
+                        lambda f, order=0: [])
+    rep = no_go_check(1, 0, 4)
+    assert rep.applicable and not rep.beta_forced_zero and not rep.refutes
 
 
 @pytest.mark.parametrize("m,k,dim", [(0, 0, 4), (1, 1, 4), (1, 0, 2),

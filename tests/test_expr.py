@@ -4,16 +4,19 @@ deterministic sampling, the DAG evaluator and compiled float evaluation."""
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import scatsym.expr as expr_module
 from scatsym.expr import (
     Const, Cos, DomainError, Exp, ExprError, ONE, Piece, PiecewiseDecay, Pow,
-    Prod, Sin, Sum, Var, ZERO, add, canon, compile_float, compile_floats, cos,
-    differentiate, evaluate, evaluate_dag, exp, is_provably_zero, is_zero, mul,
-    parse, poly, powx, sample_points, ser, sin, sqrt, substitute, var,
+    Prod, Sin, Sum, Var, ZERO, add, canon, collect_x_powers, compile_float,
+    compile_floats, cos, differentiate, evaluate, evaluate_dag, exp,
+    is_provably_zero, is_zero, mul, parse, poly, powx, sample_points, ser, sin,
+    sqrt, substitute, var,
 )
 from scatsym.gluing import bump_phi, bump_psi_f, bump_psi_sc
 
@@ -415,3 +418,30 @@ def test_node_hash_is_memoized_outside_eq_repr_and_pickle():
     assert "_hash" not in state
     back = pickle.loads(pickle.dumps(e))
     assert back == e and hash(back) == hash(e)
+
+
+def test_collect_x_powers_grades_bare_x_powers_only():
+    sq = powx(X, Fraction(1, 2))
+    terms = [(2, add(mul(powx(X, -1), Y), mul(X, exp(X)), sq), "a"),
+             (3, mul(-1, Y), "a"),  # cancels x^-1 y at k = 2
+             (0, mul(X, X, Y), "b")]
+    assert collect_x_powers(terms, "x") == {
+        (1, "a"): exp(X), (2, "a"): sq, (-2, "b"): Y}
+    # without a Z coordinate every monomial stays at j = 0
+    assert collect_x_powers(terms, None) == {
+        (2, "a"): canon(terms[0][1]), (3, "a"): canon(terms[1][1]),
+        (0, "b"): canon(terms[2][1])}
+
+
+def test_only_expr_names_the_polynomial_internals():
+    # make_form and rewrite_in_frame normalise through collect_x_powers
+    pkg = Path(expr_module.__file__).resolve().parent
+    private = re.compile(r"\b(_poly|_rebuild|_poly_add_into)\b")
+    offenders = []
+    for f in sorted(pkg.rglob("*.py")):
+        text = f.read_text(encoding="utf-8")
+        if "split_x_power" in text:
+            offenders.append((f.name, "split_x_power"))
+        if f.name != "expr.py" and private.search(text):
+            offenders.append((f.name, private.search(text).group(0)))
+    assert offenders == []
