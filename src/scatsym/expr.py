@@ -1080,9 +1080,9 @@ def _poly(e: Expr) -> _Poly:
         out = {(): 1}
         for a in e.args:
             out = _poly_mul(out, _poly(a))
-        return out
+        return _expand_ripe(out)
     if isinstance(e, Pow):
-        return _poly_pow(e.base, e.exponent)
+        return _expand_ripe(_poly_pow(e.base, e.exponent))
     if isinstance(e, Exp):
         a = canon(e.arg)
         if isinstance(a, Const) and a.value == 0:
@@ -1141,6 +1141,31 @@ def _poly_pow(base: Expr, q: Fraction) -> _Poly:
     return _atom(_rebuild(pb), _q(q))
 
 
+def _ripe(atom: Expr, q: Rational) -> bool:
+    """Whether atom**q is no longer opaque: a sum at a positive integer
+    power, or a constant at a power with an exact rational value."""
+    if type(atom) is Sum:
+        return q.denominator == 1 and q > 0
+    return type(atom) is Const and (
+        q.denominator == 1 or _exact_root(atom.value, q) is not None)
+
+
+def _expand_ripe(p: _Poly) -> _Poly:
+    """Expand the atoms that a product or power left ripe: adding the
+    exponents of sqrt(s) * sqrt(s) gives the sum s at exponent 1, which is
+    the polynomial s, and sqrt(2) * sqrt(2) gives 2."""
+    if not any(_ripe(a, q) for mono in p for a, q in mono):
+        return p
+    out: _Poly = {}
+    for mono, c in p.items():
+        term = {tuple((a, q) for a, q in mono if not _ripe(a, q)): c}
+        for a, q in mono:
+            if _ripe(a, q):
+                term = _poly_mul(term, _poly_pow(a, q))
+        _poly_add_into(out, term)
+    return _expand_ripe(out)
+
+
 def _rebuild(p: _Poly) -> Expr:
     terms = []
     items = sorted(p.items(), key=lambda kv: tuple(map(_sort_key, (a for a, _ in kv[0]))))
@@ -1174,17 +1199,14 @@ def collect_x_powers(terms, x: Optional[str]) -> dict:
     xv = None if x is None else Var(x)
     slots: dict = {}
     for k, coeff, key in terms:
-        if xv is None:
-            parts = {0: _poly(coeff)}
-        else:
-            parts = {}
-            for mono, c in _poly(coeff).items():
-                j, rest = 0, mono
-                for i, (atom, q) in enumerate(mono):
-                    if atom == xv and q.denominator == 1:
-                        j, rest = int(q), mono[:i] + mono[i + 1:]
-                        break
-                parts.setdefault(j, {})[rest] = c
+        parts: dict = {}
+        for mono, c in _poly(coeff).items():
+            j, rest = 0, mono
+            for i, (atom, q) in enumerate(mono):
+                if atom == xv and q.denominator == 1:
+                    j, rest = int(q), mono[:i] + mono[i + 1:]
+                    break
+            parts.setdefault(j, {})[rest] = c
         for j, p in parts.items():
             _poly_add_into(slots.setdefault((k - j, key), {}), p)
     return {slot: _rebuild(p) for slot, p in slots.items() if p}

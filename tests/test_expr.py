@@ -445,3 +445,16 @@ def test_only_expr_names_the_polynomial_internals():
         if f.name != "expr.py" and private.search(text):
             offenders.append((f.name, private.search(text).group(0)))
     assert offenders == []
+
+
+def test_products_expand_atoms_raised_to_a_plain_power():
+    s = add(powx(X, -1), Y)
+    root = powx(s, Fraction(1, 2))
+    assert canon(mul(root, root)) == canon(s)
+    assert canon(mul(root, Y, root, powx(s, -1))) == Y
+    assert canon(powx(mul(Y, root), 2)) == canon(mul(Y, Y, s))
+    assert canon(mul(sqrt(2), sqrt(2))) == Const(2)
+    quarter = powx(4, Fraction(1, 4))
+    assert canon(mul(quarter, quarter)) == Const(2)
+    # a square root of a sum not raised to a plain power stays opaque
+    assert poly(mul(root, root, root)) == ((((s, Fraction(3, 2)),), 1),)

@@ -227,8 +227,7 @@ _DECAY = (Piece(None, Fraction(1, 2), ZERO),
 
 
 def _random_coeff(rng, depth):
-    """A random tree over x and y.  Fractional powers of sums are left out:
-    see test_squared_root_of_a_sum_is_expanded."""
+    """A random tree over x and y."""
     x, y = var("x"), var("y")
     if depth == 0:
         kind = rng.randrange(4)
@@ -240,7 +239,7 @@ def _random_coeff(rng, depth):
             return y
         return Const(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
     a = _random_coeff(rng, depth - 1)
-    kind = rng.randrange(7)
+    kind = rng.randrange(8)
     if kind == 0:
         return add(a, _random_coeff(rng, depth - 1))
     if kind == 1:
@@ -253,6 +252,8 @@ def _random_coeff(rng, depth):
         return mul(a, PiecewiseDecay(add(x, y), "t", _DECAY))
     if kind == 5:
         return powx(add(a, y), 2)
+    if kind == 6:  # fractional power of a sum
+        return powx(add(a, y), Fraction(rng.choice([-3, -1, 1, 3]), 2))
     return mul(a, powx(x, rng.choice([-2, -1, 1])))
 
 
@@ -272,6 +273,10 @@ def _random_terms(rng, ch, degree):
             terms.append((k, c, idx[::-1]))
         elif r < 0.6:  # same slot: merges
             terms.append((k, mul(2, c), idx))
+        elif r < 0.7:  # sqrt(s) * sqrt(s) - s for a sum s: cancels
+            s = add(c, var("y"))
+            root = powx(s, Fraction(1, 2))
+            terms += [(k, mul(root, root), idx), (k, mul(-1, s), idx)]
     return terms
 
 
@@ -326,11 +331,14 @@ def test_make_form_rebuilds_each_output_term_once(monkeypatch, n):
     assert calls["_rebuild"] == sum(out_terms)
 
 
-@pytest.mark.xfail(strict=True, reason="_poly keeps (s^(1/2))^2 as an atom s "
-                   "at exponent 1 instead of expanding it, so its x^-1 is "
-                   "not absorbed into the pole order")
 def test_squared_root_of_a_sum_is_expanded(plane):
+    # its x^-1 is absorbed into the pole order
     s = add(powx(var("x"), -1), var("y"))
     root = powx(s, Fraction(1, 2))
     squared = make_form(plane, 0, [(0, mul(root, root), ())])
     assert squared.terms == make_form(plane, 0, [(0, s, ())]).terms
+    # and it cancels against the sum it squares to
+    y = var("y")
+    r = powx(add(1, mul(y, y)), Fraction(1, 2))
+    f = make_form(plane, 0, [(0, mul(r, r), ()), (0, add(-1, mul(-1, y, y)), ())])
+    assert f.terms == ()
