@@ -16,18 +16,17 @@ from .geometry import (
     interior_product, laurent_decompose, make_form, pointwise_equal,
     smooth_form, top_power, wedge, zero_form,
 )
-from .certificates import Certificate, chart_grid
+from .certificates import Certificate, all_of, chart_grid
 from .linalg import sym_adjugate, sym_det, sym_inverse
 from .algebroids import (
-    AlgebroidFrame, NoGoReport, SectionVerdict, coframe, is_smooth_section,
-    no_go_check, nondegenerate,
+    AlgebroidFrame, NoGoReport, coframe, is_smooth_section, no_go_check,
+    nondegenerate,
 )
 from .structures import (
-    ContactData, CosymplecticData, FillingVerdict, FoldedVerdict,
-    SymplecticReport, closedness, cosymplectic_extract, decompose,
-    dual_jacobi_check, dual_roundtrip_check, dualize, dualize_inverse,
-    induced_contact, lift, normal_form, reeb, restrict_to_z,
-    schouten_jacobi_check, strong_filling_check, verify_folded,
+    ContactData, CosymplecticData, FillingVerdict, closedness,
+    cosymplectic_extract, decompose, dual_jacobi_check, dual_roundtrip_check,
+    dualize, dualize_inverse, induced_contact, lift, normal_form, reeb,
+    restrict_to_z, schouten_jacobi_check, strong_filling_check, verify_folded,
     verify_sc_symplectic, z_chart,
 )
 from .gluing import (

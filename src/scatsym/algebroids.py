@@ -12,7 +12,9 @@ import itertools
 from fractions import Fraction
 from typing import Optional
 
-from .certificates import Certificate, certify_positive, chart_grid, refuted
+from .certificates import (
+    Certificate, certify_positive, chart_grid, proven, refuted,
+)
 from .expr import (
     Const, ONE, Record, ZERO, add, canon, collect_x_powers, compile_float,
     is_provably_zero, mul, powx, substitute, var,
@@ -160,18 +162,14 @@ def _perm_sign(seq) -> int:
     return sign
 
 
-class SectionVerdict(Record):
-    accepted: bool
-    offending: tuple = ()  # ((exponent, labels), ...) with exponent > 0
-
-    def __bool__(self) -> bool:
-        return self.accepted
-
-
-def is_smooth_section(f: SingularForm, frame: AlgebroidFrame) -> SectionVerdict:
+def is_smooth_section(f: SingularForm, frame: AlgebroidFrame) -> Certificate:
+    """Proven when every coefficient in the frame basis has Laurent exponent
+    <= 0; refuted otherwise, naming the (exponent, labels) slots above."""
     coeffs = rewrite_in_frame(f, frame)
     bad = tuple(sorted((expo, labels) for (expo, labels) in coeffs if expo > 0))
-    return SectionVerdict(not bad, bad)
+    if bad:
+        return refuted({}, detail=f"not a smooth section: {bad}")
+    return proven(f"smooth section of the {frame.flavor} frame")
 
 
 def nondegenerate(f: SingularForm, frame: AlgebroidFrame, grid=None,
@@ -183,9 +181,9 @@ def nondegenerate(f: SingularForm, frame: AlgebroidFrame, grid=None,
     if ch.dim % 2:
         raise FrameError("non-degeneracy expects an even-dimensional chart")
     n = ch.dim // 2
-    verdict = is_smooth_section(f, frame)
-    if not verdict:
-        return refuted({}, detail=f"not a smooth section: {verdict.offending}")
+    section = is_smooth_section(f, frame)
+    if not section.passed:
+        return section
     top = top_power(f, n)
     wsum = frame.volume_weight()
     det = sym_det(frame.coefficient_matrix())

@@ -8,10 +8,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebroids import coframe
-from .certificates import Certificate, chart_grid
+from .certificates import (
+    Certificate, all_of, chart_grid, exact, refuted, verified,
+)
 from .cohomology import BettiProfile, horizontal_d, lie_derivative
 from .expr import (
-    Const, Expr, ONE, Record, ZERO, add, canon, mul, powx, sin, cos, sqrt, var,
+    Const, Expr, ONE, Record, ZERO, add, canon, is_provably_zero, mul, powx,
+    sin, cos, sqrt, var,
 )
 from .geometry import (
     Chart, SingularForm, evaluate_form, exterior_derivative, make_form,
@@ -450,28 +453,24 @@ def _grid_for(ch: Chart, per_axis: Optional[int]):
     return chart_grid(ch) if per_axis is None else chart_grid(ch, per_axis)
 
 
-def _check_loci(rec: ExampleRecord) -> dict:
+def _check_loci(rec: ExampleRecord, tol: float = 1e-12) -> Certificate:
+    """Each factor vanishes, to tol in floats, on its 2m claimed loci, and
+    the 4m loci are spaced by pi/2m."""
     m = rec.extras["m"]
-    ok = True
-    details = []
-    for fn, loci in rec.extras["locus_factors"]:
-        if len(loci) != 2 * m or len(set(loci)) != 2 * m:
-            ok = False
-            details.append("locus count is not 2m")
-            continue
-        for z in loci:
-            val = abs(float(math.sin(m * z)) if fn is sin
-                      else float(math.cos(m * z)))
-            if val > 1e-12:
-                ok = False
-                details.append(f"claimed locus {z} is not a zero")
+    factors = rec.extras["locus_factors"]
+    if any(len(loci) != 2 * m or len(set(loci)) != 2 * m
+           for _, loci in factors):
+        return refuted({}, detail="locus count is not 2m")
     combined = sorted(rec.extras["sc_loci"] + rec.extras["fold_loci"])
-    gaps = [b - a for a, b in zip(combined, combined[1:])]
-    if any(abs(g - math.pi / (2 * m)) > 1e-12 for g in gaps):
-        ok = False
-        details.append("loci are not equally spaced by pi/2m")
-    return {"passed": ok, "detail": "; ".join(details) or
-            f"{2 * m} singular and {2 * m} folding hypersurfaces"}
+    errors = [(abs((math.sin if fn is sin else math.cos)(m * z)), z)
+              for fn, loci in factors for z in loci]
+    errors += [(abs(b - a - math.pi / (2 * m)), b)
+               for a, b in zip(combined, combined[1:])]
+    err, z = max(errors)
+    detail = f"{2 * m} singular and {2 * m} folding hypersurfaces"
+    if not err <= tol:
+        return refuted({"theta": z}, tol - err, detail)
+    return verified(len(errors), tol, tol - err, detail)
 
 
 def _cert_result(cert: Certificate) -> dict:
@@ -483,34 +482,34 @@ def _cert_result(cert: Certificate) -> dict:
     return out
 
 
-def _run_check(rec: ExampleRecord, check: str, per_axis: Optional[int]) -> dict:
+def _run_check(rec: ExampleRecord, check: str,
+               per_axis: Optional[int]) -> Certificate:
     omega = rec.omega
     if check in ("sc-symplectic", "bk-symplectic"):
         f, frame = omega, None
         if check == "bk-symplectic":
             f = rec.extras["normal_form"]
             frame = coframe("b^k", f.chart, k=rec.extras["k"])
-        rep = verify_sc_symplectic(f, frame, _grid_for(f.chart, per_axis))
-        return {"passed": rep.passed,
-                "detail": f"section={bool(rep.section)} "
-                          f"closed={rep.closed.is_zero} "
-                          f"nondegenerate={rep.nondegeneracy.passed}"}
+        return verify_sc_symplectic(f, frame, _grid_for(f.chart, per_axis))
     if check in ("symplectic", "symplectic-off-loci"):
         f = rec.extras["symplectic_form"]
-        return _cert_result(certify_symplectic(f, _grid_for(f.chart, per_axis)))
+        return certify_symplectic(f, _grid_for(f.chart, per_axis))
     if check == "pole-symplectic":
         f = rec.extras["pole_form"]
-        cert = certify_symplectic(f, _grid_for(f.chart, per_axis))
-        if not cert.passed:
-            return _cert_result(cert)
         origin = {nm: 0.0 for nm in f.chart.names}
         vals = evaluate_form(f, origin)
         n = f.chart.dim // 2
         want = {(f"x{i}", f"y{i}"): 1.0 for i in range(1, n + 1)}
-        exact = all(abs(vals.get(idx, 0.0) - want.get(idx, 0.0)) < 1e-12
-                    for idx in set(vals) | set(want))
-        return {"passed": exact,
-                "detail": "at the pole the form is sum dx_i wedge dy_i"}
+        err = max(abs(vals.get(idx, 0.0) - want.get(idx, 0.0))
+                  for idx in set(vals) | set(want))
+        tol = 1e-12
+        at_pole = (verified(1, tol, tol - err, "coefficients at the pole")
+                   if err < tol else
+                   refuted(origin, tol - err, "coefficients at the pole"))
+        return all_of(
+            "at the pole the form is sum dx_i wedge dy_i",
+            symplectic=certify_symplectic(f, _grid_for(f.chart, per_axis)),
+            at_pole=at_pole)
     if check == "sphere-coefficient":
         actual = sphere_slot_coefficient(omega, "z", "y1")
         x1 = _dependent_sqrt(list(omega.chart.names))
@@ -518,55 +517,46 @@ def _run_check(rec: ExampleRecord, check: str, per_axis: Optional[int]) -> dict:
                          add(x1, mul(var("y1"), var("y1"), powx(x1, -1)),
                              mul(var("z"), var("z"), powx(x1, -1)))))
         diff = canon(add(actual, mul(Const(Fraction(-1)), want)))
-        from .expr import is_provably_zero
-        return {"passed": is_provably_zero(diff),
-                "detail": "dz/z^3 wedge dy1 coefficient is "
-                          "-(x1 + y1^2/x1 + z^2/x1)"}
+        return exact(is_provably_zero(diff), "dz/z^3 wedge dy1 coefficient "
+                                             "is -(x1 + y1^2/x1 + z^2/x1)")
     if check == "filling":
         v = strong_filling_check(omega)
-        return {"passed": v.passed,
-                "detail": "Filling" if v.filling else
-                          f"NotFilling({v.nonzero_slot})"}
+        if not v.filling:
+            return refuted({}, detail=f"NotFilling({v.nonzero_slot})")
+        return all_of("Filling", liouville_contraction=v.liouville_contraction,
+                      liouville_derivative=v.liouville_derivative)
     if check == "induced-contact":
         data = induced_contact(omega)
-        cert = data.verify(_grid_for(data.chart, per_axis))
-        return _cert_result(cert)
+        return data.verify(_grid_for(data.chart, per_axis))
     if check == "contact":
         data = rec.extras["contact"]
-        return _cert_result(data.verify(_grid_for(data.chart, per_axis)))
+        return data.verify(_grid_for(data.chart, per_axis))
     if check == "collar":
         collar = rec.extras["collar"]
         ch = collar.collar_chart()
-        return _cert_result(collar.verify(_grid_for(ch, per_axis)))
+        return collar.verify(_grid_for(ch, per_axis))
     if check == "sc-gluing":
-        cert = certify_sc_gluing(rec.extras["glued_sc"])
-        return {"passed": cert.passed,
-                "detail": "; ".join(c.detail for c in (
-                    cert.phi_quotient_exceeds_139,
-                    cert.psi_slope_at_least_minus_128,
-                    cert.b_positive, cert.a_minus_b_positive))}
+        return certify_sc_gluing(rec.extras["glued_sc"])
     if check == "folded-gluing":
-        cert = certify_folded_gluing(rec.extras["glued_folded"])
-        return {"passed": cert.passed, "detail": "folded gluing certificate"}
+        return certify_folded_gluing(rec.extras["glued_folded"])
     if check == "folded":
-        v = verify_folded(omega)
-        return {"passed": v.passed, "detail": "fold verification"}
+        return verify_folded(omega)
     if check == "closed-proven":
-        return {"passed": exterior_derivative(omega).is_zero_form,
-                "detail": "d(omega) vanishes structurally"}
+        return exact(exterior_derivative(omega).is_zero_form,
+                     "d(omega) vanishes structurally")
     if check == "cosymplectic":
         try:
             data = cosymplectic_extract(rec.extras["normal_form"],
                                         rec.extras["k"])
         except StructureError as e:
-            return {"passed": False, "detail": str(e)}
-        return _cert_result(data.verify(_grid_for(data.chart, per_axis)))
+            return refuted({}, detail=str(e))
+        return data.verify(_grid_for(data.chart, per_axis))
     if check == "loci":
         return _check_loci(rec)
     if check == "dual-jacobi":
-        return _cert_result(dual_jacobi_check(omega))
+        return dual_jacobi_check(omega)
     if check == "dual-roundtrip":
-        return _cert_result(dual_roundtrip_check(omega))
+        return dual_roundtrip_check(omega)
     if check == "glued-dual":
         glued = rec.extras["glued_sc"].omega
         dom = dict(glued.chart.box())
@@ -575,13 +565,13 @@ def _run_check(rec: ExampleRecord, check: str, per_axis: Optional[int]) -> dict:
         dom[GLUE_R] = (0.55, 0.9)
         rt = dual_roundtrip_check(glued, domain=dom)
         if not rt.passed:
-            return _cert_result(rt)
-        return _cert_result(dual_jacobi_check(glued, n_samples=40, domain=dom))
+            return rt
+        return dual_jacobi_check(glued, n_samples=40, domain=dom)
     if check == "darboux-dual":
         pi = dualize(omega)
         diff = pi + rec.extras["dual_model"].scale(Const(Fraction(-1)))
-        return {"passed": diff.is_zero_form,
-                "detail": "dual bivector matches the Darboux model exactly"}
+        return exact(diff.is_zero_form,
+                     "dual bivector matches the Darboux model exactly")
     if check == "horizontal-example":
         zch = z_chart(omega.chart)
         theta = smooth_form(zch, {("t1",): ONE})
@@ -591,18 +581,16 @@ def _run_check(rec: ExampleRecord, check: str, per_axis: Optional[int]) -> dict:
         lr = lie_derivative(sigma, reeb)
         want = smooth_form(zch, {("t3",): mul(Const(Fraction(-1)),
                                               sin(var("t1")))})
-        exact = dh.is_zero_form and (lr + want.scale(Const(Fraction(-1)))
+        holds = dh.is_zero_form and (lr + want.scale(Const(Fraction(-1)))
                                      ).is_zero_form
-        return {"passed": exact,
-                "detail": "d_h(cos t1 dt3) = 0 and "
-                          "L_R(cos t1 dt3) = -sin t1 dt3"}
+        return exact(holds, "d_h(cos t1 dt3) = 0 and "
+                            "L_R(cos t1 dt3) = -sin t1 dt3")
     raise CatalogError(f"unknown check '{check}'")
 
 
 def run_example(rec: ExampleRecord, per_axis: Optional[int] = None) -> dict:
-    checks = {}
-    for name in rec.expected:
-        checks[name] = _run_check(rec, name, per_axis)
+    checks = {name: _cert_result(_run_check(rec, name, per_axis))
+              for name in rec.expected}
     return {
         "name": rec.name,
         "params": {k: v for k, v in rec.params},

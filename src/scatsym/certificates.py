@@ -7,19 +7,37 @@ import math
 from typing import Callable, Mapping, Optional, Sequence
 
 from .expr import DomainError, Record
-from .geometry import Chart, SingularForm, compile_form
+from .geometry import Chart, SingularForm, ZeroVerdictMap, compile_form
 
 DEFAULT_POINTS_PER_AXIS = 17
 MAX_GRID_POINTS = 20000
 
 
+# verdict kinds from weakest to strongest, each beside its ZeroVerdict kind
+_KINDS = (("refuted", "nonzero"), ("numerically-verified", "numerically-zero"),
+          ("proven", "proven-zero"))
+
+
 class Certificate(Record):
+    """A verdict.  min_margin is signed slack: value - bound for a lower
+    bound, tol - error for a tolerance.  A composite (see all_of) holds its
+    named child verdicts in parts, as ((name, verdict), ...)."""
+
     kind: str  # "proven" | "numerically-verified" | "refuted"
     grid_points: int = 0
     tolerance: float = 0.0
     min_margin: Optional[float] = None
     witness: Optional[tuple] = None  # ((name, value), ...) for refutations
     detail: str = ""
+    parts: tuple = ()
+
+    def __post_init__(self):
+        # parts are reported beside the fields, so a name must not shadow one
+        clash = {name for name, _ in self.parts} & {
+            *self._fields, "type", "passed"}
+        if clash:
+            raise ValueError(f"part names {sorted(clash)} collide with "
+                             "Certificate fields")
 
     @property
     def passed(self) -> bool:
@@ -36,10 +54,38 @@ def verified(grid_points: int, tol: float, min_margin: float,
                        detail=detail)
 
 
-def refuted(witness: Mapping[str, float], value: float = 0.0,
+def refuted(witness: Mapping[str, float], margin: Optional[float] = None,
             detail: str = "") -> Certificate:
     return Certificate("refuted", witness=tuple(sorted(witness.items())),
-                       min_margin=value, detail=detail)
+                       min_margin=margin, detail=detail)
+
+
+def exact(holds: bool, detail: str) -> Certificate:
+    """The verdict of an exact (structural) check."""
+    return proven(detail) if holds else refuted({}, detail=detail)
+
+
+def _rank(verdict) -> int:
+    """Position in _KINDS of a Certificate or ZeroVerdict, or of the weakest
+    slot of a ZeroVerdictMap (an empty map is proven)."""
+    if isinstance(verdict, ZeroVerdictMap):
+        return min(map(_rank, verdict.verdicts.values()), default=2)
+    return next(i for i, kinds in enumerate(_KINDS) if verdict.kind in kinds)
+
+
+def all_of(detail: str, /, **parts) -> Certificate:
+    """Passes iff every part passes; its kind is the weakest part's.  A
+    refuted result names its first refuted part and carries its witness."""
+    kind = _KINDS[min(map(_rank, parts.values()), default=2)][0]
+    witness = None
+    for name, part in parts.items():
+        if not _rank(part):
+            if isinstance(part, ZeroVerdictMap):
+                part = next(v for v in part.verdicts.values() if not _rank(v))
+            detail, witness = f"{detail}: {name} refuted", part.witness
+            break
+    return Certificate(kind, witness=witness, detail=detail,
+                       parts=tuple(parts.items()))
 
 
 def axis_points(lo: float, hi: float, count: int, include: Sequence[float] = ()):
@@ -80,23 +126,23 @@ def chart_grid(chart_: Chart, per_axis: int = DEFAULT_POINTS_PER_AXIS,
 
 def certify_positive(fn: Callable[[dict], float], points, tol: float,
                      detail: str = "") -> Certificate:
-    """fn(point) > tol on every grid point, reporting the minimum margin.
+    """fn(point) > tol on every grid point; the margin is min fn - tol.
 
     A point where fn is undefined (DomainError) refutes, with that point as
     the witness.  No points certify nothing, so an empty set refutes."""
     points = list(points)
     if not points:
         return refuted({}, detail=f"{detail}: no grid points")
-    min_margin = math.inf
+    least = math.inf
     for pt in points:
         try:
             v = fn(pt)
         except DomainError as e:
             return refuted(pt, detail=f"{detail}: undefined, {e}")
         if not v > tol:  # NaN fails too
-            return refuted(pt, v, detail=detail)
-        min_margin = min(min_margin, v)
-    return verified(len(points), tol, min_margin, detail=detail)
+            return refuted(pt, v - tol, detail=detail)
+        least = min(least, v)
+    return verified(len(points), tol, least - tol, detail=detail)
 
 
 def certify_nonvanishing(form: SingularForm, grid, tol: float,

@@ -18,7 +18,7 @@ from .catalog import (
     CatalogError, build_example, list_examples, run_example, s2xs1_contact,
     torus_contact,
 )
-from .certificates import chart_grid
+from .certificates import Certificate, chart_grid
 from .cohomology import BettiProfile, bk_poisson, sc_derham, sc_poisson
 from .expr import DEFAULT_SEED, Expr, ExprError, Record, ser
 from .geometry import GeometryError, SingularForm, form_from_json, form_to_json
@@ -60,6 +60,12 @@ def to_jsonable(obj):
         out = {"type": type(obj).__name__}
         for name in obj._fields:
             out[name] = to_jsonable(getattr(obj, name))
+        if isinstance(obj, Certificate):
+            # each part under its own name; Certificate rejects a part name
+            # that collides with a field
+            del out["parts"]
+            for name, part in obj.parts:
+                out[name] = to_jsonable(part)
         for name in ("passed", "is_zero", "refutes", "finite_rank"):
             prop = getattr(type(obj), name, None)
             if isinstance(prop, property):
@@ -286,8 +292,13 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except Exception as e:  # noqa: BLE001 - last-resort exit code contract
+        import traceback  # only on this path: it costs start-up otherwise
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+        report, passed, code = {"command": args.command, "error": {
+            "type": type(e).__name__, "message": str(e),
+            "traceback": traceback.format_exc()}}, False, EXIT_INTERNAL
+    else:
+        code = EXIT_PASS if passed else EXIT_FAIL
     report["passed"] = passed
     text = render_report(report)
     if args.out:
@@ -295,7 +306,7 @@ def main(argv=None) -> int:
         print(f"{'PASS' if passed else 'FAIL'} report written to {args.out}")
     else:
         sys.stdout.write(text)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return code
 
 
 if __name__ == "__main__":

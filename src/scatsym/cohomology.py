@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .certificates import Certificate, all_of
 from .expr import Const, Record
 from .geometry import (
     Chart, SingularForm, ZeroVerdictMap, exterior_derivative, forms_equal,
@@ -228,18 +229,9 @@ def horizontal_d(sigma: SingularForm, theta: SingularForm,
     return exterior_derivative(sigma) - wedge(theta, lie_derivative(sigma, reeb_field))
 
 
-class HorizontalComplexVerdict(Record):
-    d_squared: ZeroVerdictMap
-    reeb_contraction: ZeroVerdictMap
-
-    @property
-    def passed(self) -> bool:
-        return self.d_squared.is_zero and self.reeb_contraction.is_zero
-
-
 def d_h_squared_check(sigma: SingularForm, theta: SingularForm,
                       reeb_field: SingularForm,
-                      tol: float = 1e-9) -> HorizontalComplexVerdict:
+                      tol: float = 1e-9) -> Certificate:
     """d_h(d_h sigma) = 0 and i_R(d_h sigma) = 0."""
     ds = horizontal_d(sigma, theta, reeb_field, tol)
     contraction = forms_equal(interior_product(reeb_field, ds),
@@ -247,7 +239,8 @@ def d_h_squared_check(sigma: SingularForm, theta: SingularForm,
     dds = horizontal_d(ds, theta, reeb_field, tol)
     squared = forms_equal(dds, zero_form(sigma.chart, sigma.degree + 2),
                           tol=tol)
-    return HorizontalComplexVerdict(squared, contraction)
+    return all_of("d_h is a differential on horizontal forms",
+                  d_squared=squared, reeb_contraction=contraction)
 
 
 # ---------------------------------------------------------------------------

@@ -439,9 +439,6 @@ class ZeroVerdictMap(Record):
     def is_zero(self) -> bool:
         return all(v.is_zero for v in self.verdicts.values())
 
-    def max_abs(self) -> float:
-        return max((v.max_abs for v in self.verdicts.values()), default=0.0)
-
 
 # ---------------------------------------------------------------------------
 # serialization

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .certificates import (
-    Certificate, axis_points, certify_positive, geometric_refinement,
+    Certificate, all_of, axis_points, certify_positive, geometric_refinement,
 )
 from .expr import (
     Const, Expr, ONE, Piece, PiecewiseDecay, Record, ZERO, add, compile_float,
@@ -30,8 +30,7 @@ from .geometry import (
     Chart, SingularForm, exterior_derivative, forms_equal, lift, restrict_to_z,
 )
 from .structures import (
-    ContactData, FoldedVerdict, StructureError, certify_symplectic,
-    verify_folded,
+    ContactData, StructureError, certify_symplectic, verify_folded,
 )
 
 GLUE_R = "r1"
@@ -261,21 +260,8 @@ def glue_concave_concave(c1: FillingCollar, c2: FillingCollar,
 # certification
 
 
-class ScGluingCertificate(Record):
-    phi_quotient_exceeds_139: Certificate
-    psi_slope_at_least_minus_128: Certificate
-    b_positive: Certificate
-    a_minus_b_positive: Certificate
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in (
-            self.phi_quotient_exceeds_139, self.psi_slope_at_least_minus_128,
-            self.b_positive, self.a_minus_b_positive))
-
-
 def certify_sc_gluing(g: GluedForm, grid=None,
-                      constant_points: int = 10000) -> ScGluingCertificate:
+                      constant_points: int = 10000) -> Certificate:
     """Certify B > 0 and A - B > 0 on r1 in (1/2, 1) (the symmetric half),
     plus the two slope constants the positivity argument rests on."""
     if g.kind != "sc":
@@ -303,27 +289,14 @@ def certify_sc_gluing(g: GluedForm, grid=None,
     c_b = certify_positive(b_val, grid, 0.0, detail="B on (1/2, 1)")
     c_ab = certify_positive(lambda pt: a_val(pt) - b_val(pt),
                             grid, 0.0, detail="A - B on (1/2, 1)")
-    return ScGluingCertificate(c_phi, c_psi, c_b, c_ab)
-
-
-class FoldedGluingCertificate(Record):
-    gap_on_1_2: Certificate  # e^r - 4 e^{-r} > 0, i.e. e^2 > 4
-    ratio_on_0_1: Certificate  # e^{2r} > 1
-    dr_alpha_coefficient_positive: Certificate
-    dalpha_coefficient_positive: Certificate
-    fold: FoldedVerdict
-    restriction_is_2_dalpha: object  # ZeroVerdictMap
-
-    @property
-    def passed(self) -> bool:
-        return (self.gap_on_1_2.passed and self.ratio_on_0_1.passed
-                and self.dr_alpha_coefficient_positive.passed
-                and self.dalpha_coefficient_positive.passed
-                and self.fold.passed and self.restriction_is_2_dalpha.is_zero)
+    return all_of("sc gluing: B > 0 and A - B > 0 on (1/2, 1)",
+                  phi_quotient_exceeds_139=c_phi,
+                  psi_slope_at_least_minus_128=c_psi,
+                  b_positive=c_b, a_minus_b_positive=c_ab)
 
 
 def certify_folded_gluing(g: GluedForm, grid=None,
-                          points: int = 2000) -> FoldedGluingCertificate:
+                          points: int = 2000) -> Certificate:
     """The positivity clauses behind folded non-degeneracy for r1 > 0, the
     two explicit exponential inequalities, and the fold at r1 = 0."""
     if g.kind != "folded":
@@ -351,4 +324,8 @@ def certify_folded_gluing(g: GluedForm, grid=None,
     fold = verify_folded(g.omega)
     da2 = exterior_derivative(g.alpha).scale(Const(Fraction(2)))
     restr = forms_equal(restrict_to_z(g.omega), da2, tol=1e-9)
-    return FoldedGluingCertificate(gap, ratio, pos_a, pos_b, fold, restr)
+    return all_of("folded gluing: positive for r1 > 0, folded at r1 = 0",
+                  gap_on_1_2=gap, ratio_on_0_1=ratio,
+                  dr_alpha_coefficient_positive=pos_a,
+                  dalpha_coefficient_positive=pos_b, fold=fold,
+                  restriction_is_2_dalpha=restr)

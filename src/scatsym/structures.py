@@ -6,15 +6,14 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .algebroids import AlgebroidFrame, SectionVerdict, coframe, is_smooth_section, nondegenerate
+from .algebroids import AlgebroidFrame, coframe, is_smooth_section, nondegenerate
 from .certificates import (
-    Certificate, certify_nonvanishing, certify_positive, chart_grid, proven,
-    refuted, verified,
+    Certificate, all_of, certify_nonvanishing, certify_positive, chart_grid,
+    proven, refuted, verified,
 )
 from .expr import (
-    Const, ONE, Record, ZERO, ZeroVerdict, add, canon, compile_float,
-    compile_floats, differentiate, is_provably_zero, is_zero, mul,
-    sample_points, substitute,
+    Const, ONE, Record, ZERO, add, canon, compile_float, compile_floats,
+    differentiate, is_zero, mul, sample_points, substitute,
 )
 from .geometry import (  # z_chart, restrict_to_z, lift: re-exported
     Chart, GeometryError, SingularForm, ZeroVerdictMap, compile_form,
@@ -39,20 +38,10 @@ def closedness(f: SingularForm, n_samples: int = 500,
                        n_samples=n_samples, tol=tol)
 
 
-class SymplecticReport(Record):
-    section: SectionVerdict
-    closed: ZeroVerdictMap
-    nondegeneracy: Certificate
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.section) and self.closed.is_zero and self.nondegeneracy.passed
-
-
 def verify_sc_symplectic(omega: SingularForm, frame: Optional[AlgebroidFrame] = None,
                          grid=None, n_samples: int = 500,
                          tol_closed: float = TOL_CLOSED,
-                         tol_nondeg: float = TOL_NONDEG) -> SymplecticReport:
+                         tol_nondeg: float = TOL_NONDEG) -> Certificate:
     """A smooth section of the frame (sc by default), closed, and
     non-degenerate against the frame volume."""
     if omega.degree != 2:
@@ -61,9 +50,11 @@ def verify_sc_symplectic(omega: SingularForm, frame: Optional[AlgebroidFrame] = 
         frame = coframe("sc", omega.chart)
     section = is_smooth_section(omega, frame)
     closed = closedness(omega, n_samples, tol_closed)
-    nd = nondegenerate(omega, frame, grid, tol_nondeg) if section else refuted(
-        {}, detail="not a smooth section")
-    return SymplecticReport(section, closed, nd)
+    nd = nondegenerate(omega, frame, grid, tol_nondeg) if section.passed \
+        else refuted({}, detail="not a smooth section")
+    return all_of(f"closed, non-degenerate section of the {frame.flavor} "
+                  "frame", section=section,
+                  closed=closed, nondegeneracy=nd)
 
 
 def certify_symplectic(omega: SingularForm, grid=None, tol: float = TOL_NONDEG,
@@ -181,7 +172,7 @@ def reeb(alpha: SingularForm, closed_two: Optional[SingularForm] = None,
         err = math.hypot(*(sum(v * w for v, w in zip(row, sol)) - b
                            for row, b in zip(rows, rhs)))
         if not err <= 1e-6:  # NaN fails too
-            return refuted(pt, err, detail="contact condition fails: "
+            return refuted(pt, 1e-6 - err, detail="contact condition fails: "
                                            "least-squares residual above 1e-6")
         samples.append((tuple(sorted(pt.items())), tuple(sol)))
     return SampledField(ch, tuple(samples))
@@ -281,7 +272,7 @@ def dual_roundtrip_check(omega: SingularForm, n_samples: int = 100,
         err = max(abs(v - (i == j)) for i, row in
                   enumerate(float_matmul(p, w)) for j, v in enumerate(row))
         if not err <= tol:  # NaN fails too
-            return refuted(pt, err, detail="P W differs from the identity")
+            return refuted(pt, tol - err, detail="P W differs from the identity")
         worst = max(worst, err)
     return verified(n_samples, tol, tol - worst,
                     detail="pi-sharp . omega-flat = id (P W = I)")
@@ -328,7 +319,7 @@ def _jacobi_on_samples(d: int, samples: list, tol: float) -> Certificate:
                                  + pv[m][j] * dv[m][l][i]
                                  + pv[m][l] * dv[m][i][j])
                     if not abs(comp) <= tol:  # NaN fails too
-                        return refuted(pt, comp,
+                        return refuted(pt, tol - abs(comp),
                                        detail=f"[pi,pi]^({i},{j},{l}) != 0")
                     worst = max(worst, abs(comp))
     if d <= 2:
@@ -423,21 +414,8 @@ def cosymplectic_extract(omega: SingularForm, k: int) -> CosymplecticData:
 # folded forms
 
 
-class FoldedVerdict(Record):
-    closed: ZeroVerdictMap
-    vanishing_on_fold: ZeroVerdict
-    transversal: Certificate
-    restriction_nonvanishing: Certificate
-
-    @property
-    def passed(self) -> bool:
-        return (self.closed.is_zero and self.vanishing_on_fold.is_zero
-                and self.transversal.passed
-                and self.restriction_nonvanishing.passed)
-
-
 def verify_folded(omega: SingularForm, grid=None,
-                  tol: float = TOL_NONDEG) -> FoldedVerdict:
+                  tol: float = TOL_NONDEG) -> Certificate:
     """omega smooth and closed; top power vanishes transversally exactly on
     the declared fold {x = 0}; omega^{d-1} pulls back nonvanishingly to Z."""
     ch = omega.chart
@@ -450,9 +428,7 @@ def verify_folded(omega: SingularForm, grid=None,
     coeff = add(ZERO, *top_power(omega, d).pole_sums().values())
     at_z = canon(substitute(coeff, {ch.x: ZERO}))
     zch = z_chart(ch)
-    vanish = is_zero(at_z, zch.box() or {"_": (0, 1)}, 200, TOL_CLOSED) \
-        if not is_provably_zero(at_z) else \
-        ZeroVerdict("proven-zero", tolerance=TOL_CLOSED)
+    vanish = is_zero(at_z, zch.box() or {"_": (0, 1)}, 200, TOL_CLOSED)
     ddx = compile_float(
         canon(substitute(differentiate(coeff, ch.x), {ch.x: ZERO})))
     zgrid = chart_grid(zch) if grid is None else grid
@@ -463,4 +439,6 @@ def verify_folded(omega: SingularForm, grid=None,
     nonvanish = certify_nonvanishing(
         restrict_to_z(sub), zgrid, tol,
         detail="|omega^{d-1} restricted to the fold|")
-    return FoldedVerdict(closed, vanish, transversal, nonvanish)
+    return all_of(f"folded along {ch.x} = 0", closed=closed,
+                  vanishing_on_fold=vanish, transversal=transversal,
+                  restriction_nonvanishing=nonvanish)

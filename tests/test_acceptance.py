@@ -71,13 +71,14 @@ def test_criterion_01_sphere_verification(n):
 def test_criterion_02_gluing_constants():
     rec = build_example("t2xs2")
     cert = certify_sc_gluing(rec.extras["glued_sc"], constant_points=10000)
-    c1 = cert.phi_quotient_exceeds_139
+    parts = dict(cert.parts)
+    c1 = parts["phi_quotient_exceeds_139"]
     assert c1.passed and c1.grid_points >= 10000
-    c2 = cert.psi_slope_at_least_minus_128
+    c2 = parts["psi_slope_at_least_minus_128"]
     assert c2.passed and c2.grid_points >= 10000
     # min B > 0 and min(A - B) > 0 on (1/2, 1), refined to 1e-6 of the locus
-    assert cert.b_positive.passed
-    assert cert.a_minus_b_positive.passed
+    assert parts["b_positive"].passed
+    assert parts["a_minus_b_positive"].passed
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +88,11 @@ def test_criterion_02_gluing_constants():
 def test_criterion_03_folded_gluing():
     rec = build_example("t2xs2")
     cert = certify_folded_gluing(rec.extras["glued_folded"])
-    assert cert.gap_on_1_2.passed          # e^r - 4 e^{-r} > 0 on (1, 2)
-    assert cert.ratio_on_0_1.passed        # e^{2r} > 1 on (0, 1]
-    assert cert.fold.passed                # transversal fold at r = 0
-    assert cert.restriction_is_2_dalpha.is_zero
+    parts = dict(cert.parts)
+    assert parts["gap_on_1_2"].passed      # e^r - 4 e^{-r} > 0 on (1, 2)
+    assert parts["ratio_on_0_1"].passed    # e^{2r} > 1 on (0, 1]
+    assert parts["fold"].passed            # transversal fold at r = 0
+    assert parts["restriction_is_2_dalpha"].is_zero
     assert cert.passed
 
 

@@ -23,24 +23,25 @@ def test_sc_coframe_accepts_sc_darboux(plane4):
     frame = coframe("sc", plane4)
     omega = make_form(plane4, 2, [(3, ONE, ("x", "y1")),
                                   (2, ONE, ("y2", "y3"))])
-    assert is_smooth_section(omega, frame)
+    assert is_smooth_section(omega, frame).passed
 
 
 def test_sc_coframe_rejects_excess_pole(plane4):
     frame = coframe("sc", plane4)
     omega = make_form(plane4, 2, [(4, ONE, ("x", "y1"))])
     verdict = is_smooth_section(omega, frame)
-    assert not verdict
-    assert verdict.offending
+    assert not verdict.passed
+    # the offending (exponent, labels) slot is named in the detail
+    assert "(1, ('dx', 'dy1'))" in verdict.detail
 
 
 def test_b_coframe_weights(plane4):
     frame = coframe("b", plane4)
     omega = make_form(plane4, 2, [(1, ONE, ("x", "y1")),
                                   (0, ONE, ("y2", "y3"))])
-    assert is_smooth_section(omega, frame)
+    assert is_smooth_section(omega, frame).passed
     assert not is_smooth_section(
-        make_form(plane4, 2, [(2, ONE, ("x", "y1"))]), frame)
+        make_form(plane4, 2, [(2, ONE, ("x", "y1"))]), frame).passed
 
 
 def test_nondegenerate_on_darboux(plane4):
@@ -97,4 +98,4 @@ def test_bk_frame_accepts_bk_torus():
     rec = build_example("bk-torus", k=2, n=1)
     omega = rec.extras["normal_form"]
     frame = coframe("b^k", omega.chart, k=2)
-    assert is_smooth_section(omega, frame)
+    assert is_smooth_section(omega, frame).passed

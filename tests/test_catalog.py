@@ -29,30 +29,28 @@ def test_parameter_cap():
         build_example("euclidean-end", n=0)
 
 
-# the certificate kind of every check ("kind" of its result, None for checks
-# that report only pass/fail); a refactor must keep each one
+# the certificate kind of every check; a refactor must keep each one
 V, P = "numerically-verified", "proven"
 KINDS = {
-    "b2-r-times-t3": {"closed-proven": None, "bk-symplectic": None,
-                      "cosymplectic": V, "horizontal-example": None},
-    "bk-torus": {"closed-proven": None, "bk-symplectic": None,
+    "b2-r-times-t3": {"closed-proven": P, "bk-symplectic": V,
+                      "cosymplectic": V, "horizontal-example": P},
+    "bk-torus": {"closed-proven": P, "bk-symplectic": V,
                  "cosymplectic": V, "symplectic-off-loci": V},
-    "folded-darboux": {"folded": None},
-    "sc-darboux": {"sc-symplectic": None, "filling": None,
-                   "dual-roundtrip": V},
-    "sc-poisson-darboux": {"sc-symplectic": None, "darboux-dual": None,
+    "folded-darboux": {"folded": V},
+    "sc-darboux": {"sc-symplectic": V, "filling": P, "dual-roundtrip": V},
+    "sc-poisson-darboux": {"sc-symplectic": V, "darboux-dual": P,
                            "dual-jacobi": V, "dual-roundtrip": V},
-    "symplectization": {"sc-symplectic": None, "filling": None,
+    "symplectization": {"sc-symplectic": V, "filling": P,
                         "induced-contact": V, "dual-roundtrip": V},
-    "torus-sc-folded": {"closed-proven": None, "loci": None,
+    "torus-sc-folded": {"closed-proven": P, "loci": V,
                         "symplectic-off-loci": V},
-    "euclidean-end": {"sc-symplectic": None, "filling": None,
+    "euclidean-end": {"sc-symplectic": V, "filling": P,
                       "dual-jacobi": P, "dual-roundtrip": V},
-    "sc-sphere": {"sc-symplectic": None, "sphere-coefficient": None,
-                  "pole-symplectic": None, "dual-roundtrip": V},
-    "t2xs2": {"contact": V, "collar": V, "sc-gluing": None,
-              "folded-gluing": None, "glued-dual": V},
-    "s3xs1": {"contact": V, "symplectic": V, "sc-gluing": None,
+    "sc-sphere": {"sc-symplectic": V, "sphere-coefficient": P,
+                  "pole-symplectic": V, "dual-roundtrip": V},
+    "t2xs2": {"contact": V, "collar": V, "sc-gluing": V,
+              "folded-gluing": V, "glued-dual": V},
+    "s3xs1": {"contact": V, "symplectic": V, "sc-gluing": V,
               "glued-dual": V},
 }
 
@@ -75,7 +73,7 @@ def test_fast_records_pass(name, params):
     rep = run_example(rec)
     failing = {k: v for k, v in rep["checks"].items() if not v["passed"]}
     assert rep["passed"], failing
-    assert {k: v.get("kind") for k, v in rep["checks"].items()} == KINDS[name]
+    assert {k: v["kind"] for k, v in rep["checks"].items()} == KINDS[name]
 
 
 def test_torus_sc_folded_loci():

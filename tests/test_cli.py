@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from scatsym import cli
 from scatsym.catalog import build_example
 from scatsym.cli import (
-    EXIT_FAIL, EXIT_PARSE, EXIT_PASS, main,
+    EXIT_FAIL, EXIT_INTERNAL, EXIT_PARSE, EXIT_PASS, main,
 )
 from scatsym.geometry import form_to_json
 
@@ -25,7 +26,27 @@ def test_verify_passes(form_file, tmp_path):
     assert code == EXIT_PASS
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
-    assert doc["result"]["type"] == "SymplecticReport"
+    assert doc["result"]["type"] == "Certificate"
+
+
+def test_internal_error_leaves_a_report(monkeypatch, tmp_path, capsys):
+    def broken(args):
+        raise RuntimeError("handler broke")
+
+    monkeypatch.setattr(cli, "_cmd_cohomology", broken)
+    argv = ["cohomology", "--theorem", "sc-derham", "--profile", "torus:4",
+            "--p", "1"]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == EXIT_INTERNAL
+    assert "internal error: RuntimeError: handler broke" in \
+        capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert doc["command"] == "cohomology" and doc["passed"] is False
+    assert doc["error"]["type"] == "RuntimeError"
+    assert doc["error"]["message"] == "handler broke"
+    assert "handler broke" in doc["error"]["traceback"]
+    assert main(argv) == EXIT_INTERNAL  # without --out, on stdout
+    assert json.loads(capsys.readouterr().out) == doc
 
 
 def test_verify_malformed_file_exits_2(tmp_path):

@@ -1,0 +1,57 @@
+"""The report format the benchmark reads: the cheap benchmark requests, run
+in-process through `cli.main`, must give the exit code and every report
+path that `perfbench/expected.json` lists, as `perfbench/check.py` judges
+them.  A dropped or renamed report field fails here, not only in a
+benchmark run."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from scatsym.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module
+
+
+check = _load("check")
+workloads = _load("workloads")
+
+IDS = ["glue-sc-t3", "glue-folded-t3", "glue-classic-s2xs1",
+       "no-go-dim8", "no-go-dim6", "no-go-dim4", "no-go-outside",
+       "cohomology-bk-poisson", "cohomology-sc-derham", "verify-sc-file",
+       "decompose-sc-file", "verify-bk-file", "b2-r-times-t3",
+       "folded-darboux"]
+
+
+@pytest.fixture(scope="module")
+def requests(tmp_path_factory):
+    """Seed-1 requests by id; form files are written to the returned
+    directory, which the argv name relative to."""
+    workdir = tmp_path_factory.mktemp("workloads")
+    found = {}
+    for workload in ("grid-certify", "symbolic-sweep"):
+        for req in workloads.generate(workload, 1, workdir):
+            found[req.id] = req
+    return workdir, found
+
+
+@pytest.mark.parametrize("request_id", IDS)
+def test_report_matches_expected(requests, request_id, monkeypatch, capsys):
+    workdir, found = requests
+    monkeypatch.chdir(workdir)
+    report = workdir / f"{request_id}.report.json"
+    code = main([*found[request_id].argv, "--out", str(report)])
+    capsys.readouterr()
+    expected = check.load_expected()
+    assert check.verdict_errors(expected, request_id, code, report) == []

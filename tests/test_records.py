@@ -7,27 +7,23 @@ import pickle
 
 import pytest
 
-from scatsym.algebroids import SectionVerdict
 from scatsym.catalog import ExampleRecord
-from scatsym.certificates import Certificate
+from scatsym.certificates import Certificate, all_of, proven
 from scatsym.cli import to_jsonable
 from scatsym.expr import Record
 from scatsym.geometry import Chart, GeometryError, ZeroVerdictMap
-from scatsym.structures import SymplecticReport
 
 RECORDS = {
     "expr": ("Const", "Var", "Sum", "Prod", "Pow", "Exp", "Sin", "Cos",
              "Piece", "PiecewiseDecay", "ZeroVerdict"),
     "geometry": ("Chart", "SingularForm", "LaurentSlot", "ZeroVerdictMap"),
     "certificates": ("Certificate",),
-    "algebroids": ("AlgebroidFrame", "SectionVerdict", "NoGoReport"),
-    "structures": ("SymplecticReport", "SampledField", "ContactData",
-                   "CosymplecticData", "FillingVerdict", "FoldedVerdict"),
-    "gluing": ("BumpFunctions", "FillingCollar", "GluedForm",
-               "ScGluingCertificate", "FoldedGluingCertificate"),
+    "algebroids": ("AlgebroidFrame", "NoGoReport"),
+    "structures": ("SampledField", "ContactData", "CosymplecticData",
+                   "FillingVerdict"),
+    "gluing": ("BumpFunctions", "FillingCollar", "GluedForm"),
     "cohomology": ("BettiProfile", "FiniteRank", "Zero", "InfiniteDimensional",
-                   "Unresolved", "CohomologyReport", "HorizontalComplexVerdict",
-                   "QuotientVerdict"),
+                   "Unresolved", "CohomologyReport", "QuotientVerdict"),
     "catalog": ("ExampleRecord",),
 }
 CLASSES = [getattr(importlib.import_module(f"scatsym.{mod}"), name)
@@ -51,7 +47,7 @@ def _reference(cls):
 
 
 def test_every_value_class_is_a_record():
-    assert len(CLASSES) == 39
+    assert len(CLASSES) == 33
     assert all(issubclass(cls, Record) for cls in CLASSES)
 
 
@@ -89,7 +85,7 @@ def test_init_takes_positions_keywords_and_defaults():
     with pytest.raises(TypeError):
         Certificate()
     with pytest.raises(TypeError):
-        Certificate("proven", 0, 0.0, None, None, "d", "extra")
+        Certificate("proven", 0, 0.0, None, None, "d", (), "extra")
     with pytest.raises(TypeError):
         Certificate("proven", color="red")
     with pytest.raises(GeometryError):  # __post_init__ runs
@@ -97,12 +93,16 @@ def test_init_takes_positions_keywords_and_defaults():
 
 
 def test_to_jsonable_lists_type_fields_and_properties():
-    rep = SymplecticReport(SectionVerdict(True), ZeroVerdictMap({}),
-                           Certificate("proven"))
+    rep = all_of("d", section=proven(), closed=ZeroVerdictMap({}),
+                 nondegeneracy=Certificate("proven"))
     doc = to_jsonable(rep)
-    assert doc["type"] == "SymplecticReport"
-    assert set(doc) == {"type", "section", "closed", "nondegeneracy", "passed"}
+    assert doc["type"] == "Certificate"
+    # the parts sit under their own names beside the fields
+    assert set(doc) == {"type", "kind", "grid_points", "tolerance",
+                        "min_margin", "witness", "detail", "section",
+                        "closed", "nondegeneracy", "passed"}
     assert doc["passed"] is True
     assert doc["nondegeneracy"]["kind"] == "proven"
+    assert doc["section"]["passed"] is True
     assert doc["closed"] == {"type": "ZeroVerdictMap", "verdicts": {},
                              "is_zero": True}

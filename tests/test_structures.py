@@ -297,7 +297,7 @@ def test_reeb_fallback_refutes_with_witness(alpha, two):
     else:
         assert cert.detail == ("contact condition fails: "
                                "least-squares residual above 1e-6")
-        assert cert.min_margin > 1e-6
+        assert cert.min_margin < 0  # slack 1e-6 - residual
 
 
 @pytest.mark.parametrize("data", [
