@@ -175,15 +175,19 @@ def is_smooth_section(f: SingularForm, frame: AlgebroidFrame) -> Certificate:
 def nondegenerate(f: SingularForm, frame: AlgebroidFrame, grid=None,
                   tol: float = 1e-8) -> Certificate:
     """Certify wedge^n f is nonzero against the frame volume, x = 0 included."""
+    section = is_smooth_section(f, frame)
+    return certify_volume(f, frame, grid, tol) if section.passed else section
+
+
+def certify_volume(f: SingularForm, frame: AlgebroidFrame, grid=None,
+                   tol: float = 1e-8) -> Certificate:
+    """nondegenerate, for an f already shown to be a smooth section."""
     if f.degree != 2:
         raise FrameError("non-degeneracy expects a degree-2 form")
     ch = f.chart
     if ch.dim % 2:
         raise FrameError("non-degeneracy expects an even-dimensional chart")
     n = ch.dim // 2
-    section = is_smooth_section(f, frame)
-    if not section.passed:
-        return section
     top = top_power(f, n)
     wsum = frame.volume_weight()
     det = sym_det(frame.coefficient_matrix())

@@ -32,6 +32,7 @@ from .structures import (
 )
 
 MAX_PARAM = 4
+_FLOAT_TOL = 1e-12  # loci and pole-symplectic compare floats to this
 TWO_PI = 2.0 * math.pi
 
 
@@ -453,24 +454,30 @@ def _grid_for(ch: Chart, per_axis: Optional[int]):
     return chart_grid(ch) if per_axis is None else chart_grid(ch, per_axis)
 
 
-def _check_loci(rec: ExampleRecord, tol: float = 1e-12) -> Certificate:
-    """Each factor vanishes, to tol in floats, on its 2m claimed loci, and
-    the 4m loci are spaced by pi/2m."""
+def _float_check(errors, detail: str) -> Certificate:
+    """Every (error, witness) pair within _FLOAT_TOL; the worst pair, a NaN
+    before any number, refutes with its witness."""
+    err, witness = max(errors, key=lambda e: (math.isnan(e[0]), e[0]))
+    if not err <= _FLOAT_TOL:
+        return refuted(witness, _FLOAT_TOL - err, detail)
+    return verified(len(errors), _FLOAT_TOL, _FLOAT_TOL - err, detail)
+
+
+def _check_loci(rec: ExampleRecord) -> Certificate:
+    """Each factor vanishes on its 2m claimed loci, and the 4m loci are
+    spaced by pi/2m."""
     m = rec.extras["m"]
     factors = rec.extras["locus_factors"]
     if any(len(loci) != 2 * m or len(set(loci)) != 2 * m
            for _, loci in factors):
         return refuted({}, detail="locus count is not 2m")
     combined = sorted(rec.extras["sc_loci"] + rec.extras["fold_loci"])
-    errors = [(abs((math.sin if fn is sin else math.cos)(m * z)), z)
-              for fn, loci in factors for z in loci]
-    errors += [(abs(b - a - math.pi / (2 * m)), b)
+    errors = [(abs((math.sin if fn is sin else math.cos)(m * z)),
+               {"theta": z}) for fn, loci in factors for z in loci]
+    errors += [(abs(b - a - math.pi / (2 * m)), {"theta": b})
                for a, b in zip(combined, combined[1:])]
-    err, z = max(errors)
-    detail = f"{2 * m} singular and {2 * m} folding hypersurfaces"
-    if not err <= tol:
-        return refuted({"theta": z}, tol - err, detail)
-    return verified(len(errors), tol, tol - err, detail)
+    return _float_check(errors, f"{2 * m} singular and {2 * m} folding "
+                        "hypersurfaces")
 
 
 def _cert_result(cert: Certificate) -> dict:
@@ -496,20 +503,18 @@ def _run_check(rec: ExampleRecord, check: str,
         return certify_symplectic(f, _grid_for(f.chart, per_axis))
     if check == "pole-symplectic":
         f = rec.extras["pole_form"]
+        symplectic = certify_symplectic(f, _grid_for(f.chart, per_axis))
+        if not symplectic.passed:
+            return symplectic
         origin = {nm: 0.0 for nm in f.chart.names}
         vals = evaluate_form(f, origin)
         n = f.chart.dim // 2
         want = {(f"x{i}", f"y{i}"): 1.0 for i in range(1, n + 1)}
-        err = max(abs(vals.get(idx, 0.0) - want.get(idx, 0.0))
-                  for idx in set(vals) | set(want))
-        tol = 1e-12
-        at_pole = (verified(1, tol, tol - err, "coefficients at the pole")
-                   if err < tol else
-                   refuted(origin, tol - err, "coefficients at the pole"))
-        return all_of(
-            "at the pole the form is sum dx_i wedge dy_i",
-            symplectic=certify_symplectic(f, _grid_for(f.chart, per_axis)),
-            at_pole=at_pole)
+        errors = [(abs(vals.get(idx, 0.0) - want.get(idx, 0.0)), origin)
+                  for idx in set(vals) | set(want)]
+        return all_of("at the pole the form is sum dx_i wedge dy_i",
+                      symplectic=symplectic,
+                      at_pole=_float_check(errors, "coefficients at the pole"))
     if check == "sphere-coefficient":
         actual = sphere_slot_coefficient(omega, "z", "y1")
         x1 = _dependent_sqrt(list(omega.chart.names))

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .algebroids import AlgebroidFrame, coframe, is_smooth_section, nondegenerate
+from .algebroids import AlgebroidFrame, certify_volume, coframe, is_smooth_section
 from .certificates import (
     Certificate, all_of, certify_nonvanishing, certify_positive, chart_grid,
     proven, refuted, verified,
@@ -50,8 +50,8 @@ def verify_sc_symplectic(omega: SingularForm, frame: Optional[AlgebroidFrame] = 
         frame = coframe("sc", omega.chart)
     section = is_smooth_section(omega, frame)
     closed = closedness(omega, n_samples, tol_closed)
-    nd = nondegenerate(omega, frame, grid, tol_nondeg) if section.passed \
-        else refuted({}, detail="not a smooth section")
+    nd = certify_volume(omega, frame, grid, tol_nondeg) if section.passed \
+        else section
     return all_of(f"closed, non-degenerate section of the {frame.flavor} "
                   "frame", section=section,
                   closed=closed, nondegeneracy=nd)

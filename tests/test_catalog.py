@@ -2,11 +2,15 @@
 
 import pytest
 
+from scatsym import catalog
 from scatsym.catalog import (
-    CatalogError, build_example, list_examples, run_example,
+    CatalogError, _float_check, build_example, list_examples, run_example,
     sphere_slot_coefficient,
 )
-from scatsym.expr import is_provably_zero, canon, add, mul, powx, var, Const
+from scatsym.certificates import refuted
+from scatsym.expr import (
+    Const, DomainError, add, canon, is_provably_zero, mul, powx, var,
+)
 from fractions import Fraction
 
 
@@ -97,3 +101,28 @@ def test_sphere_slot_coefficient_structure():
                add(x1, mul(powx(y1, 2), powx(x1, -1)),
                    mul(powx(z, 2), powx(x1, -1))))
     assert is_provably_zero(canon(add(got, mul(Const(Fraction(-1)), want))))
+
+
+def test_float_check_refutes_nan_and_reports_slack():
+    # max() alone would keep 0.0 and drop the NaN that follows it
+    cert = _float_check([(0.0, {"t": 0}), (float("nan"), {"t": 1})], "d")
+    assert not cert.passed and dict(cert.witness) == {"t": 1}
+    cert = _float_check([(0.0, {"t": 0}), (1e-13, {"t": 1})], "d")
+    assert cert.passed and cert.kind == "numerically-verified"
+    assert cert.min_margin == pytest.approx(1e-12 - 1e-13)
+    cert = _float_check([(1e-9, {"t": 0}), (0.0, {"t": 1})], "d")
+    assert not cert.passed and cert.min_margin < 0
+
+
+def test_pole_symplectic_refutes_before_evaluating_the_pole(monkeypatch):
+    # a failed grid check is the verdict; the origin is not evaluated
+    rec = build_example("sc-sphere", n=1)
+
+    def undefined(*_):
+        raise DomainError("undefined at the pole")
+
+    monkeypatch.setattr(catalog, "certify_symplectic",
+                        lambda *_: refuted({}, detail="form not closed"))
+    monkeypatch.setattr(catalog, "evaluate_form", undefined)
+    cert = catalog._run_check(rec, "pole-symplectic", 3)
+    assert not cert.passed and cert.detail == "form not closed"

@@ -16,7 +16,7 @@ from scatsym.catalog import (
     build_example, darboux_chart, darboux_contact_primitive, torus_contact,
 )
 from scatsym.certificates import chart_grid
-from scatsym import expr
+from scatsym import algebroids, expr, structures
 from scatsym.expr import (
     Const, ONE, add, cos, differentiate, evaluate, mul, sin, var,
 )
@@ -46,6 +46,31 @@ def test_sc_symplectic_normal_form(darboux):
     ch, _, omega = darboux
     rep = verify_sc_symplectic(omega, grid=chart_grid(ch, 3))
     assert rep.passed
+
+
+def test_sc_symplectic_tests_the_section_once(darboux, monkeypatch):
+    ch, _, omega = darboux
+    calls = []
+    original = algebroids.is_smooth_section
+
+    def counted(f, frame):
+        calls.append(frame.flavor)
+        return original(f, frame)
+
+    for module in (algebroids, structures):
+        monkeypatch.setattr(module, "is_smooth_section", counted)
+    assert verify_sc_symplectic(omega, grid=chart_grid(ch, 3)).passed
+    assert calls == ["sc"]
+
+
+def test_sc_symplectic_refutes_a_non_section_by_its_slots():
+    plane = Chart(("x", "y1"), ((-1.0, 1.0),) * 2, "x")
+    omega = make_form(plane, 2, [(4, ONE, ("x", "y1"))])
+    rep = verify_sc_symplectic(omega, grid=chart_grid(plane, 3))
+    parts = dict(rep.parts)
+    assert not rep.passed and not parts["section"].passed
+    # the non-degeneracy part carries the section test's own refutation
+    assert "(1, ('dx', 'dy1'))" in parts["nondegeneracy"].detail
 
 
 def test_closedness_catches_non_closed(darboux):
