@@ -13,12 +13,12 @@ from .certificates import (
 )
 from .cohomology import BettiProfile, horizontal_d, lie_derivative
 from .expr import (
-    Const, Expr, ONE, Record, ZERO, add, canon, is_provably_zero, mul, powx,
-    sin, cos, sqrt, var,
+    Const, Expr, ONE, Record, ZERO, add, canon, is_provably_zero, mul,
+    nan_max, powx, sin, cos, sqrt, var,
 )
 from .geometry import (
-    Chart, SingularForm, evaluate_form, exterior_derivative, make_form,
-    smooth_form, wedge,
+    Chart, SingularForm, evaluate_form, exact_singular, exterior_derivative,
+    make_form, smooth_form, wedge,
 )
 from .gluing import (
     GLUE_R, FillingCollar, certify_folded_gluing, certify_sc_gluing,
@@ -260,9 +260,7 @@ def _euclidean_end(n: int = 2) -> ExampleRecord:
     pairs = [(f"s{i}", f"t{i}") for i in range(1, n + 1)]
     alpha = _round_sphere_primitive(ch, pairs, "s1", half=False,
                                     exclude=("x",))
-    # dx/x^3 ^ alpha - d(alpha)/(2x^2) = -d(alpha/x^2)/2
-    omega = exterior_derivative(lift(alpha, ch, 2)).scale(
-        Const(Fraction(-1, 2)))
+    omega = exact_singular(alpha, ch, 2)
     return ExampleRecord("euclidean-end", (("n", n),), "sc", omega,
                          ("sc-symplectic", "filling", "dual-jacobi",
                           "dual-roundtrip"),
@@ -457,7 +455,7 @@ def _grid_for(ch: Chart, per_axis: Optional[int]):
 def _float_check(errors, detail: str) -> Certificate:
     """Every (error, witness) pair within _FLOAT_TOL; the worst pair, a NaN
     before any number, refutes with its witness."""
-    err, witness = max(errors, key=lambda e: (math.isnan(e[0]), e[0]))
+    err, witness = nan_max(errors, key=lambda e: e[0])
     if not err <= _FLOAT_TOL:
         return refuted(witness, _FLOAT_TOL - err, detail)
     return verified(len(errors), _FLOAT_TOL, _FLOAT_TOL - err, detail)

@@ -6,7 +6,7 @@ import itertools
 import math
 from typing import Callable, Mapping, Optional, Sequence
 
-from .expr import DomainError, Record
+from .expr import DomainError, Record, nan_max
 from .geometry import Chart, SingularForm, ZeroVerdictMap, compile_form
 
 DEFAULT_POINTS_PER_AXIS = 17
@@ -152,13 +152,9 @@ def certify_nonvanishing(form: SingularForm, grid, tol: float,
     if grid is None:
         grid = chart_grid(form.chart)
     values = compile_form(form)
-
-    def max_abs(pt):
-        vals = [abs(v) for v in values(pt).values()]
-        # max() keeps a NaN only when it comes first
-        return math.nan if any(map(math.isnan, vals)) else max(vals, default=0.0)
-
-    return certify_positive(max_abs, grid, tol, detail=detail)
+    return certify_positive(
+        lambda pt: nan_max((abs(v) for v in values(pt).values()), default=0.0),
+        grid, tol, detail=detail)
 
 
 def geometric_refinement(locus: float, lo: float, hi: float, base: int = 64,

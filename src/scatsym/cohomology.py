@@ -14,8 +14,9 @@ from typing import Optional, Sequence
 from .certificates import Certificate, all_of
 from .expr import Const, Record
 from .geometry import (
-    Chart, SingularForm, ZeroVerdictMap, exterior_derivative, forms_equal,
-    interior_product, lift, make_form, scalar_one, wedge, zero_form,
+    Chart, SingularForm, ZeroVerdictMap, exact_singular, exterior_derivative,
+    forms_equal, interior_product, lift, make_form, scalar_one, wedge,
+    zero_form,
 )
 from .structures import ContactData, StructureError
 
@@ -311,14 +312,9 @@ def sc_reduction_primitive(ch: Chart, alphas: Sequence[SingularForm],
     return out
 
 
-def _exact_singular(ch: Chart, f: SingularForm, j: int) -> SingularForm:
-    """-d(f/x^j)/j = dx/x^{j+1} wedge f - d(f)/(j x^j), f on the Z chart."""
-    return exterior_derivative(lift(f, ch, j)).scale(Const(Fraction(-1, j)))
-
-
 def sc_reduced_element(ch: Chart, alpha0: SingularForm, p: int) -> SingularForm:
     """dx/x^{p+1} wedge alpha_0 - d(alpha_0)/(p x^p)."""
-    return _exact_singular(ch, alpha0, p)
+    return exact_singular(alpha0, ch, p)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +419,8 @@ def rigged_closed_representative(ch: Chart, contact: ContactData,
         da_theta = wedge(exterior_derivative(alpha), th)
         if not forms_equal(da_theta, zero_form(zch, k), tol=tol).is_zero:
             raise CohomologyError("theta must satisfy d alpha ^ theta = 0")
-    nu = _exact_singular(ch, delta0 + wedge(alpha, gamma0), 2 * k)
-    nu = nu + _exact_singular(ch, delta1, 2 * k - 1)
+    nu = exact_singular(delta0 + wedge(alpha, gamma0), ch, 2 * k)
+    nu = nu + exact_singular(delta1, ch, 2 * k - 1)
     if th.terms:
-        nu = nu + _exact_singular(ch, wedge(alpha, th), 2 * k + 1)
+        nu = nu + exact_singular(wedge(alpha, th), ch, 2 * k + 1)
     return nu

@@ -654,35 +654,41 @@ def _pow_value(b: Number, e: Pow) -> Number:
         raise DomainError("float overflow", e) from None
 
 
-def _unary_value(a: Number, e: Expr) -> float:
-    """exp, sin or cos (the node e) of the value a."""
+def _to_float(v: Number, e: Expr) -> float:
     try:
-        a = float(a)
-        if isinstance(e, Exp):
-            if a > 700:
-                raise DomainError("exp overflow", e)
-            return math.exp(a)
-        return math.sin(a) if isinstance(e, Sin) else math.cos(a)
+        return float(v)
     except OverflowError:
         raise DomainError("float overflow", e) from None
+
+
+def _unary_value(a: Number, e: Expr) -> float:
+    """exp, sin or cos (the node e) of the value a."""
+    a = _to_float(a, e)
+    if isinstance(e, Exp):
+        if a > 700:
+            raise DomainError("exp overflow", e)
+        return math.exp(a)
+    try:
+        return math.sin(a) if isinstance(e, Sin) else math.cos(a)
     except ValueError:
         raise DomainError("math domain error", e) from None
 
 
-def _eval_piecewise(e: PiecewiseDecay, t: Number) -> Number:
+def _eval_piecewise(e: PiecewiseDecay, t: Number) -> float:
+    """The value at t as a float, a constant branch's too."""
     pieces = e.pieces
     for i, p in enumerate(pieces):
         lo_ok = p.lo is None or t > p.lo
         hi_ok = p.hi is None or t < p.hi
         if lo_ok and hi_ok:
-            return evaluate(p.expr, {e.var: t})
+            return _to_float(evaluate(p.expr, {e.var: t}), e)
         if p.hi is not None and t == p.hi:
             # breakpoint: smooth flatness means the adjacent constant branch
             # (on whichever side) gives the two-sided value
             nxt = pieces[i + 1]
             for cand in (p, nxt):
                 if isinstance(cand.expr, Const):
-                    return cand.expr.value
+                    return _to_float(cand.expr.value, e)
             raise DomainError("piecewise breakpoint with no constant branch", e)
     raise DomainError("piecewise evaluation fell through", e)
 
@@ -716,13 +722,14 @@ def compile_float(e: Expr) -> Callable[[Mapping[str, float]], float]:
     constant prefix, b ** n for integer exponents, the negative-base and
     exp-argument guards, and PiecewiseDecay branches picked by float
     comparisons equivalent to the exact ones against their rational
-    bounds.  Values that may be exact Fractions (constant branches and
-    what they flow into) keep Python's mixed arithmetic and evaluate's
-    helpers.  Where eager code can differ from the tree walk, the function
-    returns float(evaluate(e, point)) instead: on any exception, at an
-    exact breakpoint, and when the result is zero or not finite (a product
-    does not stop at a zero factor, and signed zeros may differ).  A
-    result that folds to a constant is converted to float at compile time.
+    bounds.  Every runtime value is a float (a PiecewiseDecay evaluates to
+    one), so a folded constant enters the code as the float literal that
+    Fraction-float arithmetic would convert it to.  Where eager code can
+    differ from the tree walk, the function returns float(evaluate(e,
+    point)) instead: on any exception, at an exact breakpoint, and when the
+    result is zero or not finite (a product does not stop at a zero factor,
+    and signed zeros may differ).  A result that folds to a constant is
+    converted to float at compile time.
     """
     return _FloatCompiler().function([e], False)
 
@@ -742,14 +749,12 @@ def compile_floats(exprs: Sequence[Expr]) -> Callable[[Mapping[str, float]], lis
 class _FloatCompiler:
     """Emits the body of one compile_float or compile_floats function.
 
-    A value is (kind, ref): ("const", number) for a folded subtree,
-    ("float", name) for a runtime float and ("mixed", name) for a runtime
-    value that may be a Fraction."""
+    A value is a number (Fraction or float) for a folded subtree, or a str:
+    the name of a runtime float."""
 
     def __init__(self):
         self.ns = {"_Recheck": _Recheck, "_RECHECK": _RECHECK,
-                   "_reference": _reference, "_num_prod": _num_prod,
-                   "_pow_value": _pow_value, "_exp": math.exp,
+                   "_reference": _reference, "_exp": math.exp,
                    "_sin": math.sin, "_cos": math.cos}
         self.lines = []
         self.indent = 2
@@ -761,16 +766,11 @@ class _FloatCompiler:
         memo, outs, checks = {}, [], []
         for i, e in enumerate(exprs):
             self.ns[f"_e{i}"] = e
-            kind, ref = self.node(e, (memo, None))
-            if kind == "const":
-                try:
-                    outs.append(self.ref(("const", float(ref)), False))
-                    continue
-                except OverflowError:  # float(evaluate(e, pt)) raises
-                    kind, ref = self.fail()
-            if kind != "float":
-                ref = f"float({ref})"
-            self.emit(f"r{i} = {ref}")
+            v = self.node(e, (memo, None))
+            if not isinstance(v, str):
+                outs.append(self.ref(v))
+                continue
+            self.emit(f"r{i} = {v}")
             outs.append(f"r{i}")
             checks += [f"    if not (r{i} and r{i} - r{i} == 0.0):",
                        f"        r{i} = _reference(_e{i}, pt)"]
@@ -790,172 +790,144 @@ class _FloatCompiler:
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
 
-    def assign(self, code: str, kind: str) -> tuple:
+    def assign(self, code: str) -> str:
         self.count += 1
         name = f"v{self.count}"
         self.emit(f"{name} = {code}")
-        return kind, name
+        return name
 
-    def fail(self) -> tuple:
+    def fail(self) -> str:
         """This node always needs the tree walk (e.g. a constant subtree
         that raises); code after it in the same block is unreachable."""
         self.emit("raise _Recheck")
-        return "float", "0.0"
+        return "0.0"
 
-    def obj(self, value) -> str:
-        name = f"k{len(self.ns)}"
-        self.ns[name] = value
-        return name
-
-    def ref(self, val: tuple, floating: bool) -> str:
-        """Operand text for val.  Next to a runtime float a Fraction is
-        written as a float literal: Fraction-float arithmetic converts the
-        Fraction with float() first."""
-        kind, v = val
-        if kind != "const":
+    def ref(self, v) -> str:
+        """Operand text for the value v: a folded value is written as the
+        float it converts to; one too large for a float can only raise."""
+        if isinstance(v, str):
             return v
-        if floating and isinstance(v, Fraction):
-            try:
-                v = float(v)
-            except OverflowError:
-                return self.obj(v)
-        if isinstance(v, float) and math.isfinite(v):
-            return f"({v!r})"
-        return self.obj(v)
+        try:
+            v = float(v)
+        except OverflowError:
+            return self.fail()
+        return f"({v!r})" if math.isfinite(v) else f"float({str(v)!r})"
 
-    def chain(self, op: str, vals: list) -> tuple:
+    def chain(self, op: str, vals: list) -> str:
         """vals[0] op vals[1] op ... left to right, one statement per
-        operation; a result is a float when either operand is one."""
-        def is_float(v):
-            return v[0] == "float" or (v[0] == "const" and isinstance(v[1], float))
-
+        operation; every operation has a runtime float operand."""
         acc = vals[0]
         for v in vals[1:]:
-            kind = "float" if is_float(acc) or is_float(v) else "mixed"
-            acc = self.assign(f"{self.ref(acc, is_float(v))} {op} "
-                              f"{self.ref(v, is_float(acc))}", kind)
+            acc = self.assign(f"{self.ref(acc)} {op} {self.ref(v)}")
         return acc
 
     # -- nodes
 
-    def node(self, e: Expr, scope: tuple) -> tuple:
+    def node(self, e: Expr, scope: tuple):
         """scope is (memo, bound): bound is None for the outer point, or
         {name: value} inside a PiecewiseDecay branch."""
-        memo, bound = scope
+        memo = scope[0]
         key = ("var", e.name) if isinstance(e, Var) else id(e)
         if key not in memo:
             memo[key] = self._node(e, scope)
         return memo[key]
 
-    def _node(self, e: Expr, scope: tuple) -> tuple:
+    def _node(self, e: Expr, scope: tuple):
         if isinstance(e, Const):
-            return "const", e.value
+            return e.value
         if isinstance(e, Var):
             bound = scope[1]
             if bound is None:
-                return self.assign(f"pt[{e.name!r}]", "float")
+                return self.assign(f"pt[{e.name!r}]")
             return bound[e.name] if e.name in bound else self.fail()
         if isinstance(e, (Sum, Prod)):
             return self.sum(e, scope) if isinstance(e, Sum) else self.prod(e, scope)
         if not isinstance(e, (Pow, Exp, Sin, Cos, PiecewiseDecay)):
             raise ExprError(f"unknown node {e!r}")
-        kind, a = self.node(e.base if isinstance(e, Pow) else e.arg, scope)
-        if kind == "const":  # fold with evaluate's own arithmetic
+        a = self.node(e.base if isinstance(e, Pow) else e.arg, scope)
+        if not isinstance(a, str):  # fold with evaluate's own arithmetic
             try:
                 if isinstance(e, Pow):
-                    return "const", _pow_value(a, e)
+                    return _pow_value(a, e)
                 if isinstance(e, PiecewiseDecay):
-                    return "const", _eval_piecewise(e, a)
-                return "const", _unary_value(a, e)
+                    return _eval_piecewise(e, a)
+                return _unary_value(a, e)
             except _RECHECK:
                 return self.fail()
         if isinstance(e, Pow):
-            b, q = a, e.exponent
+            q = e.exponent
             if q.denominator == 1:
-                return self.assign(f"{b} ** ({q.numerator})", kind)
-            if kind == "float":
-                self.emit(f"if {b} < 0: raise _Recheck")
-                return self.assign(f"{b} ** {float(q)!r}", "float")
-            return self.assign(f"_pow_value({b}, {self.obj(e)})", "mixed")
+                return self.assign(f"{a} ** ({q.numerator})")
+            self.emit(f"if {a} < 0: raise _Recheck")
+            return self.assign(f"{a} ** {float(q)!r}")
         if isinstance(e, (Exp, Sin, Cos)):
             if isinstance(e, Exp):
-                if kind != "float":
-                    kind, a = self.assign(f"float({a})", "float")
                 self.emit(f"if {a} > 700: raise _Recheck")
-                return self.assign(f"_exp({a})", "float")
-            return self.assign(f"{'_sin' if isinstance(e, Sin) else '_cos'}({a})",
-                               "float")
-        return self.piecewise(e, (kind, a))
+                return self.assign(f"_exp({a})")
+            return self.assign(f"{'_sin' if isinstance(e, Sin) else '_cos'}({a})")
+        return self.piecewise(e, a)
 
-    def sum(self, e: Sum, scope: tuple) -> tuple:
+    def sum(self, e: Sum, scope: tuple):
         acc, vals = Fraction(0), []
         for a in e.args:
             v = self.node(a, scope)
-            if vals or v[0] != "const":
+            if vals or isinstance(v, str):
                 vals.append(v)
                 continue
             try:
-                acc = acc + v[1]
+                acc = acc + v
             except _RECHECK:
                 return self.fail()
         if not vals:
-            return "const", acc
+            return acc
         if not (isinstance(acc, Fraction) and acc == 0):
-            vals.insert(0, ("const", acc))
+            vals.insert(0, acc)
         elif len(vals) == 1:  # 0 + v is v up to the sign of a zero
             return vals[0]
         return self.chain("+", vals)
 
-    def prod(self, e: Prod, scope: tuple) -> tuple:
+    def prod(self, e: Prod, scope: tuple):
         acc, vals = Fraction(1), []
         for a in e.args:
             v = self.node(a, scope)
-            if vals or v[0] != "const":
+            if vals or isinstance(v, str):
                 vals.append(v)
                 continue
-            if v[1] == 0:  # evaluate stops here, before any later factor
-                return "const", v[1] * 0
+            if v == 0:  # evaluate stops here, before any later factor
+                return v * 0
             try:
-                acc = acc * v[1]
+                acc = acc * v
             except _RECHECK:
                 return self.fail()
         if not vals:
-            return "const", acc
+            return acc
         if acc != 1:
-            vals.insert(0, ("const", acc))
-        if any(k == "mixed" or (k == "const" and v == 0) for k, v in vals):
-            args = ", ".join(self.ref(v, False) for v in vals)
-            return self.assign(f"_num_prod(({args},))", "mixed")
+            vals.insert(0, acc)
         if len(vals) == 1:  # 1 * v is v
             return vals[0]
         return self.chain("*", vals)
 
-    def piecewise(self, e: PiecewiseDecay, arg: tuple) -> tuple:
-        kind, t = arg
+    def piecewise(self, e: PiecewiseDecay, t: str) -> str:
         try:
             bounds = [(_float_bound(p.lo, False), _float_bound(p.hi, True))
                       for p in e.pieces]
         except OverflowError:
             return self.fail()
-        if kind == "mixed":
-            self.emit(f"if type({t}) is not float: raise _Recheck")
         self.count += 1
-        out, kinds = f"v{self.count}", set()
+        out = f"v{self.count}"
         for i, (p, (lo, hi)) in enumerate(zip(e.pieces, bounds)):
             cond = " and ".join(c for c in (
                 None if lo is None else f"{t} > {lo!r}",
                 None if hi is None else f"{t} < {hi!r}") if c) or "True"
             self.emit(f"{'elif' if i else 'if'} {cond}:")
             self.indent += 1
-            val = self.node(p.expr, ({}, {e.var: ("float", t)}))
-            self.emit(f"{out} = {self.ref(val, False)}")
+            val = self.node(p.expr, ({}, {e.var: t}))
+            self.emit(f"{out} = {self.ref(val)}")
             self.indent -= 1
-            kinds.add("float" if val[0] == "float" or isinstance(val[1], float)
-                      else "mixed")
             if p.hi is not None and Fraction(hi) == p.hi:
                 self.emit(f"elif {t} == {hi!r}: raise _Recheck")
         self.emit("else: raise _Recheck")
-        return ("float" if kinds == {"float"} else "mixed"), out
+        return out
 
 
 def _float_bound(q: Optional[Fraction], upper: bool) -> Optional[float]:
@@ -1258,8 +1230,19 @@ def sample_points(names, domain, n_samples, seed=DEFAULT_SEED):
     return pts
 
 
+def nan_max(items, key=None, default=None):
+    """max(items, key=key, default=default), except that a NaN key is the
+    largest: max() alone keeps a NaN only when it comes first."""
+    key = key or (lambda item: item)
+    return max(items, key=lambda item: (math.isnan(k := key(item)), k),
+               default=default)
+
+
 def is_zero(e: Expr, domain: Mapping[str, tuple], n_samples: int = 100,
             tol: float = 1e-12, seed: int = DEFAULT_SEED) -> ZeroVerdict:
+    """Proven zero by the exact normal form, else sampled on the box: a
+    sample where |e| exceeds tol, or where e is undefined (its value is
+    then NaN), is a nonzero witness."""
     if n_samples < 1:
         raise ExprError("n_samples must be >= 1")
     for name, (lo, hi) in domain.items():
@@ -1273,7 +1256,10 @@ def is_zero(e: Expr, domain: Mapping[str, tuple], n_samples: int = 100,
         raise UnknownVariableError(f"domain does not bind {missing}")
     max_abs = 0.0
     for point in sample_points(names, domain, n_samples, seed):
-        v = float(evaluate(e, point))
+        try:
+            v = float(evaluate(e, point))
+        except DomainError:  # undefined here: a NaN witness
+            v = math.nan
         if not abs(v) <= tol:  # NaN fails too
             witness = tuple(sorted(point.items()))
             return ZeroVerdict("nonzero", max_abs=abs(v), tolerance=tol,

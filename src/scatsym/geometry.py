@@ -37,6 +37,7 @@ from .expr import (
     free_vars,
     is_zero,
     mul,
+    nan_max,
     parse,
     powx,
     sample_points,
@@ -274,6 +275,11 @@ def lift(f: SingularForm, ch: Chart, k: int = 0) -> SingularForm:
                      f.kind)
 
 
+def exact_singular(f: SingularForm, ch: Chart, j: int) -> SingularForm:
+    """-d(f/x^j)/j = dx/x^{j+1} wedge f - d(f)/(j x^j), f on the Z chart."""
+    return exterior_derivative(lift(f, ch, j)).scale(Const(Fraction(-1, j)))
+
+
 class LaurentSlot(Record):
     exponent: int  # the k of x^{-k}
     dx_part: SingularForm  # alpha with term x^{-k} dx wedge alpha, on Z
@@ -418,17 +424,14 @@ def pointwise_equal(a: SingularForm, b: SingularForm, n_samples: int = 200,
     verdicts: dict = {}
     indices = {idx for _, _, idx in a.terms} | {idx for _, _, idx in b.terms}
     for idx in sorted(indices):
-        worst = 0.0
-        witness = None
+        errors = []
         for at_a, at_b, pt in values:
             xa, xb = at_a.get(idx, 0.0), at_b.get(idx, 0.0)
-            err = abs(xa - xb) / max(1.0, abs(xa), abs(xb))
-            if err > worst:
-                worst = err
-                witness = tuple(sorted(pt.items()))
-        kind = "numerically-zero" if worst <= tol else "nonzero"
-        verdicts[idx] = ZeroVerdict(kind, worst, tol,
-                                    witness if kind == "nonzero" else None)
+            errors.append((abs(xa - xb) / max(1.0, abs(xa), abs(xb)), pt))
+        worst, pt = nan_max(errors, key=lambda e: e[0], default=(0.0, None))
+        kind = "numerically-zero" if worst <= tol else "nonzero"  # NaN too
+        verdicts[idx] = ZeroVerdict(kind, worst, tol, tuple(sorted(pt.items()))
+                                    if kind == "nonzero" else None)
     return ZeroVerdictMap(verdicts)
 
 

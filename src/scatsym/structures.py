@@ -12,14 +12,15 @@ from .certificates import (
     proven, refuted, verified,
 )
 from .expr import (
-    Const, ONE, Record, ZERO, add, canon, compile_float, compile_floats,
-    differentiate, is_zero, mul, sample_points, substitute,
+    Const, DomainError, ONE, Record, ZERO, add, canon, compile_float,
+    compile_floats, differentiate, is_zero, mul, nan_max, sample_points,
+    substitute,
 )
 from .geometry import (  # z_chart, restrict_to_z, lift: re-exported
     Chart, GeometryError, SingularForm, ZeroVerdictMap, compile_form,
-    compile_matrix, exterior_derivative, forms_equal, interior_product,
-    laurent_decompose, lift, make_form, off_pole_domain, restrict_to_z,
-    scalar_one, top_power, wedge, z_chart, zero_form,
+    compile_matrix, exact_singular, exterior_derivative, forms_equal,
+    interior_product, laurent_decompose, lift, make_form, off_pole_domain,
+    restrict_to_z, scalar_one, top_power, wedge, z_chart, zero_form,
 )
 from .linalg import float_inverse, float_matmul, sym_inverse
 
@@ -182,10 +183,15 @@ def reeb(alpha: SingularForm, closed_two: Optional[SingularForm] = None,
 # contact structure induced on Z
 
 
+def _laurent_slots(omega: SingularForm) -> dict:
+    """omega's Laurent slots by exponent k of x^{-k}, down to k = 0."""
+    return {s.exponent: s for s in laurent_decompose(omega, order=0)}
+
+
 def induced_contact(omega: SingularForm, grid=None) -> ContactData:
     """Read alpha from the dx/x^3 slot and check the x^{-2} slot is -d(alpha)/2
     at Z."""
-    slots = {s.exponent: s for s in laurent_decompose(omega, order=0)}
+    slots = _laurent_slots(omega)
     if 3 not in slots or slots[3].dx_part.is_zero_form:
         raise StructureError("no dx/x^3 slot; not a scattering form")
     alpha = slots[3].dx_part
@@ -246,14 +252,19 @@ def _sample_matrix(f: SingularForm, n_samples: int, domain: Optional[dict],
     """Yield each sample point with the float values there of the matrix m
     of f and, if partials, of its derivative along each coordinate; m and
     its partials are compiled once into one function (compile_floats), so
-    subtrees they share are computed once per point."""
+    subtrees they share are computed once per point.  At a point where one
+    of them is undefined, yield (point, None, the DomainError) and stop."""
     ch, m = f.chart, _full_matrix(f)
     mats = [m] + ([[[differentiate(e, nm) for e in row] for row in m]
                    for nm in ch.names] if partials else [])
     values_at = compile_floats([e for a in mats for row in a for e in row])
     d = ch.dim
     for pt in sample_points(ch.names, off_pole_domain(ch, domain), n_samples):
-        flat = values_at(pt)
+        try:
+            flat = values_at(pt)
+        except DomainError as e:
+            yield pt, None, e
+            return
         values = [[flat[k + i:k + i + d] for i in range(0, d * d, d)]
                   for k in range(0, len(flat), d * d)]
         yield pt, values[0], values[1:]
@@ -263,14 +274,17 @@ def dual_roundtrip_check(omega: SingularForm, n_samples: int = 100,
                          tol: float = 1e-8,
                          domain: Optional[dict] = None) -> Certificate:
     """pi-sharp after omega-flat is the identity: P W = I at each sample
-    point, W the matrix of omega and P = W^{-1}; a singular W refutes."""
+    point, W the matrix of omega and P = W^{-1}; an undefined or singular W
+    refutes."""
     worst = 0.0
-    for pt, w, _ in _sample_matrix(omega, n_samples, domain, False):
+    for pt, w, error in _sample_matrix(omega, n_samples, domain, False):
+        if w is None:
+            return refuted(pt, detail=f"coefficient matrix undefined, {error}")
         p = float_inverse(w)
         if p is None:
             return refuted(pt, detail="coefficient matrix is singular")
-        err = max(abs(v - (i == j)) for i, row in
-                  enumerate(float_matmul(p, w)) for j, v in enumerate(row))
+        err = nan_max(abs(v - (i == j)) for i, row in
+                      enumerate(float_matmul(p, w)) for j, v in enumerate(row))
         if not err <= tol:  # NaN fails too
             return refuted(pt, tol - err, detail="P W differs from the identity")
         worst = max(worst, err)
@@ -282,9 +296,12 @@ def dual_jacobi_check(omega: SingularForm, n_samples: int = 100,
                       tol: float = TOL_CLOSED,
                       domain: Optional[dict] = None) -> Certificate:
     """[pi, pi] = 0 for pi the dual of omega, with P = W^{-1} and
-    d_m P = -P (d_m W) P at each sample point; a singular W refutes."""
+    d_m P = -P (d_m W) P at each sample point; an undefined or singular W
+    refutes."""
     samples = []
     for pt, w, dw in _sample_matrix(omega, n_samples, domain, True):
+        if w is None:
+            return refuted(pt, detail=f"coefficient matrix undefined, {dw}")
         p = float_inverse(w)
         if p is None:
             return refuted(pt, detail="coefficient matrix is singular")
@@ -297,7 +314,8 @@ def dual_jacobi_check(omega: SingularForm, n_samples: int = 100,
 def schouten_jacobi_check(pi: SingularForm, n_samples: int = 100,
                           tol: float = TOL_CLOSED,
                           domain: Optional[dict] = None) -> Certificate:
-    """[pi,pi] = 0 componentwise via the coordinate Schouten formula."""
+    """[pi,pi] = 0 componentwise via the coordinate Schouten formula; an
+    undefined matrix or partial refutes."""
     if pi.degree != 2 or pi.kind != "vector":
         raise StructureError("expected a bivector")
     samples = list(_sample_matrix(pi, n_samples, domain, True))
@@ -307,9 +325,11 @@ def schouten_jacobi_check(pi: SingularForm, n_samples: int = 100,
 def _jacobi_on_samples(d: int, samples: list, tol: float) -> Certificate:
     """Coordinate Schouten bracket [p, p] = 0 at each (point, p, [d_m p])
     of samples, p a float d x d bivector matrix and d_m p its derivative
-    along coordinate m."""
+    along coordinate m; an entry (point, None, DomainError) refutes."""
     worst = 0.0
     for pt, pv, dv in samples:
+        if pv is None:
+            return refuted(pt, detail=f"coefficient matrix undefined, {dv}")
         for i in range(d):
             for j in range(i + 1, d):
                 for l in range(j + 1, d):
@@ -339,8 +359,7 @@ def normal_form(ch: Chart, alpha: SingularForm, beta1: Optional[SingularForm],
     for b in (beta1, beta2):
         if b is not None and not closedness(b).is_zero:
             raise StructureError("beta inputs must be closed")
-    # dx/x^3 ^ alpha - d(alpha)/(2 x^2) = -d(alpha/x^2)/2
-    omega = exterior_derivative(lift(alpha, ch, 2)).scale(Const(Fraction(-1, 2)))
+    omega = exact_singular(alpha, ch, 2)
     terms = list(omega.terms)
     if beta1 is not None:
         terms += [(1, c, (ch.x,) + idx) for _, c, idx in beta1.terms]
@@ -366,7 +385,7 @@ class FillingVerdict(Record):
 def decompose(omega: SingularForm):
     """Cohomology decomposition slots (a, b1, b2) of a normal-form omega."""
     zch = z_chart(omega.chart)
-    slots = {s.exponent: s for s in laurent_decompose(omega, order=0)}
+    slots = _laurent_slots(omega)
     a = slots[3].dx_part if 3 in slots else zero_form(zch, 1)
     b1 = slots[1].dx_part if 1 in slots else zero_form(zch, 1)
     b2 = slots[0].rest if 0 in slots else zero_form(zch, 2)
@@ -396,7 +415,7 @@ def strong_filling_check(omega: SingularForm, tol: float = TOL_CLOSED) -> Fillin
 
 def cosymplectic_extract(omega: SingularForm, k: int) -> CosymplecticData:
     """theta from the dx/x^k slot and eta from the smooth slot, at Z."""
-    slots = {s.exponent: s for s in laurent_decompose(omega, order=0)}
+    slots = _laurent_slots(omega)
     if k not in slots or slots[k].dx_part.is_zero_form:
         raise StructureError(f"no dx/x^{k} slot")
     theta = slots[k].dx_part

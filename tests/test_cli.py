@@ -198,6 +198,29 @@ def test_verify_undefined_coefficient_refutes_with_witness(tmp_path):
     assert dict(cert["witness"])["y"] < 0
 
 
+def test_verify_undefined_closedness_refutes_with_witness(tmp_path):
+    # d(sqrt(y) dz^dw / x^2) is undefined for y < 0; the closedness samples
+    # used to raise there, and verify exited 2 with no report
+    doc = {"chart": {"names": ["x", "y", "z", "w"],
+                     "ranges": [[-0.5, 0.5]] * 4, "x": "x", "circles": []},
+           "degree": 2, "kind": "form",
+           "terms": [{"k": 3, "coeff": "1", "index": ["x", "y"]},
+                     {"k": 2, "coeff": "(pow (var y) 1/2)",
+                      "index": ["z", "w"]}]}
+    form = tmp_path / "sqrt.json"
+    form.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = main(["verify", str(form), "--flavor", "sc", "--out", str(out)])
+    assert code == EXIT_FAIL
+    closed = json.loads(out.read_text(),
+                        parse_constant=_reject_constant)["result"]["closed"]
+    assert closed["is_zero"] is False
+    for verdict in closed["verdicts"].values():
+        assert verdict["kind"] == "nonzero"
+        assert verdict["value"] == "nan"
+        assert dict(verdict["witness"])["y"] < 0
+
+
 def _verify_one_term(tmp_path, coeff, y_range=(-1, 1)):
     """scatsym verify of coeff dx^dy / x^3 on (-1, 1) x y_range; returns the
     exit code and the non-degeneracy certificate of the written report."""

@@ -15,10 +15,15 @@ from scatsym.expr import (
     Const, Cos, DomainError, Exp, ExprError, ONE, Piece, PiecewiseDecay, Pow,
     Prod, Sin, Sum, Var, ZERO, add, canon, collect_x_powers, compile_float,
     compile_floats, cos, differentiate, evaluate, evaluate_dag, exp,
-    is_provably_zero, is_zero, mul, parse, poly, powx, sample_points, ser, sin,
-    sqrt, substitute, var,
+    is_provably_zero, is_zero, mul, nan_max, parse, poly, powx, sample_points,
+    ser, sin, sqrt, substitute, var,
 )
-from scatsym.gluing import bump_phi, bump_psi_f, bump_psi_sc
+from scatsym.catalog import torus_contact
+from scatsym.certificates import axis_points, geometric_refinement
+from scatsym.gluing import (
+    GLUE_R, FillingCollar, bump_phi, bump_psi_f, bump_psi_sc,
+    glue_concave_concave, glue_convex_convex,
+)
 
 X = var("x")
 Y = var("y")
@@ -142,6 +147,31 @@ def test_is_zero_fails_on_nan():
     assert math.isnan(v.value)
 
 
+def test_is_zero_refutes_where_undefined():
+    # sin(sqrt x)^2 + cos(sqrt x)^2 - 1 is zero wherever it is defined, not
+    # provably, and undefined for x < 0: the first such sample is the
+    # witness, with value NaN
+    e = add(powx(sin(sqrt(X)), 2), powx(cos(sqrt(X)), 2), Const(Fraction(-1)))
+    assert not is_provably_zero(e)
+    assert is_zero(e, {"x": (0.1, 1.0)}).kind == "numerically-zero"
+    v = is_zero(e, {"x": (-1.0, 1.0)})
+    assert v.kind == "nonzero"
+    assert math.isnan(v.value) and math.isnan(v.max_abs)
+    assert dict(v.witness)["x"] < 0
+    with pytest.raises(DomainError):
+        evaluate(e, dict(v.witness))
+
+
+def test_nan_max_ranks_nan_highest():
+    nan = math.nan
+    assert max([1.0, nan, 2.0]) == 2.0  # the builtin drops a later NaN
+    assert math.isnan(nan_max([1.0, nan, 2.0]))
+    assert nan_max([1.0, 3.0, 2.0]) == 3.0
+    assert nan_max([], default=0.0) == 0.0
+    pairs = [(1.0, "a"), (nan, "b"), (nan, "c"), (5.0, "d")]
+    assert nan_max(pairs, key=lambda p: p[0])[1] == "b"
+
+
 # -- compile_float against evaluate
 
 
@@ -244,9 +274,15 @@ _FOLDED = PiecewiseDecay(X, "t", (Piece(None, Fraction(1), _T),
                                   Piece(Fraction(0), None, mul(Const(Fraction(3)), _T))))
 
 
+# a constant branch of 10^400 does not fit a float
+_HUGE = PiecewiseDecay(X, "t", (Piece(None, Fraction(0), Const(Fraction(10 ** 400))),
+                                Piece(Fraction(0), None, _T)))
+
+
 @pytest.mark.parametrize("e, pt", [
-    # a product stopped at an exact zero stays a Fraction, so the two
-    # constants after it add exactly: 3/10, not 0.1 + 0.2
+    # the step's zero branch is the float 0.0, so the product stops at a
+    # float zero and the two constants after it add in floats, 0.1 + 0.2,
+    # as in the compiled chain
     (Sum((Prod((_STEP, Y)), Const(Fraction(1, 10)), Const(Fraction(2, 10)), Y)),
      {"x": -1.0, "y": 0.0}),
     (_FOLDED, {"x": 1.0, "y": 0.0}),
@@ -258,10 +294,59 @@ _FOLDED = PiecewiseDecay(X, "t", (Piece(None, Fraction(1), _T),
     (add(X, mul(Const(Fraction(-1)), X)), {"x": 0.3, "y": 0.0}),  # zero
     (sin(mul(exp(mul(Const(Fraction(400)), X)),
              exp(mul(Const(Fraction(401)), X)))), {"x": 1.0, "y": 0.0}),
+    # a constant branch too large for a float: alone, at its breakpoint,
+    # in a sum, in a product, folded, and not taken
+    (_HUGE, {"x": -1.0, "y": 0.0}),
+    (_HUGE, {"x": 0.0, "y": 0.0}),
+    (add(_HUGE, Y), {"x": -1.0, "y": 2.0}),
+    (mul(_HUGE, Y), {"x": -1.0, "y": 2.0}),
+    (mul(Y, _HUGE), {"x": -1.0, "y": 0.0}),
+    (mul(Y, substitute(_HUGE, {"x": Const(Fraction(-1))})), {"x": 0.0, "y": 2.0}),
+    (add(_HUGE, Y), {"x": 0.5, "y": 2.0}),
+    # a folded constant that is not finite: e^700 e^700 is inf
+    (add(X, mul(exp(Const(Fraction(700))), exp(Const(Fraction(700))))),
+     {"x": 1.0, "y": 0.0}),
 ])
 def test_compile_float_edge_cases(e, pt):
     want = _outcome(lambda: float(evaluate(e, pt)))
     assert _same(_outcome(lambda: compile_float(e)(pt)), want)
+
+
+def test_compile_float_matches_evaluate_on_gluing_profiles():
+    # the trees the gluing certifiers compile, on their r grids and at the
+    # bumps' breakpoints
+    sc = glue_convex_convex(FillingCollar(torus_contact(), "convex"),
+                            FillingCollar(torus_contact(), "convex"))
+    folded = glue_concave_concave(FillingCollar(torus_contact(), "concave"),
+                                  FillingCollar(torus_contact(), "concave"))
+    breakpoints = [0.5, 0.875, 0.94, 0.9375, 1.0, 2.0]
+    for g, rs in ((sc, geometric_refinement(1.0, 0.5, 1.0, base=256,
+                                            closest=1e-6)),
+                  (folded, axis_points(0.0, 2.0, 2000))):
+        for e in (g.profile, differentiate(g.profile, GLUE_R)):
+            fn = compile_float(e)
+            for r in rs + breakpoints:
+                pt = {GLUE_R: r}
+                want = _outcome(lambda: float(evaluate(e, pt)))
+                assert _same(_outcome(lambda: fn(pt)), want), (g.kind, r, want)
+
+
+def test_compiled_code_computes_in_floats_only():
+    # a PiecewiseDecay is a float on a constant branch and at a breakpoint,
+    # so no compiled function needs evaluate's exact helpers
+    r = var("r")
+    for bump, (inside, breakpoint) in ((bump_phi(), (Fraction(1, 4), Fraction(2))),
+                                       (bump_psi_sc(), (Fraction(1, 2), Fraction(7, 8))),
+                                       (bump_psi_f(), (Fraction(0), Fraction(-1)))):
+        for t in (inside, breakpoint):
+            v = evaluate(bump, {"r": t})
+            assert type(v) is float and v in (0.0, 1.0)
+        d = differentiate(bump, "r")
+        for e in (bump, d, mul(d, powx(add(r, Const(Fraction(-1))), -2)),
+                  powx(add(bump, ONE), Fraction(1, 2)), mul(bump, bump, r)):
+            fn = compile_float(e)
+            names = set(fn.__code__.co_names) | set(fn.__globals__)
+            assert not names & {"_num_prod", "_pow_value"}
 
 
 def test_compile_float_long_sum():

@@ -158,6 +158,21 @@ def test_pointwise_equal_matches_forms_equal(torus4):
     assert not pointwise_equal(a, b).is_zero
 
 
+def test_pointwise_equal_refutes_nan(plane):
+    # big sin^2 y + big cos^2 y - big is inf - inf = NaN for y > 1; an
+    # `err > worst` scan skipped NaN and called it numerically-zero
+    y = var("y")
+    big = mul(exp(mul(Const(Fraction(400)), y)), exp(mul(Const(Fraction(401)), y)))
+    c = add(mul(big, powx(sin(y), 2)), mul(big, powx(cos(y), 2)),
+            mul(Const(Fraction(-1)), big))
+    ch = Chart(("x", "y"), ((-0.5, 0.5), (1.0, 1.7)), "x")
+    v = pointwise_equal(smooth_form(ch, {("x", "y"): c}),
+                        smooth_form(ch, {("x", "y"): ONE})).verdicts[("x", "y")]
+    assert v.kind == "nonzero"
+    assert math.isnan(v.max_abs)
+    assert 1.0 < dict(v.witness)["y"] < 1.7
+
+
 def test_top_power(plane):
     omega = smooth_form(plane, {("x", "y"): Const(Fraction(2))})
     sq = top_power(omega, 1)

@@ -176,6 +176,42 @@ def test_dual_checks_refute_degenerate_form():
         assert set(dict(cert.witness)) == set(ch.names)
 
 
+def _overflowing(name):
+    """e^{400 v} e^{401 v}, which is inf for v above about 0.886."""
+    v = var(name)
+    return mul(expr.exp(mul(Const(Fraction(400)), v)),
+               expr.exp(mul(Const(Fraction(401)), v)))
+
+
+def test_dual_roundtrip_refutes_nan_error():
+    # W has an inf entry, so P W has NaN entries; max() used to skip them
+    # and certified a margin of 1e-08
+    ch = Chart(("x", "y", "z", "w"),
+               ((-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5), (1.0, 1.7)), "x")
+    omega = make_form(ch, 2, [(0, ONE, ("x", "y")),
+                              (0, _overflowing("w"), ("z", "w"))])
+    cert = dual_roundtrip_check(omega)
+    assert cert.kind == "refuted"
+    assert cert.detail == "P W differs from the identity"
+    assert math.isnan(cert.min_margin)
+    assert dict(cert.witness)["w"] > 0.886
+
+
+def test_dual_checks_refute_where_the_matrix_is_undefined():
+    # sqrt(y) dz ^ dw is undefined for y < 0: each check refutes at such a
+    # point instead of raising
+    ch = Chart(("x", "y", "z", "w"), ((-0.5, 0.5),) * 4, "x")
+    omega = make_form(ch, 2, [(0, ONE, ("x", "y")),
+                              (0, expr.sqrt(var("y")), ("z", "w"))])
+    pi = make_form(ch, 2, omega.terms, "vector")
+    for check, f in ((dual_roundtrip_check, omega), (dual_jacobi_check, omega),
+                     (schouten_jacobi_check, pi)):
+        cert = check(f)
+        assert cert.kind == "refuted"
+        assert cert.detail.startswith("coefficient matrix undefined")
+        assert dict(cert.witness)["y"] < 0
+
+
 def test_dual_jacobi_refutes_non_closed_form():
     # dx ^ dy + (1 + x^2) dz ^ dw is nondegenerate but not closed, so its
     # dual is not Poisson
