@@ -13,8 +13,8 @@ from .expr import (
 from .geometry import (
     Chart, GeometryError, SingularForm, ZeroVerdictMap, chart,
     exterior_derivative, form_from_json, form_to_json, forms_equal,
-    interior_product, laurent_decompose, make_form, pointwise_equal,
-    smooth_form, top_power, wedge, zero_form,
+    interior_product, laurent_decompose, make_form, smooth_form, top_power,
+    wedge, zero_form,
 )
 from .certificates import Certificate, all_of, chart_grid
 from .linalg import sym_adjugate, sym_det, sym_inverse

@@ -564,10 +564,13 @@ def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
             return point[e.name]
         except KeyError:
             raise UnknownVariableError(f"unbound variable '{e.name}'") from None
-    if isinstance(e, Sum):
-        return _num_sum(evaluate(a, point) for a in e.args)
-    if isinstance(e, Prod):
-        return _num_prod(evaluate(a, point) for a in e.args)
+    try:
+        if isinstance(e, Sum):
+            return _num_sum(evaluate(a, point) for a in e.args)
+        if isinstance(e, Prod):
+            return _num_prod(evaluate(a, point) for a in e.args)
+    except OverflowError:  # an exact constant too large for a float met one
+        raise DomainError("float overflow", e) from None
     if isinstance(e, Pow):
         return _pow_value(evaluate(e.base, point), e)
     if isinstance(e, (Exp, Sin, Cos)):

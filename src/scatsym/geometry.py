@@ -28,7 +28,6 @@ from .expr import (
     PiecewiseDecay,
     Record,
     ZERO,
-    ZeroVerdict,
     add,
     collect_x_powers,
     compile_float,
@@ -37,10 +36,8 @@ from .expr import (
     free_vars,
     is_zero,
     mul,
-    nan_max,
     parse,
     powx,
-    sample_points,
     ser,
     substitute,
     var,
@@ -367,26 +364,6 @@ def compile_form(f: SingularForm) -> Callable[[Mapping[str, float]], dict]:
     return lambda point: {idx: c(point) for idx, c in coeffs}
 
 
-def compile_matrix(f: SingularForm) -> Callable[[Mapping[str, float]], list]:
-    """Numeric antisymmetric matrix of a degree-2 form/bivector at a point,
-    built on compile_form."""
-    if f.degree != 2:
-        raise GeometryError("matrix evaluation expects degree 2")
-    ch = f.chart
-    n = ch.dim
-    values = compile_form(f)
-    slots = {(a, b): (ch.index(a), ch.index(b)) for _, _, (a, b) in f.terms}
-
-    def matrix(point: Mapping[str, float]) -> list:
-        m = [[0.0] * n for _ in range(n)]
-        for idx, val in values(point).items():
-            i, j = slots[idx]
-            m[i][j] += val
-            m[j][i] -= val
-        return m
-    return matrix
-
-
 def forms_equal(a: SingularForm, b: SingularForm, n_samples: int = 200,
                 tol: float = 1e-9, domain: Optional[dict] = None) -> ZeroVerdictMap:
     """Per-slot zero verdicts for a - b."""
@@ -407,32 +384,6 @@ def off_pole_domain(ch: Chart, domain: Optional[dict] = None) -> dict:
         if lo < 0.0 < hi:
             dom[ch.x] = (0.05 * (hi - lo), hi)
     return dom
-
-
-def pointwise_equal(a: SingularForm, b: SingularForm, n_samples: int = 200,
-                    tol: float = 1e-8,
-                    domain: Optional[dict] = None) -> "ZeroVerdictMap":
-    """Slot-insensitive comparison: total numeric coefficients per index at
-    sampled points, with poles evaluated (so differently graded but equal
-    forms compare as equal).  Relative tolerance against the larger value."""
-    if a.chart != b.chart or a.degree != b.degree or a.kind != b.kind:
-        raise GeometryError("pointwise comparison needs matching shapes")
-    pts = sample_points(a.chart.names, off_pole_domain(a.chart, domain),
-                        n_samples)
-    va, vb = compile_form(a), compile_form(b)
-    values = [(va(pt), vb(pt), pt) for pt in pts]
-    verdicts: dict = {}
-    indices = {idx for _, _, idx in a.terms} | {idx for _, _, idx in b.terms}
-    for idx in sorted(indices):
-        errors = []
-        for at_a, at_b, pt in values:
-            xa, xb = at_a.get(idx, 0.0), at_b.get(idx, 0.0)
-            errors.append((abs(xa - xb) / max(1.0, abs(xa), abs(xb)), pt))
-        worst, pt = nan_max(errors, key=lambda e: e[0], default=(0.0, None))
-        kind = "numerically-zero" if worst <= tol else "nonzero"  # NaN too
-        verdicts[idx] = ZeroVerdict(kind, worst, tol, tuple(sorted(pt.items()))
-                                    if kind == "nonzero" else None)
-    return ZeroVerdictMap(verdicts)
 
 
 class ZeroVerdictMap(Record):

@@ -16,6 +16,7 @@ bound coefficients of omega itself:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -301,7 +302,6 @@ def certify_folded_gluing(g: GluedForm, grid=None,
     two explicit exponential inequalities, and the fold at r1 = 0."""
     if g.kind != "folded":
         raise GluingError("expected a concave-concave glued form")
-    import math
     gap_pts = [{"r": v} for v in axis_points(1.0, 2.0, points)]
     gap = certify_positive(
         lambda pt: math.exp(pt["r"]) - 4.0 * math.exp(-pt["r"]), gap_pts, 0.0,

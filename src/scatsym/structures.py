@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional
 
@@ -12,15 +11,15 @@ from .certificates import (
     proven, refuted, verified,
 )
 from .expr import (
-    Const, DomainError, ONE, Record, ZERO, add, canon, compile_float,
-    compile_floats, differentiate, is_zero, mul, nan_max, sample_points,
+    Const, DomainError, Record, ZERO, add, canon, compile_float,
+    compile_floats, differentiate, is_zero, mul, nan_max, powx, sample_points,
     substitute,
 )
 from .geometry import (  # z_chart, restrict_to_z, lift: re-exported
-    Chart, GeometryError, SingularForm, ZeroVerdictMap, compile_form,
-    compile_matrix, exact_singular, exterior_derivative, forms_equal,
-    interior_product, laurent_decompose, lift, make_form, off_pole_domain,
-    restrict_to_z, scalar_one, top_power, wedge, z_chart, zero_form,
+    Chart, GeometryError, SingularForm, ZeroVerdictMap, exact_singular,
+    exterior_derivative, forms_equal, interior_product, laurent_decompose,
+    lift, make_form, off_pole_domain, restrict_to_z, scalar_one, top_power,
+    wedge, z_chart, zero_form,
 )
 from .linalg import float_inverse, float_matmul, sym_inverse
 
@@ -75,12 +74,6 @@ def certify_symplectic(omega: SingularForm, grid=None, tol: float = TOL_NONDEG,
 # contact / cosymplectic data
 
 
-class SampledField(Record):
-    """Reeb field sampled on a grid when no symbolic solution is recognized."""
-    chart: Chart
-    samples: tuple  # of (point items tuple, vector tuple)
-
-
 def _reeb_identities(field: SingularForm, one: SingularForm,
                      two: SingularForm, tol: float) -> bool:
     """one(field) = 1 and i_field(two) = 0."""
@@ -91,19 +84,24 @@ def _reeb_identities(field: SingularForm, one: SingularForm,
                             tol=tol).is_zero)
 
 
-def _verify_reeb_pair(one: SingularForm, two: SingularForm, field, grid,
-                      tol: float, detail: str) -> Certificate:
-    """one wedge two^{n-1} nonvanishing on the grid, then the Reeb identities
-    when the field is symbolic; a Reeb solve that refuted refutes."""
-    if isinstance(field, Certificate):
-        return field
-    n = (one.chart.dim + 1) // 2
-    vol = one
-    for _ in range(n - 1):
-        vol = wedge(vol, two)
-    cert = certify_nonvanishing(vol, grid, tol, detail)
-    if cert.passed and isinstance(field, SingularForm) \
-            and not _reeb_identities(field, one, two, tol):
+def _reeb_volume(one: SingularForm, two: SingularForm):
+    """(pw, vol) with pw = two^{n-1} (the constant 1 when n = 1) and the top
+    form vol = one wedge pw, on a chart of odd dimension 2n - 1."""
+    ch = one.chart
+    if ch.dim % 2 == 0:
+        raise StructureError("odd-dimensional chart required")
+    n = (ch.dim + 1) // 2
+    pw = top_power(two, n - 1) if n > 1 else scalar_one(ch)
+    return pw, wedge(one, pw)
+
+
+def _verify_reeb_pair(one: SingularForm, two: SingularForm,
+                      field: SingularForm, grid, tol: float,
+                      detail: str) -> Certificate:
+    """one wedge two^{n-1} nonvanishing on the grid, then the Reeb
+    identities."""
+    cert = certify_nonvanishing(_reeb_volume(one, two)[1], grid, tol, detail)
+    if cert.passed and not _reeb_identities(field, one, two, tol):
         return refuted({}, detail="Reeb identities fail")
     return cert
 
@@ -111,7 +109,7 @@ def _verify_reeb_pair(one: SingularForm, two: SingularForm, field, grid,
 class ContactData(Record):
     chart: Chart  # chart of Z
     alpha: SingularForm
-    reeb: object  # SingularForm (kind vector) or SampledField
+    reeb: SingularForm  # kind vector
 
     def verify(self, grid=None, tol: float = TOL_NONDEG) -> Certificate:
         return _verify_reeb_pair(self.alpha, exterior_derivative(self.alpha),
@@ -123,7 +121,7 @@ class CosymplecticData(Record):
     chart: Chart
     theta: SingularForm  # closed 1-form
     eta: SingularForm  # closed 2-form
-    reeb: object
+    reeb: SingularForm  # kind vector
 
     def verify(self, grid=None, tol: float = TOL_NONDEG) -> Certificate:
         if not closedness(self.theta).is_zero:
@@ -134,49 +132,33 @@ class CosymplecticData(Record):
                                  "|theta wedge eta^{n-1}|")
 
 
-def reeb(alpha: SingularForm, closed_two: Optional[SingularForm] = None,
-         grid=None, tol: float = TOL_NONDEG):
-    """Field R with alpha(R) = 1 and i_R d(alpha) = 0 (or i_R eta = 0 for the
-    cosymplectic variant when closed_two is given).
+def reeb(alpha: SingularForm,
+         closed_two: Optional[SingularForm] = None) -> SingularForm:
+    """The field R with alpha(R) = 1 and i_R d(alpha) = 0 (i_R eta = 0 for
+    the cosymplectic pair when closed_two = eta is given), in closed form.
 
-    Tries symbolic candidates first (single coordinate fields and the
-    coefficient-vector ansatz); otherwise solves the linear system per grid
-    point and returns a SampledField.
-    """
+    On a chart of dimension 2n - 1 with volume dx_1 ^ ... ^ dx_{2n-1}, the
+    field v with i_v(volume) = two^{n-1} has i_v two = 0 and
+    alpha(v) volume = alpha ^ two^{n-1}, so R = v / alpha(v): component i
+    (counting from 0) is (-1)^i times the coefficient of two^{n-1} on the
+    index without coordinate i, over the coefficient of alpha ^ two^{n-1}.
+    An even-dimensional chart or an identically zero alpha ^ two^{n-1} has
+    no Reeb field and raises StructureError."""
     ch = alpha.chart
     two = closed_two if closed_two is not None else exterior_derivative(alpha)
-    for name in ch.names:
-        cand = make_form(ch, 1, [(0, ONE, (name,))], "vector")
-        if _reeb_identities(cand, alpha, two, tol):
-            return cand
-    # metric-dual ansatz: R components = alpha coefficients
-    cand = make_form(ch, 1, [(k, c, idx) for k, c, idx in alpha.terms], "vector")
-    if _reeb_identities(cand, alpha, two, tol):
-        return cand
-    # numeric fallback: least squares for S R = (1; 0), S = (alpha; two), at
-    # each grid point through the normal equations S^T S R = S^T (1; 0) = alpha
-    if grid is None:
-        grid = chart_grid(ch)
-    d = ch.dim
-    alpha_at, two_at = compile_form(alpha), compile_matrix(two)
-    rhs = [1.0] + [0.0] * d
-    samples = []
-    for pt in grid:
-        a = [0.0] * d
-        for idx, v in alpha_at(pt).items():
-            a[ch.index(idx[0])] = v
-        rows = [a] + two_at(pt)
-        inv = float_inverse(float_matmul(list(zip(*rows)), rows))
-        if inv is None:
-            return refuted(pt, detail="contact condition fails: singular system")
-        sol = [sum(v * w for v, w in zip(row, a)) for row in inv]
-        err = math.hypot(*(sum(v * w for v, w in zip(row, sol)) - b
-                           for row, b in zip(rows, rhs)))
-        if not err <= 1e-6:  # NaN fails too
-            return refuted(pt, 1e-6 - err, detail="contact condition fails: "
-                                           "least-squares residual above 1e-6")
-        samples.append((tuple(sorted(pt.items())), tuple(sol)))
-    return SampledField(ch, tuple(samples))
+    pw, vol = _reeb_volume(alpha, two)
+    if vol.is_zero_form:
+        raise StructureError("alpha wedge two^{n-1} vanishes identically; "
+                             "no Reeb field")
+    (top,) = vol.pole_sums().values()
+    inv = powx(top, -1)
+    coeffs = pw.pole_sums()
+    terms = []
+    for i, name in enumerate(ch.names):
+        c = coeffs.get(ch.names[:i] + ch.names[i + 1:])
+        if c is not None:
+            terms.append((0, mul((-1) ** i, c, inv), (name,)))
+    return make_form(ch, 1, terms, "vector")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +170,7 @@ def _laurent_slots(omega: SingularForm) -> dict:
     return {s.exponent: s for s in laurent_decompose(omega, order=0)}
 
 
-def induced_contact(omega: SingularForm, grid=None) -> ContactData:
+def induced_contact(omega: SingularForm) -> ContactData:
     """Read alpha from the dx/x^3 slot and check the x^{-2} slot is -d(alpha)/2
     at Z."""
     slots = _laurent_slots(omega)
@@ -202,8 +184,7 @@ def induced_contact(omega: SingularForm, grid=None) -> ContactData:
     if not diff.is_zero:
         raise StructureError("x^{-2} slot does not equal -d(alpha)/2 at Z; "
                              "form is not closed")
-    r = reeb(alpha, grid=grid)
-    return ContactData(zch, alpha, r)
+    return ContactData(zch, alpha, reeb(alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -293,3 +293,13 @@ def test_verify_exact_root_of_huge_constant(tmp_path):
     code, cert = _verify_one_term(tmp_path, "(pow 1" + "0" * 400 + " 1/2)")
     assert code == EXIT_PASS
     assert cert["kind"] == "numerically-verified"
+
+
+def test_verify_exact_constant_overflow_refutes_with_witness(tmp_path):
+    # 10^400 + y: the exact constant meets the float y and is too large for
+    # a float; evaluate used to let the OverflowError escape (exit 3)
+    code, cert = _verify_one_term(tmp_path, f"(add 1{'0' * 400} (var y))")
+    assert code == EXIT_FAIL
+    assert cert["kind"] == "refuted"
+    assert "float overflow" in cert["detail"]
+    assert cert["witness"]

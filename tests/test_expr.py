@@ -136,6 +136,14 @@ def test_float_overflow_and_math_domain_raise_domain_error():
         evaluate(sin(big), {"x": 1.0})
 
 
+@pytest.mark.parametrize("build", [add, mul])
+def test_exact_constant_too_large_for_a_float_raises_domain_error(build):
+    # 10^400 meets the float x in a sum or a product
+    e = build(Const(Fraction(10 ** 400)), X)
+    with pytest.raises(DomainError, match="float overflow"):
+        evaluate(e, {"x": 0.5})
+
+
 def test_is_zero_fails_on_nan():
     # exp(300x) exp(301x) (exp(302x) - exp(303x)) is inf - inf = NaN near x = 1
     def e_(a):

@@ -14,10 +14,10 @@ from scatsym.expr import (
     is_provably_zero, mul, poly, powx, sin, var,
 )
 from scatsym.geometry import (
-    Chart, GeometryError, compile_form, compile_matrix, evaluate_form,
-    exterior_derivative, form_from_json, form_to_json, forms_equal,
-    interior_product, laurent_decompose, make_form, pointwise_equal,
-    smooth_form, top_power, wedge, z_chart, zero_form,
+    Chart, GeometryError, compile_form, evaluate_form, exterior_derivative,
+    form_from_json, form_to_json, forms_equal, interior_product,
+    laurent_decompose, make_form, smooth_form, top_power, wedge, z_chart,
+    zero_form,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -125,14 +125,13 @@ def test_pole_sums_fold_every_grade(plane):
 
 def test_numeric_forms_agree_with_the_folded_coefficient(plane):
     f, total = _two_grades(plane)
-    values, matrix = compile_form(f), compile_matrix(f)
+    values = compile_form(f)
     for x in (-0.7, 0.3, 0.9):
         for y in (-0.5, 0.4):
             pt = {"x": x, "y": y}
             want = float(evaluate(total, pt))
             assert evaluate_form(f, pt) == {("x", "y"): want}
             assert values(pt) == {("x", "y"): want}
-            assert matrix(pt) == [[0.0, want], [-want, 0.0]]
 
 
 def test_pole_grading_absorbs_bare_x_powers(torus4):
@@ -149,28 +148,6 @@ def test_forms_equal_reports_witness(torus4):
     assert not v.is_zero
     bad = [k for k, z in v.verdicts.items() if not z.is_zero]
     assert bad
-
-
-def test_pointwise_equal_matches_forms_equal(torus4):
-    a = smooth_form(torus4, {("t1", "t2"): sin(var("t3"))})
-    assert pointwise_equal(a, a).is_zero
-    b = a + smooth_form(torus4, {("t1", "t3"): ONE})
-    assert not pointwise_equal(a, b).is_zero
-
-
-def test_pointwise_equal_refutes_nan(plane):
-    # big sin^2 y + big cos^2 y - big is inf - inf = NaN for y > 1; an
-    # `err > worst` scan skipped NaN and called it numerically-zero
-    y = var("y")
-    big = mul(exp(mul(Const(Fraction(400)), y)), exp(mul(Const(Fraction(401)), y)))
-    c = add(mul(big, powx(sin(y), 2)), mul(big, powx(cos(y), 2)),
-            mul(Const(Fraction(-1)), big))
-    ch = Chart(("x", "y"), ((-0.5, 0.5), (1.0, 1.7)), "x")
-    v = pointwise_equal(smooth_form(ch, {("x", "y"): c}),
-                        smooth_form(ch, {("x", "y"): ONE})).verdicts[("x", "y")]
-    assert v.kind == "nonzero"
-    assert math.isnan(v.max_abs)
-    assert 1.0 < dict(v.witness)["y"] < 1.7
 
 
 def test_top_power(plane):

@@ -19,8 +19,7 @@ RECORDS = {
     "geometry": ("Chart", "SingularForm", "LaurentSlot", "ZeroVerdictMap"),
     "certificates": ("Certificate",),
     "algebroids": ("AlgebroidFrame", "NoGoReport"),
-    "structures": ("SampledField", "ContactData", "CosymplecticData",
-                   "FillingVerdict"),
+    "structures": ("ContactData", "CosymplecticData", "FillingVerdict"),
     "gluing": ("BumpFunctions", "FillingCollar", "GluedForm"),
     "cohomology": ("BettiProfile", "FiniteRank", "Zero", "InfiniteDimensional",
                    "Unresolved", "CohomologyReport", "QuotientVerdict"),
@@ -47,7 +46,7 @@ def _reference(cls):
 
 
 def test_every_value_class_is_a_record():
-    assert len(CLASSES) == 33
+    assert len(CLASSES) == 32
     assert all(issubclass(cls, Record) for cls in CLASSES)
 
 

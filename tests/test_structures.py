@@ -13,7 +13,8 @@ import pytest
 import scatsym
 
 from scatsym.catalog import (
-    build_example, darboux_chart, darboux_contact_primitive, torus_contact,
+    build_example, circle_contact, darboux_chart, darboux_contact_primitive,
+    s2xs1_contact, torus_contact,
 )
 from scatsym.certificates import chart_grid
 from scatsym import algebroids, expr, structures
@@ -21,12 +22,12 @@ from scatsym.expr import (
     Const, ONE, add, cos, differentiate, evaluate, mul, sin, var,
 )
 from scatsym.geometry import (
-    Chart, compile_matrix, evaluate_form, exterior_derivative, forms_equal,
-    make_form, smooth_form, zero_form,
+    Chart, compile_form, exterior_derivative, forms_equal, make_form,
+    smooth_form, zero_form,
 )
 from scatsym.structures import (
-    ContactData, CosymplecticData, SampledField, StructureError,
-    _full_matrix, _sample_matrix, closedness, cosymplectic_extract, decompose,
+    ContactData, CosymplecticData, StructureError, _full_matrix,
+    _reeb_identities, _sample_matrix, closedness, cosymplectic_extract, decompose,
     dual_jacobi_check, dual_roundtrip_check, dualize, dualize_inverse,
     induced_contact, lift, normal_form, reeb, schouten_jacobi_check,
     strong_filling_check, verify_sc_symplectic, z_chart,
@@ -245,14 +246,15 @@ def test_dual_checks_do_not_import_numpy():
 
 
 def test_reeb_fallback_does_not_import_numpy():
-    # the sampled Reeb field of the symplectization record is solved in
-    # pure Python
+    # the Reeb field of the symplectization record is built symbolically,
+    # in pure Python
     code = (
         "import sys\n"
         "from scatsym.catalog import build_example, run_example\n"
-        "from scatsym.structures import SampledField, induced_contact\n"
+        "from scatsym.geometry import SingularForm\n"
+        "from scatsym.structures import induced_contact\n"
         "rec = build_example('symplectization', z='t3')\n"
-        "assert isinstance(induced_contact(rec.omega).reeb, SampledField)\n"
+        "assert isinstance(induced_contact(rec.omega).reeb, SingularForm)\n"
         "assert run_example(rec)['passed']\n"
         "assert 'numpy' not in sys.modules\n"
     )
@@ -321,60 +323,86 @@ def test_only_geometry_folds_poles():
 
 
 def test_sampled_reeb_field_solves_the_reeb_equations():
+    # alpha(R) = 1 and i_R d(alpha) = 0 in floats at the grid points, for
+    # the closed-form field of the symplectization record
     rec = build_example("symplectization", z="s1")
     data = induced_contact(rec.omega)
-    assert isinstance(data.reeb, SampledField)
     ch = data.chart
-    two = exterior_derivative(data.alpha)
-    for items, vec in data.reeb.samples:
-        pt = dict(items)
-        a = evaluate_form(data.alpha, pt)
-        r = dict(zip(ch.names, vec))
-        assert sum(v * r[idx[0]] for idx, v in a.items()) == pytest.approx(1.0)
-        m = compile_matrix(two)(pt)
-        for row in m:
-            assert sum(v * w for v, w in zip(row, vec)) == pytest.approx(0.0, abs=1e-9)
+    alpha_at, two_at, reeb_at = (compile_form(f) for f in (
+        data.alpha, exterior_derivative(data.alpha), data.reeb))
+    for pt in chart_grid(ch, 5):
+        r = dict.fromkeys(ch.names, 0.0)
+        r.update((name, v) for (name,), v in reeb_at(pt).items())
+        assert sum(v * r[a] for (a,), v in alpha_at(pt).items()) \
+            == pytest.approx(1.0)
+        contraction = dict.fromkeys(ch.names, 0.0)
+        for (a, b), v in two_at(pt).items():  # i_R (v da ^ db)
+            contraction[b] += r[a] * v
+            contraction[a] -= r[b] * v
+        assert all(abs(v) <= 1e-9 for v in contraction.values())
 
 
 _XYZ = Chart(("x", "y", "z"), ((0.5, 1.0),) * 3, None)
 _UV = Chart(("u", "v"), ((0.5, 1.0),) * 2, None)
+_D_U = make_form(_UV, 1, [(0, ONE, ("u",))], "vector")
 
 
 @pytest.mark.parametrize("alpha, two", [
-    # alpha = x dy: no coordinate field and not the metric dual; the z
-    # column of (alpha; d alpha) is zero, so the normal equations are singular
+    # alpha = x dy: alpha ^ d(alpha) = x dy ^ dx ^ dy vanishes identically
     (make_form(_XYZ, 1, [(0, var("x"), ("y",))]), None),
-    # on a plane i_R (du ^ dv) = 0 forces R = 0: a full-rank system whose
-    # least-squares residual stays near 1
+    # on a plane i_R (du ^ dv) = 0 forces R = 0
     (make_form(_UV, 1, [(0, var("u"), ("v",))]),
      make_form(_UV, 2, [(0, ONE, ("u", "v"))])),
 ])
 def test_reeb_fallback_refutes_with_witness(alpha, two):
-    cert = reeb(alpha, two)
-    assert cert.kind == "refuted"
-    assert min(v for _, v in cert.witness) >= 0.5
-    if two is None:
-        assert cert.detail == "contact condition fails: singular system"
-    else:
-        assert cert.detail == ("contact condition fails: "
-                               "least-squares residual above 1e-6")
-        assert cert.min_margin < 0  # slack 1e-6 - residual
+    with pytest.raises(StructureError):
+        reeb(alpha, two)
 
 
 @pytest.mark.parametrize("data", [
-    ContactData(_UV, make_form(_UV, 1, [(0, var("u"), ("v",))]),
-                reeb(make_form(_UV, 1, [(0, var("u"), ("v",))]))),
+    ContactData(_UV, make_form(_UV, 1, [(0, var("u"), ("v",))]), _D_U),
     CosymplecticData(_UV, make_form(_UV, 1, [(0, ONE, ("u",))]),
-                     make_form(_UV, 2, [(0, ONE, ("u", "v"))]),
-                     reeb(make_form(_UV, 1, [(0, ONE, ("u",))]),
-                          make_form(_UV, 2, [(0, ONE, ("u", "v"))]))),
+                     make_form(_UV, 2, [(0, ONE, ("u", "v"))]), _D_U),
 ])
 def test_data_with_a_refuted_reeb_solve_refutes(data):
-    # the volume alone is nonvanishing, but no Reeb field exists
-    assert data.reeb.kind == "refuted"
-    cert = data.verify(chart_grid(_UV, 5))
-    assert cert == data.reeb
-    assert cert.witness
+    # the volume alone is nonvanishing, but an even-dimensional chart has
+    # no Reeb field
+    one, two = (data.alpha, None) if isinstance(data, ContactData) \
+        else (data.theta, data.eta)
+    with pytest.raises(StructureError, match="odd-dimensional"):
+        reeb(one, two)
+    with pytest.raises(StructureError, match="odd-dimensional"):
+        data.verify(chart_grid(_UV, 5))
+
+
+@pytest.mark.parametrize("contact", [torus_contact, s2xs1_contact,
+                                     circle_contact])
+def test_reeb_matches_the_hand_written_fields(contact):
+    c = contact()
+    assert forms_equal(reeb(c.alpha), c.reeb).is_zero
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_induced_darboux_reeb_field_satisfies_the_identities(n):
+    ch = darboux_chart(n)
+    omega = normal_form(ch, darboux_contact_primitive(ch, n, inner_sign=-1),
+                        None, None)
+    data = induced_contact(omega)
+    assert data.reeb.kind == "vector"
+    assert _reeb_identities(data.reeb, data.alpha,
+                            exterior_derivative(data.alpha), 1e-8)
+    assert data.verify(chart_grid(data.chart, 3)).passed
+
+
+def test_reeb_of_a_somewhere_undefined_alpha_refutes_with_witness():
+    # sqrt(y) dz + y w dw is undefined for y < 0: reeb builds the field
+    # symbolically, and verify refutes at such a point
+    ch = Chart(("y", "z", "w"), ((-0.5, 0.5),) * 3, None)
+    y, w = var("y"), var("w")
+    alpha = smooth_form(ch, {("z",): expr.sqrt(y), ("w",): mul(y, w)})
+    cert = ContactData(ch, alpha, reeb(alpha)).verify(chart_grid(ch, 5))
+    assert cert.kind == "refuted"
+    assert dict(cert.witness)["y"] < 0
 
 
 def test_schouten_refutes_non_poisson():
