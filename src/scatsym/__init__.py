@@ -30,9 +30,8 @@ from .structures import (
     verify_sc_symplectic, z_chart,
 )
 from .gluing import (
-    BumpFunctions, FillingCollar, GluedForm, certify_folded_gluing,
-    certify_sc_gluing, glue_concave_concave, glue_convex_concave,
-    glue_convex_convex,
+    FillingCollar, GluedForm, certify_folded_gluing, certify_sc_gluing,
+    glue_concave_concave, glue_convex_concave, glue_convex_convex,
 )
 from .cohomology import (
     BettiProfile, CohomologyReport, FiniteRank, InfiniteDimensional,

@@ -11,7 +11,7 @@ from .algebroids import coframe
 from .certificates import (
     Certificate, all_of, chart_grid, exact, refuted, verified,
 )
-from .cohomology import BettiProfile, horizontal_d, lie_derivative
+from .cohomology import horizontal_d, lie_derivative
 from .expr import (
     Const, Expr, ONE, Record, ZERO, add, canon, is_provably_zero, mul,
     nan_max, powx, sin, cos, sqrt, var,
@@ -47,12 +47,6 @@ class ExampleRecord(Record, uncompared=("extras",)):
     omega: Optional[SingularForm]
     expected: tuple  # of check names, see CHECKS
     extras: dict  # named builder outputs the checks read
-
-    def param(self, key: str):
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise CatalogError(f"no parameter '{key}'")
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +257,7 @@ def _euclidean_end(n: int = 2) -> ExampleRecord:
     omega = exact_singular(alpha, ch, 2)
     return ExampleRecord("euclidean-end", (("n", n),), "sc", omega,
                          ("sc-symplectic", "filling", "dual-jacobi",
-                          "dual-roundtrip"),
-                         {"alpha": alpha})
+                          "dual-roundtrip"), {})
 
 
 def _sc_sphere(n: int = 2) -> ExampleRecord:
@@ -275,9 +268,7 @@ def _sc_sphere(n: int = 2) -> ExampleRecord:
         "sc-sphere", (("n", n),), "sc", omega,
         ("sc-symplectic", "sphere-coefficient", "pole-symplectic",
          "dual-roundtrip"),
-        {"sigma": sphere_primitive(n, ch),
-         "pole_form": sphere_pole_form(n),
-         "pole_chart": sphere_pole_chart(n)})
+        {"pole_form": sphere_pole_form(n)})
 
 
 def _symplectization(z: str = "s1") -> ExampleRecord:
@@ -297,21 +288,19 @@ def _symplectization(z: str = "s1") -> ExampleRecord:
 
 def _t2xs2() -> ExampleRecord:
     contact = torus_contact()
-    collar = FillingCollar(contact, "convex")
-    glued = glue_convex_convex(collar, collar)
-    concave = FillingCollar(contact, "concave")
-    folded = glue_concave_concave(concave, concave)
+    glued = glue_convex_convex(contact)
     return ExampleRecord("t2xs2", (), "sc", glued.omega,
                          ("contact", "collar", "sc-gluing", "folded-gluing",
                           "glued-dual"),
-                         {"contact": contact, "collar": collar,
-                          "glued_sc": glued, "glued_folded": folded})
+                         {"contact": contact,
+                          "collar": FillingCollar(contact, "convex"),
+                          "glued_sc": glued,
+                          "glued_folded": glue_concave_concave(contact)})
 
 
 def _s3xs1() -> ExampleRecord:
     contact = s2xs1_contact()
-    collar = FillingCollar(contact, "convex")
-    glued = glue_convex_convex(collar, collar)
+    glued = glue_convex_convex(contact)
     names = ("u", "v", "w", "theta")
     interior_chart = Chart(names, ((-0.5, 0.5),) * 3 + ((0.0, TWO_PI),), None,
                            frozenset({"theta"}))
@@ -319,8 +308,8 @@ def _s3xs1() -> ExampleRecord:
         (0, Const(Fraction(2)), ("u", "v")), (0, ONE, ("w", "theta"))])
     return ExampleRecord("s3xs1", (), "sc", glued.omega,
                          ("contact", "symplectic", "sc-gluing", "glued-dual"),
-                         {"contact": contact, "collar": collar,
-                          "glued_sc": glued, "symplectic_form": interior})
+                         {"contact": contact, "glued_sc": glued,
+                          "symplectic_form": interior})
 
 
 def _torus_sc_folded(m: int = 2, n: int = 1) -> ExampleRecord:
@@ -348,7 +337,7 @@ def _torus_sc_folded(m: int = 2, n: int = 1) -> ExampleRecord:
         ("closed-proven", "loci", "symplectic-off-loci"),
         {"sc_loci": sc_loci, "fold_loci": fold_loci,
          "locus_factors": ((sin, sc_loci), (cos, fold_loci)), "m": m,
-         "symplectic_form": off_omega, "primitive": eta})
+         "symplectic_form": off_omega})
 
 
 def _bk_torus(k: int = 2, n: int = 2) -> ExampleRecord:
@@ -372,8 +361,7 @@ def _bk_torus(k: int = 2, n: int = 2) -> ExampleRecord:
         "bk-torus", (("k", k), ("n", n)), "b^k", omega,
         ("closed-proven", "bk-symplectic", "cosymplectic",
          "symplectic-off-loci"),
-        {"normal_form": nf, "k": k, "profile": BettiProfile.bk_torus(n),
-         "symplectic_form": off_omega})
+        {"normal_form": nf, "k": k, "symplectic_form": off_omega})
 
 
 def _b2_r_times_t3() -> ExampleRecord:
@@ -404,8 +392,7 @@ def _sc_darboux(n: int = 2) -> ExampleRecord:
     alpha = darboux_contact_primitive(ch, n, inner_sign=-1)
     omega = normal_form(ch, alpha, None, None)
     return ExampleRecord("sc-darboux", (("n", n),), "sc", omega,
-                         ("sc-symplectic", "filling", "dual-roundtrip"),
-                         {"alpha": alpha})
+                         ("sc-symplectic", "filling", "dual-roundtrip"), {})
 
 
 def _sc_poisson_darboux(n: int = 2) -> ExampleRecord:
@@ -416,7 +403,7 @@ def _sc_poisson_darboux(n: int = 2) -> ExampleRecord:
     return ExampleRecord(
         "sc-poisson-darboux", (("n", n),), "sc", omega,
         ("sc-symplectic", "darboux-dual", "dual-jacobi", "dual-roundtrip"),
-        {"alpha": alpha, "dual_model": darboux_dual_model(ch, n)})
+        {"dual_model": darboux_dual_model(ch, n)})
 
 
 _REGISTRY = {

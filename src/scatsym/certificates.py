@@ -11,6 +11,8 @@ from .geometry import Chart, SingularForm, ZeroVerdictMap, compile_form
 
 DEFAULT_POINTS_PER_AXIS = 17
 MAX_GRID_POINTS = 20000
+REFINEMENT_BASE = 256  # evenly spaced points under a geometric refinement
+REFINEMENT_CLOSEST = 1e-6  # its refined points stop this close to the locus
 
 
 # verdict kinds from weakest to strongest, each beside its ZeroVerdict kind
@@ -100,11 +102,11 @@ def axis_points(lo: float, hi: float, count: int, include: Sequence[float] = ())
     return sorted(pts)
 
 
-def chart_grid(chart_: Chart, per_axis: int = DEFAULT_POINTS_PER_AXIS,
-               max_points: int = MAX_GRID_POINTS):
+def chart_grid(chart_: Chart, per_axis: int = DEFAULT_POINTS_PER_AXIS):
     """Tensor grid over the chart, always including the x = 0 slice.
 
-    Axis counts shrink uniformly until the total stays under max_points.
+    Axis counts shrink uniformly until the total stays under
+    MAX_GRID_POINTS.
     """
     if per_axis < 1:
         raise ValueError(
@@ -115,7 +117,7 @@ def chart_grid(chart_: Chart, per_axis: int = DEFAULT_POINTS_PER_AXIS,
                              f"got ({lo}, {hi})")
     n = chart_.dim
     count = per_axis
-    while count > 2 and count ** n > max_points:
+    while count > 2 and count ** n > MAX_GRID_POINTS:
         count -= 1
     axes = []
     for name, (lo, hi) in zip(chart_.names, chart_.ranges):
@@ -157,19 +159,19 @@ def certify_nonvanishing(form: SingularForm, grid, tol: float,
         grid, tol, detail=detail)
 
 
-def geometric_refinement(locus: float, lo: float, hi: float, base: int = 64,
-                         closest: float = 1e-6):
-    """Points on (lo, hi) accumulating geometrically toward `locus`."""
+def geometric_refinement(locus: float, lo: float, hi: float):
+    """Points on (lo, hi) accumulating geometrically toward `locus`, down to
+    REFINEMENT_CLOSEST from it, plus REFINEMENT_BASE evenly spaced ones."""
     pts = []
     span = max(abs(hi - locus), abs(locus - lo))
     d = span
-    while d > closest:
+    while d > REFINEMENT_CLOSEST:
         for s in (-1.0, 1.0):
             v = locus + s * d
             if lo < v < hi:
                 pts.append(v)
         d *= 0.5
-    for i in range(base):
-        t = (i + 0.5) / base
+    for i in range(REFINEMENT_BASE):
+        t = (i + 0.5) / REFINEMENT_BASE
         pts.append(lo + t * (hi - lo))
     return sorted(set(pts))

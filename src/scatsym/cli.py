@@ -23,8 +23,8 @@ from .cohomology import BettiProfile, bk_poisson, sc_derham, sc_poisson
 from .expr import DEFAULT_SEED, Expr, ExprError, Record, ser
 from .geometry import GeometryError, SingularForm, form_from_json, form_to_json
 from .gluing import (
-    FillingCollar, certify_folded_gluing, certify_sc_gluing,
-    glue_concave_concave, glue_convex_concave, glue_convex_convex,
+    certify_folded_gluing, certify_sc_gluing, glue_concave_concave,
+    glue_convex_concave, glue_convex_convex,
 )
 from .structures import (
     TOL_CLOSED, TOL_NONDEG, closedness, decompose, strong_filling_check,
@@ -129,20 +129,15 @@ def _cmd_glue(args):
     report = {"command": "glue", "kind": args.kind, "contact": args.contact,
               "config": _config(args, *used)}
     if args.kind == "sc":
-        collar = FillingCollar(contact, "convex")
-        glued = glue_convex_convex(collar, collar)
-        cert = certify_sc_gluing(glued)
+        cert = certify_sc_gluing(glue_convex_convex(contact))
         report["result"] = cert
         return report, cert.passed
     if args.kind == "folded":
-        collar = FillingCollar(contact, "concave")
-        glued = glue_concave_concave(collar, collar)
-        cert = certify_folded_gluing(glued)
+        cert = certify_folded_gluing(glue_concave_concave(contact))
         report["result"] = cert
         return report, cert.passed
     # classic: convex against concave, no inequality certificate needed
-    glued = glue_convex_concave(FillingCollar(contact, "convex"),
-                                FillingCollar(contact, "concave"))
+    glued = glue_convex_concave(contact)
     closed = closedness(glued.omega, tol=args.tol_closed)
     report["result"] = {"closed": closed, "omega": glued.omega}
     return report, closed.is_zero

@@ -414,9 +414,15 @@ def powx(base, q) -> Expr:
         exact = _exact_root(base.value, q)
         if exact is not None:
             return Const(exact)
-    if isinstance(base, Pow):
+    # (a^p)^q = a^pq, but for an even p and a fractional q it is |a|^pq
+    if isinstance(base, Pow) and (q.denominator == 1
+                                  or not _even(base.exponent)):
         return powx(base.base, base.exponent * q)
     return Pow(base, q)
+
+
+def _even(p: Rational) -> bool:
+    return p.denominator == 1 and p.numerator % 2 == 0
 
 
 def _exact_root(c: Rational, q: Fraction) -> Optional[Fraction]:
@@ -1097,8 +1103,8 @@ def _poly_pow(base: Expr, q: Fraction) -> _Poly:
             if k:
                 acc = _poly_mul(acc, acc)
         return out
-    if len(pb) == 1:
-        (mono, c), = pb.items()
+    mono, c = next(iter(pb.items()))
+    if len(pb) == 1 and (q.denominator == 1 or _splits(mono, c)):
         scaled = tuple(
             sorted(((a, _q(e0 * q)) for a, e0 in mono), key=lambda kv: _sort_key(kv[0]))
         )
@@ -1112,14 +1118,26 @@ def _poly_pow(base: Expr, q: Fraction) -> _Poly:
             return {scaled: _q(root)}
         cpart = _atom(Const(c), q)
         return _poly_mul({scaled: 1}, cpart)
-    # opaque power of a multi-term base
+    # opaque power of a multi-term base, or of a monomial that may be negative
     return _atom(_rebuild(pb), _q(q))
 
 
+def _splits(mono: tuple, c: Rational) -> bool:
+    """Whether (c m)^q = c^q m^q termwise for the monomial m and every
+    fractional q, wherever the left side evaluates: c > 0, and the atoms are
+    either all at fractional powers (so each is >= 0 where it evaluates) or
+    one atom at an odd power (a^k >= 0 gives a >= 0).  An atom at an even
+    power never splits: (a^2)^(1/2) is |a|.  Nor does an odd one beside
+    others: x (y^(1/2)) >= 0 at x < 0, y = 0, where x^(1/2) is undefined."""
+    ints = [e for _, e in mono if e.denominator == 1]
+    return c > 0 and (not ints or (len(mono) == 1 and not _even(ints[0])))
+
+
 def _ripe(atom: Expr, q: Rational) -> bool:
-    """Whether atom**q is no longer opaque: a sum at a positive integer
-    power, or a constant at a power with an exact rational value."""
-    if type(atom) is Sum:
+    """Whether atom**q is no longer opaque: a sum or an opaque monomial (a
+    product or power) at a positive integer power, or a constant at a power
+    with an exact rational value."""
+    if type(atom) in (Sum, Prod, Pow):
         return q.denominator == 1 and q > 0
     return type(atom) is Const and (
         q.denominator == 1 or _exact_root(atom.value, q) is not None)

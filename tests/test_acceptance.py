@@ -70,7 +70,7 @@ def test_criterion_01_sphere_verification(n):
 
 def test_criterion_02_gluing_constants():
     rec = build_example("t2xs2")
-    cert = certify_sc_gluing(rec.extras["glued_sc"], constant_points=10000)
+    cert = certify_sc_gluing(rec.extras["glued_sc"])
     parts = dict(cert.parts)
     c1 = parts["phi_quotient_exceeds_139"]
     assert c1.passed and c1.grid_points >= 10000

@@ -163,10 +163,14 @@ def test_verify_infinite_chart_range_exits_2(tmp_path, capsys):
     assert "'y'" in capsys.readouterr().err
 
 
-def test_glue_classic(tmp_path):
+@pytest.mark.parametrize("contact", ["t3", "s2xs1"])
+@pytest.mark.parametrize("kind", ["sc", "folded", "classic"])
+def test_glue_every_kind_on_both_contacts(kind, contact, tmp_path):
     out = tmp_path / "glue.json"
-    code = main(["glue", "--kind", "classic", "--out", str(out)])
+    code = main(["glue", "--kind", kind, "--contact", contact,
+                 "--out", str(out)])
     assert code == EXIT_PASS
+    assert json.loads(out.read_text())["passed"] is True
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -21,7 +21,7 @@ from scatsym.expr import (
 from scatsym.catalog import torus_contact
 from scatsym.certificates import axis_points, geometric_refinement
 from scatsym.gluing import (
-    GLUE_R, FillingCollar, bump_phi, bump_psi_f, bump_psi_sc,
+    GLUE_R, bump_phi, bump_psi_f, bump_psi_sc,
     glue_concave_concave, glue_convex_convex,
 )
 
@@ -323,13 +323,10 @@ def test_compile_float_edge_cases(e, pt):
 def test_compile_float_matches_evaluate_on_gluing_profiles():
     # the trees the gluing certifiers compile, on their r grids and at the
     # bumps' breakpoints
-    sc = glue_convex_convex(FillingCollar(torus_contact(), "convex"),
-                            FillingCollar(torus_contact(), "convex"))
-    folded = glue_concave_concave(FillingCollar(torus_contact(), "concave"),
-                                  FillingCollar(torus_contact(), "concave"))
+    sc = glue_convex_convex(torus_contact())
+    folded = glue_concave_concave(torus_contact())
     breakpoints = [0.5, 0.875, 0.94, 0.9375, 1.0, 2.0]
-    for g, rs in ((sc, geometric_refinement(1.0, 0.5, 1.0, base=256,
-                                            closest=1e-6)),
+    for g, rs in ((sc, geometric_refinement(1.0, 0.5, 1.0)),
                   (folded, axis_points(0.0, 2.0, 2000))):
         for e in (g.profile, differentiate(g.profile, GLUE_R)):
             fn = compile_float(e)
@@ -498,6 +495,85 @@ def test_canon_evaluates_like_the_tree():
                 (ser(e), pt, got, want)
             compared += 1
     assert compared > 2000
+
+
+def _signed(rng):
+    """An exact coordinate in (-40, 40), 0 one time in seven."""
+    if rng.random() < 1 / 7:
+        return Fraction(0)
+    return Fraction(rng.randint(-799, 799), 20)
+
+
+def _every_node_evaluates(e, pt) -> bool:
+    """Whether e and each subtree outside its piece bodies evaluate at pt: a
+    product stops at its first zero factor, so 0 * x^-1 evaluates at x = 0,
+    where canon's x^-1 * 0, or its cancelled x * x^-1 = 1, need not agree."""
+    if _outcome(lambda: float(evaluate(e, pt)))[0] != "value":
+        return False
+    if isinstance(e, (Sum, Prod)):
+        subtrees = e.args
+    elif isinstance(e, Pow):
+        subtrees = (e.base,)
+    elif isinstance(e, (Exp, Sin, Cos, PiecewiseDecay)):
+        subtrees = (e.arg,)
+    else:
+        subtrees = ()
+    return all(_every_node_evaluates(a, pt) for a in subtrees)
+
+
+def test_canon_evaluates_like_the_tree_at_signed_points():
+    # chart coordinates are negative on half of every chart, where
+    # (a^p)^q = a^pq and (ab)^q = a^q b^q fail; wherever every node of the
+    # tree evaluates, canon must evaluate too and give the same value
+    rng = random.Random(20164)
+    compared = 0
+    for _ in range(400):
+        e = _random_tree(rng, rng.randint(1, 5))
+        try:
+            c = canon(e)
+        except ExprError:  # a raw 0 ** -k node
+            continue
+        for _ in range(6):
+            pt = {n: _signed(rng) for n in ("x", "y")}
+            if not _every_node_evaluates(e, pt):
+                continue
+            want = _outcome(lambda: float(evaluate(e, pt)))
+            nudged = {n: float(v) * (1 + 1e-12) for n, v in pt.items()}
+            near = _outcome(lambda: float(evaluate(e, nudged)))
+            if near[0] != "value" or not math.isclose(near[1], want[1],
+                                                      rel_tol=1e-6, abs_tol=1e-6):
+                continue
+            got = _outcome(lambda: float(evaluate(c, pt)))
+            assert got[0] == "value" and math.isclose(
+                got[1], want[1], rel_tol=1e-9, abs_tol=1e-9), \
+                (ser(e), pt, got, want)
+            compared += 1
+    assert compared > 2000
+
+
+def test_square_root_of_a_square_is_not_the_base():
+    x = var("x")
+    root = powx(mul(x, x), Fraction(1, 2))
+    assert canon(root) != x
+    assert is_zero(add(root, mul(-1, x)), {"x": (-1, 1)}).kind == "nonzero"
+
+
+def test_root_of_a_product_of_negatives_evaluates():
+    x, y = var("x"), var("y")
+    c = canon(powx(mul(x, y), Fraction(1, 2)))
+    assert float(evaluate(c, {"x": Fraction(-1), "y": Fraction(-4)})) == 2.0
+
+
+def test_even_power_under_a_fractional_power_is_kept():
+    x = var("x")
+    assert powx(powx(x, 2), Fraction(3, 2)) != powx(x, 3)
+
+
+def test_root_of_a_negative_times_a_vanishing_root_evaluates():
+    # x sqrt(y) is 0 at x = -1, y = 0, but x^(1/2) y^(1/4) is undefined
+    x, y = var("x"), var("y")
+    c = canon(sqrt(mul(x, sqrt(y))))
+    assert float(evaluate(c, {"x": Fraction(-1), "y": Fraction(0)})) == 0.0
 
 
 def test_node_hash_is_memoized_outside_eq_repr_and_pickle():

@@ -55,24 +55,20 @@ def test_collar_rejects_bad_convexity():
 
 
 def test_glue_convex_convex_certified():
-    collar = FillingCollar(torus_contact(), "convex")
-    glued = glue_convex_convex(collar, collar)
+    glued = glue_convex_convex(torus_contact())
     assert glued.kind == "sc"
-    cert = certify_sc_gluing(glued, constant_points=2000)
+    cert = certify_sc_gluing(glued)
     assert cert.passed
 
 
 def test_glue_convex_concave_closed():
-    c1 = FillingCollar(s2xs1_contact(), "convex")
-    c2 = FillingCollar(s2xs1_contact(), "concave")
-    glued = glue_convex_concave(c1, c2)
+    glued = glue_convex_concave(s2xs1_contact())
     assert glued.kind == "classic"
     assert closedness(glued.omega).is_zero
 
 
 def test_glue_concave_concave_certified():
-    collar = FillingCollar(torus_contact(), "concave")
-    glued = glue_concave_concave(collar, collar)
+    glued = glue_concave_concave(torus_contact())
     assert glued.kind == "folded"
     cert = certify_folded_gluing(glued)
     assert cert.passed
@@ -87,10 +83,11 @@ def test_glued_form_is_structurally_a_dr1_base_plus_b_dbase(
         contact, convexity, glue, base_scalar):
     # the certified A = dB/dr1 and B are the coefficients of omega itself:
     # omega - (A dr1 ^ base + B d(base)) is the zero form, term for term
-    collar = FillingCollar(contact(), convexity)
-    g = glue(collar, collar)
-    base = lift(g.alpha, g.chart).scale(base_scalar)
-    a_dr1 = smooth_form(g.chart, {(GLUE_R,): differentiate(g.profile, GLUE_R)})
+    g = glue(contact())
+    assert g.kind == {"convex": "sc", "concave": "folded"}[convexity]
+    chart = g.omega.chart
+    base = lift(g.alpha, chart).scale(base_scalar)
+    a_dr1 = smooth_form(chart, {(GLUE_R,): differentiate(g.profile, GLUE_R)})
     want = wedge(a_dr1, base) + exterior_derivative(base).scale(g.profile)
     assert (g.omega - want).is_zero_form
 
@@ -99,8 +96,7 @@ def test_sc_gluing_does_not_walk_trees_per_point(monkeypatch):
     # each certified scalar is compiled once; evaluate runs only at the
     # rare points compiled code hands back, where a per-point tree walk
     # would make about 20,800 calls (10,000 + 10,000 + 273 + 546)
-    collar = FillingCollar(torus_contact(), "convex")
-    glued = glue_convex_convex(collar, collar)
+    glued = glue_convex_convex(torus_contact())
     original, depth, calls = expr.evaluate, 0, 0
 
     def counting(e, point):

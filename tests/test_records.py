@@ -20,7 +20,7 @@ RECORDS = {
     "certificates": ("Certificate",),
     "algebroids": ("AlgebroidFrame", "NoGoReport"),
     "structures": ("ContactData", "CosymplecticData", "FillingVerdict"),
-    "gluing": ("BumpFunctions", "FillingCollar", "GluedForm"),
+    "gluing": ("FillingCollar", "GluedForm"),
     "cohomology": ("BettiProfile", "FiniteRank", "Zero", "InfiniteDimensional",
                    "Unresolved", "CohomologyReport", "QuotientVerdict"),
     "catalog": ("ExampleRecord",),
@@ -46,7 +46,7 @@ def _reference(cls):
 
 
 def test_every_value_class_is_a_record():
-    assert len(CLASSES) == 32
+    assert len(CLASSES) == 31
     assert all(issubclass(cls, Record) for cls in CLASSES)
 
 
