@@ -16,7 +16,7 @@ from .certificates import (
     Certificate, certify_positive, chart_grid, proven, refuted,
 )
 from .expr import (
-    Const, ONE, Record, ZERO, add, canon, collect_x_powers, compile_float,
+    Const, ONE, Record, ZERO, add, canon, collect_x_powers,
     is_provably_zero, mul, powx, substitute, var,
 )
 from .geometry import (
@@ -198,10 +198,9 @@ def certify_volume(f: SingularForm, frame: AlgebroidFrame, grid=None,
     if top.is_zero_form:
         return refuted({}, detail="top power vanishes identically")
     (volume,) = top.pole_sums(wsum).values()
-    scalar = compile_float(canon(mul(volume, powx(det, -1))))
     if grid is None:
         grid = chart_grid(ch)
-    return certify_positive(lambda pt: abs(scalar(pt)), grid, tol,
+    return certify_positive([canon(mul(volume, powx(det, -1)))], grid, tol,
                             detail="|wedge^n omega / frame volume|")
 
 

@@ -1,13 +1,18 @@
-"""Verdict objects and grid helpers for numerical certification."""
+"""Verdict objects and grid helpers for numerical certification.
+
+A grid certificate compiles its margin into one grid kernel
+(expr.compile_margin), which computes each distinct subtree once per point
+and keeps the running minimum; a point goes to the tree walk `evaluate`
+only when the kernel cannot settle it."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
-from .expr import DomainError, Record, nan_max
-from .geometry import Chart, SingularForm, ZeroVerdictMap, compile_form
+from .expr import DomainError, Expr, Record, compile_margin, evaluate, nan_max
+from .geometry import Chart, SingularForm, ZeroVerdictMap
 
 DEFAULT_POINTS_PER_AXIS = 17
 MAX_GRID_POINTS = 20000
@@ -126,24 +131,34 @@ def chart_grid(chart_: Chart, per_axis: int = DEFAULT_POINTS_PER_AXIS):
     return [dict(combo) for combo in itertools.product(*axes)]
 
 
-def certify_positive(fn: Callable[[dict], float], points, tol: float,
+def certify_positive(margin: Union[Expr, Sequence[Expr]], points, tol: float,
                      detail: str = "") -> Certificate:
-    """fn(point) > tol on every grid point; the margin is min fn - tol.
+    """margin > tol on every grid point; min_margin is min margin - tol.
 
-    A point where fn is undefined (DomainError) refutes, with that point as
-    the witness.  No points certify nothing, so an empty set refutes."""
+    The margin is an expression, read with its sign, or a list of
+    expressions, read as max |e| (0.0 for an empty list).  The kernel of
+    expr.compile_margin runs over the points in order; a point it cannot
+    settle is settled by the tree walk, and the kernel resumes after it.
+    A point where the margin is undefined (DomainError) refutes, with that
+    point as the witness.  No points certify nothing, so an empty set
+    refutes."""
     points = list(points)
     if not points:
         return refuted({}, detail=f"{detail}: no grid points")
-    least = math.inf
-    for pt in points:
+    magnitude = not isinstance(margin, Expr)
+    exprs = list(margin) if magnitude else [margin]
+    kernel = compile_margin(exprs, magnitude)
+    i, least = kernel(points, 0, math.inf, tol)
+    while i < len(points):
+        pt = points[i]
         try:
-            v = fn(pt)
+            values = [float(evaluate(e, pt)) for e in exprs]
         except DomainError as e:
             return refuted(pt, detail=f"{detail}: undefined, {e}")
+        v = nan_max(map(abs, values), default=0.0) if magnitude else values[0]
         if not v > tol:  # NaN fails too
             return refuted(pt, v - tol, detail=detail)
-        least = min(least, v)
+        i, least = kernel(points, i + 1, min(least, v), tol)
     return verified(len(points), tol, least - tol, detail=detail)
 
 
@@ -153,10 +168,8 @@ def certify_nonvanishing(form: SingularForm, grid, tol: float,
     default the chart grid of the form's chart)."""
     if grid is None:
         grid = chart_grid(form.chart)
-    values = compile_form(form)
-    return certify_positive(
-        lambda pt: nan_max((abs(v) for v in values(pt).values()), default=0.0),
-        grid, tol, detail=detail)
+    return certify_positive(list(form.pole_sums().values()), grid, tol,
+                            detail=detail)
 
 
 def geometric_refinement(locus: float, lo: float, hi: float):

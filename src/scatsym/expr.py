@@ -607,10 +607,12 @@ def evaluate_dag(e: Expr, point: Mapping[str, Number], cache: dict) -> Number:
             out = point[e.name]
         except KeyError:
             raise UnknownVariableError(f"unbound variable '{e.name}'") from None
-    elif isinstance(e, Sum):
-        out = _num_sum(evaluate_dag(a, point, cache) for a in e.args)
-    elif isinstance(e, Prod):
-        out = _num_prod(evaluate_dag(a, point, cache) for a in e.args)
+    elif isinstance(e, (Sum, Prod)):
+        vals = (evaluate_dag(a, point, cache) for a in e.args)
+        try:
+            out = _num_sum(vals) if isinstance(e, Sum) else _num_prod(vals)
+        except OverflowError:  # an exact constant too large for a float met one
+            raise DomainError("float overflow", e) from None
     elif isinstance(e, Pow):
         out = _pow_value(evaluate_dag(e.base, point, cache), e)
     elif isinstance(e, (Exp, Sin, Cos)):
@@ -717,46 +719,57 @@ def _reference(e: Expr, point: Mapping[str, float]) -> float:
     return float(evaluate(e, point))
 
 
-def compile_float(e: Expr) -> Callable[[Mapping[str, float]], float]:
-    """Compile e once into a straight-line Python function point -> float.
-
-    Contract: on a point that maps every free variable of e to a float,
-    the function returns exactly float(evaluate(e, point)), bit for bit,
-    and raises DomainError exactly where evaluate does.
-
-    The code has one statement per distinct node, shared by node identity;
-    subtrees without variables are folded exactly at compile time with
-    evaluate's own arithmetic.  It runs eagerly in evaluate's order of
-    operations: sums and products left to right from the same exact
-    constant prefix, b ** n for integer exponents, the negative-base and
-    exp-argument guards, and PiecewiseDecay branches picked by float
-    comparisons equivalent to the exact ones against their rational
-    bounds.  Every runtime value is a float (a PiecewiseDecay evaluates to
-    one), so a folded constant enters the code as the float literal that
-    Fraction-float arithmetic would convert it to.  Where eager code can
-    differ from the tree walk, the function returns float(evaluate(e,
-    point)) instead: on any exception, at an exact breakpoint, and when the
-    result is zero or not finite (a product does not stop at a zero factor,
-    and signed zeros may differ).  A result that folds to a constant is
-    converted to float at compile time.
-    """
-    return _FloatCompiler().function([e], False)
-
-
 def compile_floats(exprs: Sequence[Expr]) -> Callable[[Mapping[str, float]], list]:
-    """compile_float for a list of expressions: one straight-line function
-    point -> [float(evaluate(e, point)) for e in exprs], bit for bit.
+    """Compile exprs once into a straight-line Python function
+    point -> [float(evaluate(e, point)) for e in exprs].
 
-    One walk shares its node memo across all outputs, so a node common to
-    several of them is computed once per point.  On any exception every
-    entry is evaluated again in list order, so the first entry that
-    evaluate rejects raises as it would alone; a zero or non-finite entry
-    is evaluated again on its own."""
-    return _FloatCompiler().function(list(exprs), True)
+    Contract: on a point that maps every free variable to a float, the
+    function returns exactly those values, bit for bit, and raises
+    DomainError exactly where evaluate does: the first entry in list order
+    that evaluate rejects raises as it would alone.
+
+    The code has one statement per distinct subtree: equal subtrees, also
+    ones built separately, are computed once, across all entries.  Subtrees
+    without variables are folded exactly at compile time with evaluate's own
+    arithmetic.  It runs eagerly in evaluate's order of operations: sums
+    and products left to right from the same exact constant prefix, b ** n
+    for integer exponents, the negative-base and exp-argument guards, and
+    PiecewiseDecay branches picked by float comparisons equivalent to the
+    exact ones against their rational bounds.  Every runtime value is a
+    float (a PiecewiseDecay evaluates to one), so a folded constant enters
+    the code as the float literal that Fraction-float arithmetic would
+    convert it to.  Where eager code can differ from the tree walk, the
+    tree walk gives the value instead: every entry on any exception or at
+    an exact breakpoint, and one entry whose value is zero or not finite (a
+    product does not stop at a zero factor, and signed zeros may differ).
+    An entry that folds to a constant is converted to float at compile
+    time.
+    """
+    return _FloatCompiler().function(list(exprs))
+
+
+def compile_margin(exprs: Sequence[Expr], magnitude: bool):
+    """One grid kernel for a certificate margin: the signed value of the
+    only expression, or max |e| over exprs if magnitude (0.0 when empty).
+
+    kernel(points, start, least, tol) runs the code of compile_floats over
+    points[start:] in order, keeping least = min(least, margin).  It
+    returns (i, least) at the first point i it cannot settle: compiled code
+    raised, a value is not finite, or the margin is not above tol; it
+    returns (len(points), least) when it settles them all.  Every value in
+    a settled margin is finite, so it equals evaluate's up to the sign of a
+    zero, and a zero value loses its sign under |.| or in a sum whose
+    result is nonzero.  A margin that is itself zero is settled only when
+    tol < 0, and then least - tol does not depend on its sign.
+    """
+    return _FloatCompiler().kernel(list(exprs), magnitude)
 
 
 class _FloatCompiler:
-    """Emits the body of one compile_float or compile_floats function.
+    """Emits the body of one compile_floats function or compile_margin
+    kernel: a certificate compiles its margin into one grid kernel, equal
+    subtrees are computed once, and a point goes to the tree walk only when
+    the compiled code cannot settle it.
 
     A value is a number (Fraction or float) for a folded subtree, or a str:
     the name of a runtime float."""
@@ -766,33 +779,62 @@ class _FloatCompiler:
                    "_reference": _reference, "_exp": math.exp,
                    "_sin": math.sin, "_cos": math.cos}
         self.lines = []
-        self.indent = 2
+        self.indent = 0
         self.count = 0
 
-    def function(self, exprs: list, listed: bool):
-        """The function of exprs: it returns the list of their values if
-        listed, else the value of the only one."""
-        memo, outs, checks = {}, [], []
-        for i, e in enumerate(exprs):
-            self.ns[f"_e{i}"] = e
-            v = self.node(e, (memo, None))
+    def values(self, exprs: list, indent: int) -> list:
+        """Emit the code of exprs at the given indent, sharing one memo."""
+        self.indent, memo = indent, {}
+        return [self.node(e, (memo, None)) for e in exprs]
+
+    def define(self, src: list, name: str):
+        exec(compile("\n".join(src + [""]), f"<{name}>", "exec"), self.ns)
+        return self.ns[name]
+
+    def function(self, exprs: list):
+        """The compile_floats function of exprs."""
+        self.ns["_es"], outs, checks = exprs, [], []
+        for i, v in enumerate(self.values(exprs, 2)):
             if not isinstance(v, str):
                 outs.append(self.ref(v))
                 continue
             self.emit(f"r{i} = {v}")
             outs.append(f"r{i}")
             checks += [f"    if not (r{i} and r{i} - r{i} == 0.0):",
-                       f"        r{i} = _reference(_e{i}, pt)"]
-        self.ns["_es"] = exprs
-        result = f"[{', '.join(outs)}]" if listed else outs[0]
-        src = "\n".join(["def compiled(pt):", "    try:",
-                         *(self.lines or ["        pass"]),
-                         "    except _RECHECK:",
-                         "        return " + ("[_reference(e, pt) for e in _es]"
-                                             if listed else "_reference(_e0, pt)"),
-                         *checks, f"    return {result}", ""])
-        exec(compile(src, "<compile_float>", "exec"), self.ns)
-        return self.ns["compiled"]
+                       f"        r{i} = _reference(_es[{i}], pt)"]
+        return self.define(["def compiled(pt):", "    try:",
+                            *(self.lines or ["        pass"]),
+                            "    except _RECHECK:",
+                            "        return [_reference(e, pt) for e in _es]",
+                            *checks, f"    return [{', '.join(outs)}]"],
+                           "compiled")
+
+    def kernel(self, exprs: list, magnitude: bool):
+        """The compile_margin kernel: m is the margin, and f is m or the sum
+        of the |e|, finite only if every value in m is."""
+        vals = [self.ref(v) for v in self.values(exprs, 3)]
+        if not magnitude:
+            margin = [f"m = f = {vals[0]}"]
+        elif not vals:
+            margin = ["m = f = 0.0"]
+        else:
+            margin = [f"m = f = abs({vals[0]})"]
+            for v in vals[1:]:
+                margin += [f"a = abs({v})", "f += a", "if a > m: m = a"]
+        return self.define([
+            "def kernel(pts, i, least, tol):",
+            "    for i in range(i, len(pts)):",
+            "        pt = pts[i]",
+            "        try:",
+            *(self.lines or ["            pass"]),
+            "        except _RECHECK:",
+            "            return i, least",
+            *("        " + line for line in margin),
+            "        if not (m > tol and f - f == 0.0):",
+            "            return i, least",
+            "        if m < least:",
+            "            least = m",
+            "    return len(pts), least"], "kernel")
 
     # -- emission helpers
 
@@ -836,10 +878,9 @@ class _FloatCompiler:
         """scope is (memo, bound): bound is None for the outer point, or
         {name: value} inside a PiecewiseDecay branch."""
         memo = scope[0]
-        key = ("var", e.name) if isinstance(e, Var) else id(e)
-        if key not in memo:
-            memo[key] = self._node(e, scope)
-        return memo[key]
+        if e not in memo:  # structural: equal subtrees share one statement
+            memo[e] = self._node(e, scope)
+        return memo[e]
 
     def _node(self, e: Expr, scope: tuple):
         if isinstance(e, Const):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .expr import (
     Const,
@@ -30,7 +30,6 @@ from .expr import (
     ZERO,
     add,
     collect_x_powers,
-    compile_float,
     differentiate,
     evaluate,
     free_vars,
@@ -356,12 +355,6 @@ def _children(e: Expr):
 def evaluate_form(f: SingularForm, point: Mapping[str, float]) -> dict:
     """Numeric coefficients keyed by multi-index (poles evaluated)."""
     return {idx: float(evaluate(c, point)) for idx, c in f.pole_sums().items()}
-
-
-def compile_form(f: SingularForm) -> Callable[[Mapping[str, float]], dict]:
-    """evaluate_form with each coefficient compiled once (compile_float)."""
-    coeffs = [(idx, compile_float(c)) for idx, c in f.pole_sums().items()]
-    return lambda point: {idx: c(point) for idx, c in coeffs}
 
 
 def forms_equal(a: SingularForm, b: SingularForm, n_samples: int = 200,

@@ -21,7 +21,6 @@ bound coefficients of omega itself:
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional
 
@@ -29,7 +28,7 @@ from .certificates import (
     Certificate, all_of, axis_points, certify_positive, geometric_refinement,
 )
 from .expr import (
-    Const, Expr, ONE, Piece, PiecewiseDecay, Record, ZERO, add, compile_float,
+    Const, Exp, Expr, ONE, Piece, PiecewiseDecay, Prod, Record, Sum, ZERO, add,
     differentiate, exp, mul, powx, substitute, var,
 )
 from .geometry import (
@@ -227,25 +226,26 @@ def certify_sc_gluing(g: GluedForm) -> Certificate:
     if g.kind != "sc":
         raise GluingError("expected a convex-convex glued form")
     phi, psi = bump_phi(), bump_psi_sc()
-    dpsi = compile_float(differentiate(psi, "r"))
     # (phi/(r-1)^2)' = phi'/(r-1)^2 - 2 phi/(r-1)^3
-    quotient = compile_float(differentiate(
-        mul(phi, powx(add(var("r"), Const(Fraction(-1))), -2)), "r"))
+    quotient = differentiate(
+        mul(phi, powx(add(var("r"), Const(Fraction(-1))), -2)), "r")
+    # the margins below are raw Sum/Prod nodes, not add/mul, so that they
+    # compute a + (-b) and (-1) * b, which are a - b and -b bit for bit
     pts = [{"r": v} for v in axis_points(0.875, 1.0, 10000)]
     c_phi = certify_positive(
-        lambda pt: quotient(pt) - 139.0, pts, 0.0,
+        Sum((quotient, Const(-139))), pts, 0.0,
         detail="phi'/(r-1)^2 - 2 phi/(r-1)^3 - 139 on (7/8, 1)")
     # inf psi' = -128 exactly (at r = 15/16), so the bound is non-strict
     c_psi = certify_positive(
-        lambda pt: dpsi(pt) + 128.0, pts, -1e-9,
+        Sum((differentiate(psi, "r"), Const(128))), pts, -1e-9,
         detail="psi' + 128 on (7/8, 1), non-strict")
 
-    a_val = compile_float(differentiate(g.profile, GLUE_R))
-    b_val = compile_float(g.profile)
+    b = g.profile
     grid = [{GLUE_R: v} for v in geometric_refinement(1.0, 0.5, 1.0)]
-    c_b = certify_positive(b_val, grid, 0.0, detail="B on (1/2, 1)")
-    c_ab = certify_positive(lambda pt: a_val(pt) - b_val(pt),
-                            grid, 0.0, detail="A - B on (1/2, 1)")
+    c_b = certify_positive(b, grid, 0.0, detail="B on (1/2, 1)")
+    c_ab = certify_positive(
+        Sum((differentiate(b, GLUE_R), Prod((Const(-1), b)))), grid, 0.0,
+        detail="A - B on (1/2, 1)")
     return all_of("sc gluing: B > 0 and A - B > 0 on (1/2, 1)",
                   phi_quotient_exceeds_139=c_phi,
                   psi_slope_at_least_minus_128=c_psi,
@@ -259,21 +259,24 @@ def certify_folded_gluing(g: GluedForm) -> Certificate:
         raise GluingError("expected a concave-concave glued form")
     points = 2000
     gap_pts = [{"r": v} for v in axis_points(1.0, 2.0, points)]
+    r = var("r")
+    # raw nodes, as in certify_sc_gluing: e^r + (-4) e^{(-1) r} is
+    # e^r - 4 e^{-r} bit for bit
     gap = certify_positive(
-        lambda pt: math.exp(pt["r"]) - 4.0 * math.exp(-pt["r"]), gap_pts, 0.0,
-        detail="e^r - 4 e^{-r} on (1, 2); equivalently e^2 > 4")
+        Sum((Exp(r), Prod((Const(-4), Exp(Prod((Const(-1), r))))))),
+        gap_pts, 0.0, detail="e^r - 4 e^{-r} on (1, 2); equivalently e^2 > 4")
     ratio_pts = [{"r": v} for v in axis_points(0.0, 1.0, points, include=(1.0,))]
     ratio = certify_positive(
-        lambda pt: math.exp(2.0 * pt["r"]) - 1.0,
+        Sum((Exp(Prod((Const(2), r))), Const(-1))),
         [p for p in ratio_pts if p["r"] > 0], 0.0,
         detail="e^{2r} - 1 on (0, 1]")
 
     grid = [{GLUE_R: v} for v in axis_points(0.0, 2.0, points)]
     pos_a = certify_positive(
-        compile_float(differentiate(g.profile, GLUE_R)), grid, 0.0,
+        differentiate(g.profile, GLUE_R), grid, 0.0,
         detail="dr1 wedge alpha coefficient on (0, 2)")
     pos_b = certify_positive(
-        compile_float(g.profile), grid, 0.0,
+        g.profile, grid, 0.0,
         detail="d alpha coefficient on (0, 2)")
 
     fold = verify_folded(g.omega)

@@ -11,9 +11,8 @@ from .certificates import (
     proven, refuted, verified,
 )
 from .expr import (
-    Const, DomainError, Record, ZERO, add, canon, compile_float,
-    compile_floats, differentiate, is_zero, mul, nan_max, powx, sample_points,
-    substitute,
+    Const, DomainError, Record, ZERO, add, canon, compile_floats,
+    differentiate, is_zero, mul, nan_max, powx, sample_points, substitute,
 )
 from .geometry import (  # z_chart, restrict_to_z, lift: re-exported
     Chart, GeometryError, SingularForm, ZeroVerdictMap, exact_singular,
@@ -429,12 +428,10 @@ def verify_folded(omega: SingularForm, grid=None,
     at_z = canon(substitute(coeff, {ch.x: ZERO}))
     zch = z_chart(ch)
     vanish = is_zero(at_z, zch.box() or {"_": (0, 1)}, 200, TOL_CLOSED)
-    ddx = compile_float(
-        canon(substitute(differentiate(coeff, ch.x), {ch.x: ZERO})))
+    ddx = canon(substitute(differentiate(coeff, ch.x), {ch.x: ZERO}))
     zgrid = chart_grid(zch) if grid is None else grid
     transversal = certify_positive(
-        lambda pt: abs(ddx(pt)), zgrid, tol,
-        detail="|d/dx of top coefficient| on the fold")
+        [ddx], zgrid, tol, detail="|d/dx of top coefficient| on the fold")
     sub = top_power(omega, d - 1) if d > 1 else scalar_one(ch)
     nonvanish = certify_nonvanishing(
         restrict_to_z(sub), zgrid, tol,

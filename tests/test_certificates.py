@@ -1,6 +1,7 @@
 """Grid certificates: verdicts, witnesses and margins."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -8,23 +9,28 @@ from scatsym.certificates import (
     Certificate, all_of, certify_nonvanishing, certify_positive, chart_grid,
     proven, refuted, verified,
 )
-from scatsym.expr import ONE, ZeroVerdict, parse
+from scatsym.expr import Const, ONE, ZeroVerdict, add, parse, powx, var
 from scatsym.geometry import Chart, ZeroVerdictMap, make_form, smooth_form
 
 
+def _nan_at_y_above(t):
+    """1 + e^{300u} e^{301u} (e^{302u} - e^{303u}), u = y + 1 - t: the
+    product overflows to inf - inf = NaN for y >~ t - 0.2."""
+    e = {a: f"(exp (mul {a} (add (var y) {1 - t})))" for a in (300, 301, 302, 303)}
+    return parse(f"(add 1 (mul {e[300]} {e[301]} {e[302]}) "
+                 f"(mul -1 {e[300]} {e[301]} {e[303]}))")
+
+
 def test_certify_positive_refutes_nan():
-    cert = certify_positive(lambda pt: float("nan"), [{"y": 0.0}], 1e-8)
+    cert = certify_positive(_nan_at_y_above(0), [{"y": 0.0}], 1e-8)
     assert cert.kind == "refuted"
     assert cert.witness == (("y", 0.0),)
     assert math.isnan(cert.min_margin)
 
 
 def test_certify_nonvanishing_refutes_nan_in_any_slot():
-    # 1 + e^{300y} e^{301y} (e^{302y} - e^{303y}) is NaN for y >~ 0.8
     ch = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)), "x", ())
-    e = {a: f"(exp (mul {a} (var y)))" for a in (300, 301, 302, 303)}
-    nan = parse(f"(add 1 (mul {e[300]} {e[301]} {e[302]}) "
-                f"(mul -1 {e[300]} {e[301]} {e[303]}))")
+    nan = _nan_at_y_above(1)
     for terms in ({("x",): ONE, ("y",): nan}, {("x",): nan, ("y",): ONE}):
         cert = certify_nonvanishing(smooth_form(ch, terms), None, 1e-8)
         assert cert.kind == "refuted"
@@ -32,7 +38,7 @@ def test_certify_nonvanishing_refutes_nan_in_any_slot():
 
 
 def test_certify_positive_refutes_an_empty_point_set():
-    cert = certify_positive(lambda pt: 1.0, [], 1e-8, detail="scan")
+    cert = certify_positive(ONE, [], 1e-8, detail="scan")
     assert cert.kind == "refuted" and not cert.passed
     assert cert.grid_points == 0 and cert.witness == ()
 
@@ -48,10 +54,11 @@ def test_certify_nonvanishing_refutes_at_a_pole():
 
 def test_margin_is_signed_slack():
     pts = [{"y": v} for v in (0.5, 1.0, 2.0)]
-    cert = certify_positive(lambda pt: pt["y"] ** 2, pts, 0.1)
+    y = var("y")
+    cert = certify_positive(powx(y, 2), pts, 0.1)
     assert cert.kind == "numerically-verified"
     assert cert.min_margin == min(v["y"] ** 2 for v in pts) - 0.1
-    low = certify_positive(lambda pt: pt["y"] - 0.75, pts, 0.1)
+    low = certify_positive(add(y, Const(Fraction(-3, 4))), pts, 0.1)
     assert low.kind == "refuted" and low.witness == (("y", 0.5),)
     assert low.min_margin == pytest.approx(-0.35) and low.min_margin < 0
 

@@ -1,5 +1,6 @@
 """Expression trees: exact arithmetic, differentiation, domain guards,
-deterministic sampling, the DAG evaluator and compiled float evaluation."""
+deterministic sampling, the DAG evaluator, compiled float evaluation and
+the grid kernels of certificate margins."""
 
 import math
 import pickle
@@ -13,13 +14,16 @@ import pytest
 import scatsym.expr as expr_module
 from scatsym.expr import (
     Const, Cos, DomainError, Exp, ExprError, ONE, Piece, PiecewiseDecay, Pow,
-    Prod, Sin, Sum, Var, ZERO, add, canon, collect_x_powers, compile_float,
-    compile_floats, cos, differentiate, evaluate, evaluate_dag, exp,
+    Prod, Sin, Sum, Var, ZERO, add, canon, collect_x_powers, compile_floats,
+    compile_margin, cos, differentiate, evaluate, evaluate_dag, exp,
     is_provably_zero, is_zero, mul, nan_max, parse, poly, powx, sample_points,
     ser, sin, sqrt, substitute, var,
 )
 from scatsym.catalog import torus_contact
-from scatsym.certificates import axis_points, geometric_refinement
+from scatsym import certificates
+from scatsym.certificates import (
+    axis_points, certify_positive, geometric_refinement,
+)
 from scatsym.gluing import (
     GLUE_R, bump_phi, bump_psi_f, bump_psi_sc,
     glue_concave_concave, glue_convex_convex,
@@ -128,6 +132,14 @@ def test_evaluate_dag_shared_cache_keeps_temporaries():
     assert stale == []
 
 
+def test_evaluate_dag_raises_domain_error_on_float_overflow():
+    # 10^400 meets the float x in a sum, as in evaluate
+    with pytest.raises(DomainError, match="float overflow"):
+        evaluate_dag(add(Const(10 ** 400), var("x")), {"x": 0.5}, {})
+    with pytest.raises(DomainError, match="float overflow"):
+        evaluate_dag(mul(Const(10 ** 400), var("x")), {"x": 0.5}, {})
+
+
 def test_float_overflow_and_math_domain_raise_domain_error():
     with pytest.raises(DomainError, match="float overflow"):
         evaluate(powx(X, 400), {"x": 10.0})
@@ -180,7 +192,13 @@ def test_nan_max_ranks_nan_highest():
     assert nan_max(pairs, key=lambda p: p[0])[1] == "b"
 
 
-# -- compile_float against evaluate
+# -- compile_floats against evaluate
+
+
+def _compile_one(e):
+    """compile_floats of the one expression e, as point -> float."""
+    fn = compile_floats([e])
+    return lambda pt: fn(pt)[0]
 
 
 def _outcome(fn):
@@ -253,7 +271,7 @@ def test_compile_float_matches_evaluate_on_random_trees():
     rng = random.Random(20161)
     for _ in range(400):
         e = _random_tree(rng, rng.randint(1, 5))
-        fn = compile_float(e)
+        fn = _compile_one(e)
         for pt in _points(rng, ("x", "y"), 12):
             want = _outcome(lambda: float(evaluate(e, pt)))
             assert _same(_outcome(lambda: fn(pt)), want), (ser(e), pt, want)
@@ -270,7 +288,7 @@ def test_compile_float_matches_evaluate_on_bumps():
                               0.75, 15 / 16, 1.25, -1.5, 3.0, -3.0]]
     pts += [{"r": 0.25 + i / 200} for i in range(400)]
     for e in exprs:
-        fn = compile_float(e)
+        fn = _compile_one(e)
         for pt in pts:
             want = _outcome(lambda: float(evaluate(e, pt)))
             assert _same(_outcome(lambda: fn(pt)), want), (ser(e), pt, want)
@@ -320,7 +338,7 @@ _HUGE = PiecewiseDecay(X, "t", (Piece(None, Fraction(0), Const(Fraction(10 ** 40
 ])
 def test_compile_float_edge_cases(e, pt):
     want = _outcome(lambda: float(evaluate(e, pt)))
-    assert _same(_outcome(lambda: compile_float(e)(pt)), want)
+    assert _same(_outcome(lambda: _compile_one(e)(pt)), want)
 
 
 def test_compile_float_matches_evaluate_on_gluing_profiles():
@@ -332,7 +350,7 @@ def test_compile_float_matches_evaluate_on_gluing_profiles():
     for g, rs in ((sc, geometric_refinement(1.0, 0.5, 1.0)),
                   (folded, axis_points(0.0, 2.0, 2000))):
         for e in (g.profile, differentiate(g.profile, GLUE_R)):
-            fn = compile_float(e)
+            fn = _compile_one(e)
             for r in rs + breakpoints:
                 pt = {GLUE_R: r}
                 want = _outcome(lambda: float(evaluate(e, pt)))
@@ -352,9 +370,9 @@ def test_compiled_code_computes_in_floats_only():
         d = differentiate(bump, "r")
         for e in (bump, d, mul(d, powx(add(r, Const(Fraction(-1))), -2)),
                   powx(add(bump, ONE), Fraction(1, 2)), mul(bump, bump, r)):
-            fn = compile_float(e)
-            names = set(fn.__code__.co_names) | set(fn.__globals__)
-            assert not names & {"_num_prod", "_pow_value"}
+            for fn in (compile_floats([e]), compile_margin([e], False)):
+                names = set(fn.__code__.co_names) | set(fn.__globals__)
+                assert not names & {"_num_prod", "_pow_value"}
 
 
 def test_compile_float_long_sum():
@@ -363,7 +381,7 @@ def test_compile_float_long_sum():
     e = add(*[mul(Const(Fraction(k, 7)), powx(X, k % 5 + 1), Y)
               for k in range(1, 3001)])
     pt = {"x": 0.3, "y": -1.7}
-    assert _same(("value", compile_float(e)(pt)), ("value", float(evaluate(e, pt))))
+    assert _same(("value", _compile_one(e)(pt)), ("value", float(evaluate(e, pt))))
 
 
 def _same_values(a, b):
@@ -371,6 +389,20 @@ def _same_values(a, b):
         return a == b
     return len(a[1]) == len(b[1]) and all(
         _same(("value", x), ("value", y)) for x, y in zip(a[1], b[1]))
+
+
+def _copy(e):
+    """A structurally equal copy of e that shares no node with it."""
+    return pickle.loads(pickle.dumps(e))
+
+
+def _rebuilt(e):
+    """e rebuilt from its text: parse normalizes, so the result shares
+    structure with e but not identity, and may differ from e as a whole."""
+    try:
+        return parse(ser(e))
+    except ExprError:  # a raw 0^-k node, which powx refuses
+        return _copy(e)
 
 
 def test_compile_floats_matches_evaluate_entry_by_entry():
@@ -386,6 +418,8 @@ def test_compile_floats_matches_evaluate_entry_by_entry():
     seen = set()
     for k in range(0, len(trees), 4):
         exprs = trees[k:k + 4] + rng.sample(extras, rng.randint(0, 3))
+        # copies equal to trees of the group but sharing no node with them
+        exprs += [_copy(trees[k]), _rebuilt(trees[k + 1])]
         rng.shuffle(exprs)
         fn = compile_floats(exprs)
         for pt in _points(rng, ("x", "y"), 12):
@@ -411,6 +445,162 @@ def test_compile_floats_folds_constant_entries(monkeypatch):
     monkeypatch.setattr(expr_module, "evaluate", tree_walk)
     assert _same_values(("value", fn({})), ("value", want))
     assert compile_floats([])({}) == []
+
+
+def _statements(fn):
+    """The straight-line statements of compiled code: each assigns one v<k>."""
+    return [n for n in fn.__code__.co_varnames if re.fullmatch(r"v\d+", n)]
+
+
+def test_equal_subtrees_compile_to_one_statement():
+    def build():  # a new tree on every call: equal, never identical
+        return Prod((Sum((X, Y)), Exp(Sum((X, Y)))))
+
+    one, other = build(), build()
+    assert one == other and one is not other
+    # x, y, x + y, exp(x + y), the product: the second x + y is the first
+    assert len(_statements(compile_floats([one]))) == 5
+    assert len(_statements(compile_floats([Sum((one, other))]))) == 6
+    assert len(_statements(compile_margin([one, other], True))) == 5
+    for bump in (bump_phi(), bump_psi_sc(), bump_psi_f()):
+        d = differentiate(bump, "r")
+        alone = len(_statements(compile_floats([d])))
+        assert len(_statements(compile_floats([d, _copy(d)]))) == alone
+        pt = {"r": 0.9}
+        assert compile_floats([d, _copy(d)])(pt) == [float(evaluate(d, pt))] * 2
+
+
+# -- grid kernels (compile_margin through certify_positive) against the
+# per-point tree walk they replaced
+
+
+def _tree_walk_verdict(margin, points, tol):
+    """certify_positive as a loop over float(evaluate(...)) per point: an
+    expression is a signed margin, a list is max |e| (0.0 when empty)."""
+    least = math.inf
+    for pt in points:
+        witness = tuple(sorted(pt.items()))
+        try:
+            if isinstance(margin, list):
+                v = nan_max((abs(float(evaluate(e, pt))) for e in margin),
+                            default=0.0)
+            else:
+                v = float(evaluate(margin, pt))
+        except DomainError as err:
+            return "refuted", witness, None, f": undefined, {err}"
+        if not v > tol:
+            return "refuted", witness, _bits(v - tol), ""
+        least = min(least, v)
+    return "numerically-verified", None, _bits(least - tol), ""
+
+
+def _kernel_verdict(margin, points, tol):
+    cert = certify_positive(margin, points, tol)
+    margin_bits = None if cert.min_margin is None else _bits(cert.min_margin)
+    return cert.kind, cert.witness, margin_bits, cert.detail
+
+
+def _bits(v):
+    return "nan" if math.isnan(v) else (v, math.copysign(1.0, v))
+
+
+def _margin_case(margin, points, tol):
+    want = _outcome(lambda: _tree_walk_verdict(margin, points, tol))
+    assert _outcome(lambda: _kernel_verdict(margin, points, tol)) == want, (
+        margin, points, tol, want)
+    return want
+
+
+def test_grid_kernel_matches_the_tree_walk_on_random_trees():
+    rng = random.Random(20165)
+    big = mul(exp(mul(Const(Fraction(400)), X)), exp(mul(Const(Fraction(401)), Y)))
+    extras = [Const(Fraction(10 ** 400)), big,  # too large for a float, inf
+              add(big, mul(Const(Fraction(-1)), big))]  # nan near x = y = 1
+    seen = set()
+    for _ in range(300):
+        trees = [_random_tree(rng, rng.randint(1, 4))
+                 for _ in range(rng.randint(1, 3))]
+        trees += rng.sample(extras, rng.randint(0, 1))
+        rng.shuffle(trees)
+        points = _points(rng, ("x", "y"), rng.randint(1, 30))
+        tol = rng.choice([0.0, -0.0, 1e-8, 0.5, -1e-9, -4.0])
+        for margin in (trees[0], trees):
+            want = _margin_case(margin, points, tol)
+            if want[0] != "value":
+                seen.add(want[0])
+            elif want[1][0] == "numerically-verified":
+                seen.add("verified")
+            elif want[1][2] is None:
+                seen.add("undefined")
+            else:
+                m = want[1][2]
+                seen.add("nan" if m == "nan" else "zero" if m[0] == 0 else "below")
+    assert seen >= {"verified", "undefined", "nan", "zero", "below",
+                    "OverflowError"}
+
+
+_UNDEFINED_AT_0 = powx(X, -1)  # a pole at x = 0
+_UNDEFINED_BELOW_0 = powx(Y, Fraction(1, 2))  # undefined for y < 0
+# x / y + 1: compiled code divides by y = 0 and hands the point back, but
+# the tree walk stops at the zero factor x = 0 and gives 1
+_WALKED = Sum((Prod((X, Pow(Y, Fraction(-1)))), ONE))
+
+
+@pytest.mark.parametrize("margin, points, tol", [
+    # a zero margin at +0.0 and -0.0; at (0, -1) compiled code gives -0.0
+    # and the tree walk, stopping at the zero factor, +0.0
+    (Prod((X, Y)), [{"x": 1.0, "y": 1.0}, {"x": -0.0, "y": 1.0}], 0.0),
+    (Prod((X, Y)), [{"x": 1.0, "y": 1.0}, {"x": 0.0, "y": -1.0}], 0.0),
+    (Prod((X, Y)), [{"x": 1.0, "y": 1.0}, {"x": 0.0, "y": -1.0}], -1e-9),
+    ([Prod((X, Y)), Prod((Y, X))], [{"x": -0.0, "y": 1.0}], 0.0),
+    # NaN: inf - inf, signed and in one slot of a magnitude
+    (add(mul(exp(mul(Const(400), X)), exp(mul(Const(401), X))),
+         mul(Const(-1), exp(mul(Const(400), X)), exp(mul(Const(401), X)))),
+     [{"x": 0.5, "y": 0.0}, {"x": 1.0, "y": 0.0}], -4.0),
+    ([ONE, mul(exp(mul(Const(400), X)), exp(mul(Const(401), X)),
+               add(X, Const(-1)))], [{"x": 0.5, "y": 0.0}, {"x": 1.0, "y": 0.0}],
+     1e-8),
+    # the first undefined point in grid order wins, and in a magnitude the
+    # first undefined entry in list order
+    (Sum((_UNDEFINED_AT_0, _UNDEFINED_BELOW_0)),
+     [{"x": 1.0, "y": 1.0}, {"x": 1.0, "y": -1.0}, {"x": 0.0, "y": 1.0}], -4.0),
+    ([_UNDEFINED_AT_0, _UNDEFINED_BELOW_0],
+     [{"x": 1.0, "y": 1.0}, {"x": 0.0, "y": -1.0}, {"x": 0.0, "y": 1.0}], 1e-8),
+    ([_UNDEFINED_BELOW_0, _UNDEFINED_AT_0],
+     [{"x": 1.0, "y": 1.0}, {"x": 0.0, "y": -1.0}, {"x": 0.0, "y": 1.0}], 1e-8),
+    # resumes after a point the tree walk settles, then passes or refutes
+    (_WALKED, [{"x": 0.0, "y": 0.0}, {"x": 1.0, "y": 2.0}, {"x": -1.0, "y": 4.0}],
+     0.5),
+    (_WALKED, [{"x": 1.0, "y": 2.0}, {"x": 0.0, "y": 0.0}, {"x": -1.0, "y": 1.0},
+               {"x": 0.0, "y": 0.0}], 0.5),
+    # an empty coefficient list is the margin 0.0 at every point
+    ([], [{"x": 1.0, "y": 1.0}], 1e-8),
+    ([], [{"x": 1.0, "y": 1.0}], 0.0),
+    ([], [{"x": 1.0, "y": 1.0}, {"x": 2.0, "y": 1.0}], -1.0),
+])
+def test_grid_kernel_edge_cases(margin, points, tol):
+    _margin_case(margin, points, tol)
+
+
+def test_grid_kernel_resumes_after_a_tree_walk(monkeypatch):
+    walked = []
+
+    def counting(e, pt):
+        walked.append(dict(pt))
+        return evaluate(e, pt)
+
+    monkeypatch.setattr(certificates, "evaluate", counting)
+    pts = [{"x": 1.0, "y": 2.0}, {"x": 0.0, "y": 0.0}, {"x": -1.0, "y": 4.0},
+           {"x": 2.0, "y": 1.0}]
+    cert = certify_positive(_WALKED, pts, 0.5)
+    assert cert.passed and cert.min_margin == 0.25
+    assert walked == [{"x": 0.0, "y": 0.0}]
+    # a zero under |.| or under + c is settled by the kernel
+    walked.clear()
+    zero = [{"x": 0.0, "y": 0.0}, {"x": -0.0, "y": 1.0}]
+    assert certify_positive([X, ONE], zero, 0.5).min_margin == 0.5
+    assert certify_positive(Sum((Prod((X, Y)), ONE)), zero, 0.5).passed
+    assert walked == []
 
 
 # -- exact normal forms

@@ -7,7 +7,10 @@ import pytest
 
 from scatsym import expr
 from scatsym.catalog import s2xs1_contact, torus_contact
-from scatsym.expr import ONE, differentiate, evaluate, exp, mul, var
+from scatsym.certificates import axis_points, geometric_refinement
+from scatsym.expr import (
+    ONE, compile_floats, differentiate, evaluate, exp, mul, var,
+)
 from scatsym.geometry import exterior_derivative, smooth_form, wedge
 from scatsym.gluing import (
     GLUE_R, FillingCollar, GluingError, bump_phi, bump_psi_f, bump_psi_sc,
@@ -93,9 +96,10 @@ def test_glued_form_is_structurally_a_dr1_base_plus_b_dbase(
 
 
 def test_sc_gluing_does_not_walk_trees_per_point(monkeypatch):
-    # each certified scalar is compiled once; evaluate runs only at the
-    # rare points compiled code hands back, where a per-point tree walk
-    # would make about 20,800 calls (10,000 + 10,000 + 273 + 546)
+    # each margin is compiled into one grid kernel; evaluate runs only at
+    # the points the kernel cannot settle, where a per-point tree walk
+    # would make about 20,800 calls (10,000 + 10,000 + 273 + 546), and a
+    # zero psi' under psi' + 128 no longer goes to the tree walk
     glued = glue_convex_convex(torus_contact())
     original, depth, calls = expr.evaluate, 0, 0
 
@@ -113,4 +117,33 @@ def test_sc_gluing_does_not_walk_trees_per_point(monkeypatch):
                 getattr(module, "evaluate", None) is original:
             monkeypatch.setattr(module, "evaluate", counting)
     assert certify_sc_gluing(glued).passed
-    assert 0 < calls < 2000
+    assert 0 < calls < 20
+
+
+def test_gluing_margins_keep_the_bits_of_their_float_formulas():
+    # each margin is an expression now; its min_margin is the one of the
+    # float formula it replaced, on the same points, bit for bit
+    g = glue_convex_convex(torus_contact())
+    sc = dict(certify_sc_gluing(g).parts)
+    phi, psi = bump_phi(), bump_psi_sc()
+    r = var("r")
+    quotient = compile_floats([differentiate(
+        mul(phi, expr.powx(expr.add(r, expr.Const(-1)), -2)), "r")])
+    dpsi = compile_floats([differentiate(psi, "r")])
+    pts = [{"r": v} for v in axis_points(0.875, 1.0, 10000)]
+    assert sc["phi_quotient_exceeds_139"].min_margin == \
+        min(quotient(pt)[0] - 139.0 for pt in pts)
+    assert sc["psi_slope_at_least_minus_128"].min_margin == \
+        min(dpsi(pt)[0] + 128.0 for pt in pts) + 1e-9
+    a_b = compile_floats([differentiate(g.profile, GLUE_R), g.profile])
+    grid = [{GLUE_R: v} for v in geometric_refinement(1.0, 0.5, 1.0)]
+    assert sc["a_minus_b_positive"].min_margin == \
+        min(a - b for a, b in map(a_b, grid))
+
+    folded = dict(certify_folded_gluing(glue_concave_concave(torus_contact())).parts)
+    gap = axis_points(1.0, 2.0, 2000)
+    ratio = [v for v in axis_points(0.0, 1.0, 2000, include=(1.0,)) if v > 0]
+    assert folded["gap_on_1_2"].min_margin == \
+        min(math.exp(v) - 4.0 * math.exp(-v) for v in gap)
+    assert folded["ratio_on_0_1"].min_margin == \
+        min(math.exp(2.0 * v) - 1.0 for v in ratio)

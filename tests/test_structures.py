@@ -19,10 +19,11 @@ from scatsym.catalog import (
 from scatsym.certificates import chart_grid
 from scatsym import algebroids, expr, structures
 from scatsym.expr import (
-    Const, ONE, add, cos, differentiate, evaluate, mul, sin, var,
+    Const, ONE, add, compile_floats, cos, differentiate, evaluate, mul, sin,
+    var,
 )
 from scatsym.geometry import (
-    Chart, compile_form, exterior_derivative, forms_equal, make_form,
+    Chart, exterior_derivative, forms_equal, make_form,
     smooth_form, zero_form,
 )
 from scatsym.structures import (
@@ -322,13 +323,20 @@ def test_only_geometry_folds_poles():
     assert offenders == []
 
 
+def _compiled_form(f):
+    """point -> {multi-index: coefficient} through compile_floats."""
+    sums = f.pole_sums()
+    values = compile_floats(list(sums.values()))
+    return lambda pt: dict(zip(sums, values(pt)))
+
+
 def test_sampled_reeb_field_solves_the_reeb_equations():
     # alpha(R) = 1 and i_R d(alpha) = 0 in floats at the grid points, for
     # the closed-form field of the symplectization record
     rec = build_example("symplectization", z="s1")
     data = induced_contact(rec.omega)
     ch = data.chart
-    alpha_at, two_at, reeb_at = (compile_form(f) for f in (
+    alpha_at, two_at, reeb_at = (_compiled_form(f) for f in (
         data.alpha, exterior_derivative(data.alpha), data.reeb))
     for pt in chart_grid(ch, 5):
         r = dict.fromkeys(ch.names, 0.0)
