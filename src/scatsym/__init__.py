@@ -25,7 +25,7 @@ from .algebroids import (
 from .structures import (
     ContactData, CosymplecticData, FillingVerdict, closedness,
     cosymplectic_extract, decompose, dual_jacobi_check, dual_roundtrip_check,
-    dualize, dualize_inverse, induced_contact, lift, normal_form, reeb,
+    dualize, induced_contact, lift, normal_form, reeb,
     restrict_to_z, schouten_jacobi_check, strong_filling_check, verify_folded,
     verify_sc_symplectic, z_chart,
 )
@@ -37,7 +37,6 @@ from .cohomology import (
     BettiProfile, CohomologyReport, FiniteRank, InfiniteDimensional,
     Unresolved, Zero, bk_poisson, d_h_squared_check, horizontal_d, kunneth,
     lie_derivative, quotient_kernel_check_rigged, quotient_kernel_check_sc,
-    rigged_closed_representative, sc_derham, sc_poisson,
-    sc_reduced_element, sc_reduction_primitive,
+    rigged_closed_representative, sc_derham, sc_poisson, sc_reduction_primitive,
 )
 from .catalog import ExampleRecord, build_example, list_examples, run_example

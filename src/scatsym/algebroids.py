@@ -1,14 +1,13 @@
 """Rescaled coframes and the judgments they induce.
 
-A frame is a list of generators (smooth covector, weight w): the actual
-coframe element is covector / x^w.  A singular form is a smooth section of
-the frame when, rewritten in the coframe basis, every coefficient has
+A frame is a flavor and two weights: its coframe is dx/x^wx together with
+dy_j/x^wy for every other coordinate y_j.  A singular form is a smooth
+section of the frame when, written in that coframe, every coefficient has
 Laurent exponent <= 0.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Optional
 
@@ -16,14 +15,13 @@ from .certificates import (
     Certificate, certify_positive, chart_grid, proven, refuted,
 )
 from .expr import (
-    Const, ONE, Record, ZERO, add, canon, collect_x_powers,
-    is_provably_zero, mul, powx, substitute, var,
+    Const, Record, ZERO, add, canon, collect_x_powers, is_provably_zero, mul,
+    substitute, var,
 )
 from .geometry import (
     Chart, GeometryError, SingularForm, exterior_derivative, laurent_decompose,
     make_form, restrict_to_z, smooth_form, top_power, z_chart, zero_form,
 )
-from .linalg import sym_det, sym_inverse
 
 class FrameError(GeometryError):
     pass
@@ -32,141 +30,54 @@ class FrameError(GeometryError):
 class AlgebroidFrame(Record):
     flavor: str
     chart: Chart
-    generators: tuple  # of (label: str, covector: SingularForm deg 1 smooth, weight: int)
+    wx: int  # the coframe holds dx/x^wx
+    wy: int  # and dy_j/x^wy for each other coordinate
 
-    def __post_init__(self):
-        if len(self.generators) != self.chart.dim:
-            raise FrameError("frame rank must equal chart dimension")
+    def weight(self, idx) -> int:
+        """w with dx_idx = x^w times the coframe wedge over idx."""
+        return sum(self.wx if n == self.chart.x else self.wy for n in idx)
 
-    @property
-    def weights(self) -> tuple:
-        return tuple(w for _, _, w in self.generators)
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(lbl for lbl, _, _ in self.generators)
-
-    def coefficient_matrix(self):
-        """Rows: generator covectors expressed in the coordinate basis."""
+    def labels(self, idx) -> tuple:
+        """The d<name> labels of idx: dx first, the rest in chart order."""
         ch = self.chart
-        m = []
-        for _, cov, _ in self.generators:
-            row = [ZERO] * ch.dim
-            for k, c, (name,) in cov.terms:
-                if k != 0:
-                    raise FrameError("frame covectors must be smooth")
-                row[ch.index(name)] = c
-            m.append(row)
-        return m
+        return tuple(f"d{n}" for n in
+                     sorted(idx, key=lambda n: (n != ch.x, ch.index(n))))
 
     def volume_weight(self) -> int:
-        return sum(self.weights)
+        return self.weight(self.chart.names)
 
 
-def _coordinate_covector(ch: Chart, name: str) -> SingularForm:
-    return smooth_form(ch, {(name,): ONE})
-
-
-def coframe(flavor: str, chart_: Chart, k: int = 1, m: int = 1,
-            aux: Optional[dict] = None) -> AlgebroidFrame:
+def coframe(flavor: str, chart_: Chart, k: int = 1,
+            m: int = 1) -> AlgebroidFrame:
     """Build the coframe of the requested flavor on a chart with Z = {x=0}.
 
-    Weight tables (weight w means generator = covector / x^w):
+    Weight tables (weight w means generator = dx_i / x^w):
       b            dx/x,      dy_j
       zero         dx/x,      dy_j/x
       sc           dx/x^2,    dy_j/x
       sc^k         dx/x^{k+1}, dy_j/x^k
       b^k          dx/x^k,    dy_j
       zero^m-b^k   dx/x^{k+m}, dy_j/x^m
-      rigged-sc    dx/x^3, alpha/x^3, xi-covectors/x^2   (aux: alpha, xi)
-      rigged-b^k   dx/x^k, theta/x^k, rest smooth        (aux: theta, rest)
     """
     if chart_.x is None:
         raise FrameError("coframe requires a chart with a Z coordinate")
-    xname = chart_.x
-    others = [n for n in chart_.names if n != xname]
-    dxc = _coordinate_covector(chart_, xname)
-
-    def plain(wx: int, wy: int) -> AlgebroidFrame:
-        gens = [(f"d{xname}", dxc, wx)]
-        gens += [(f"d{n}", _coordinate_covector(chart_, n), wy) for n in others]
-        return AlgebroidFrame(flavor, chart_, tuple(gens))
-
-    if flavor == "b":
-        return plain(1, 0)
-    if flavor == "zero":
-        return plain(1, 1)
-    if flavor == "sc":
-        return plain(2, 1)
-    if flavor == "sc^k":
-        return plain(k + 1, k)
-    if flavor == "b^k":
-        return plain(k, 0)
-    if flavor == "zero^m-b^k":
-        return plain(k + m, m)
-    if flavor == "rigged-sc":
-        if not aux or "alpha" not in aux or "xi" not in aux:
-            raise FrameError("rigged-sc needs aux={'alpha': 1-form, 'xi': [1-forms]}")
-        gens = [(f"d{xname}", dxc, 3), ("alpha", aux["alpha"], 3)]
-        gens += [(f"xi{i}", covec, 2) for i, covec in enumerate(aux["xi"])]
-        return AlgebroidFrame(flavor, chart_, tuple(gens))
-    if flavor == "rigged-b^k":
-        if not aux or "theta" not in aux or "rest" not in aux:
-            raise FrameError("rigged-b^k needs aux={'theta': 1-form, 'rest': [1-forms]}")
-        gens = [(f"d{xname}", dxc, k), ("theta", aux["theta"], k)]
-        gens += [(f"h{i}", covec, 0) for i, covec in enumerate(aux["rest"])]
-        return AlgebroidFrame(flavor, chart_, tuple(gens))
-    raise FrameError(f"unknown flavor '{flavor}'")
-
-
-def rewrite_in_frame(f: SingularForm, frame: AlgebroidFrame):
-    """Express f in the frame's coframe basis.
-
-    Returns {(exponent, generator-label multi-index): coeff} where the form
-    equals sum coeff * x^{-exponent} * wedge of generators.
-    """
-    if f.chart != frame.chart:
-        raise FrameError("chart mismatch")
-    ch = f.chart
-    mat = frame.coefficient_matrix()
-    inv = sym_inverse(mat)
-    weights = frame.weights
-    labels = frame.labels
-    # dc_j = sum_l inv[j][l] * x^{w_l} * gen_l
-    terms = []
-    for k, c, idx in f.terms:
-        expansions = [
-            [(l, inv[ch.index(name)][l]) for l in range(ch.dim)
-             if not is_provably_zero(inv[ch.index(name)][l])]
-            for name in idx
-        ]
-        for combo in itertools.product(*expansions):
-            ls = [l for l, _ in combo]
-            if len(set(ls)) != len(ls):
-                continue
-            sign = _perm_sign(ls)
-            coeff = mul(Const(Fraction(sign)), c, *[e for _, e in combo])
-            wsum = sum(weights[l] for l in ls)
-            terms.append((k - wsum, coeff, tuple(sorted(ls))))
-    return {(expo, tuple(labels[l] for l in ls)): coeff
-            for (expo, ls), coeff in collect_x_powers(terms, ch.x).items()}
-
-
-def _perm_sign(seq) -> int:
-    sign = 1
-    s = list(seq)
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            if s[i] > s[j]:
-                sign = -sign
-    return sign
+    weights = {"b": (1, 0), "zero": (1, 1), "sc": (2, 1), "sc^k": (k + 1, k),
+               "b^k": (k, 0), "zero^m-b^k": (k + m, m)}
+    if flavor not in weights:
+        raise FrameError(f"unknown flavor '{flavor}'")
+    return AlgebroidFrame(flavor, chart_, *weights[flavor])
 
 
 def is_smooth_section(f: SingularForm, frame: AlgebroidFrame) -> Certificate:
     """Proven when every coefficient in the frame basis has Laurent exponent
     <= 0; refuted otherwise, naming the (exponent, labels) slots above."""
-    coeffs = rewrite_in_frame(f, frame)
-    bad = tuple(sorted((expo, labels) for (expo, labels) in coeffs if expo > 0))
+    if f.chart != frame.chart:
+        raise FrameError("chart mismatch")
+    # c x^{-k} dx_idx = c x^{-(k - w)} times the coframe wedge over idx
+    coeffs = collect_x_powers([(k - frame.weight(idx), c, idx)
+                               for k, c, idx in f.terms], f.chart.x)
+    bad = tuple(sorted((expo, frame.labels(idx))
+                       for expo, idx in coeffs if expo > 0))
     if bad:
         return refuted({}, detail=f"not a smooth section: {bad}")
     return proven(f"smooth section of the {frame.flavor} frame")
@@ -190,8 +101,8 @@ def certify_volume(f: SingularForm, frame: AlgebroidFrame, grid=None,
     n = ch.dim // 2
     top = top_power(f, n)
     wsum = frame.volume_weight()
-    det = sym_det(frame.coefficient_matrix())
-    # top = sum_t c_t x^{-k_t} dVol; frame volume = det / x^{wsum} dVol
+    # top = sum_t c_t x^{-k_t} dVol; the frame volume is +-dVol/x^{wsum},
+    # and the sign drops out of |.|
     if top.max_pole() > wsum:
         return refuted({}, detail=f"top power exceeds frame volume pole "
                                   f"({top.max_pole()} > {wsum})")
@@ -200,7 +111,7 @@ def certify_volume(f: SingularForm, frame: AlgebroidFrame, grid=None,
     (volume,) = top.pole_sums(wsum).values()
     if grid is None:
         grid = chart_grid(ch)
-    return certify_positive([canon(mul(volume, powx(det, -1)))], grid, tol,
+    return certify_positive([canon(volume)], grid, tol,
                             detail="|wedge^n omega / frame volume|")
 
 

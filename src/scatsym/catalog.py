@@ -9,7 +9,8 @@ from typing import Optional
 
 from .algebroids import coframe
 from .certificates import (
-    Certificate, all_of, chart_grid, exact, refuted, verified,
+    DEFAULT_POINTS_PER_AXIS, Certificate, all_of, chart_grid, exact, refuted,
+    verified,
 )
 from .cohomology import horizontal_d, lie_derivative
 from .expr import (
@@ -435,10 +436,6 @@ def build_example(name: str, **params) -> ExampleRecord:
 # checks
 
 
-def _grid_for(ch: Chart, per_axis: Optional[int]):
-    return chart_grid(ch) if per_axis is None else chart_grid(ch, per_axis)
-
-
 def _float_check(errors, detail: str) -> Certificate:
     """Every (error, witness) pair within _FLOAT_TOL; the worst pair, a NaN
     before any number, refutes with its witness."""
@@ -474,21 +471,20 @@ def _cert_result(cert: Certificate) -> dict:
     return out
 
 
-def _run_check(rec: ExampleRecord, check: str,
-               per_axis: Optional[int]) -> Certificate:
+def _run_check(rec: ExampleRecord, check: str, per_axis: int) -> Certificate:
     omega = rec.omega
     if check in ("sc-symplectic", "bk-symplectic"):
         f, frame = omega, None
         if check == "bk-symplectic":
             f = rec.extras["normal_form"]
             frame = coframe("b^k", f.chart, k=rec.extras["k"])
-        return verify_sc_symplectic(f, frame, _grid_for(f.chart, per_axis))
+        return verify_sc_symplectic(f, frame, chart_grid(f.chart, per_axis))
     if check in ("symplectic", "symplectic-off-loci"):
         f = rec.extras["symplectic_form"]
-        return certify_symplectic(f, _grid_for(f.chart, per_axis))
+        return certify_symplectic(f, chart_grid(f.chart, per_axis))
     if check == "pole-symplectic":
         f = rec.extras["pole_form"]
-        symplectic = certify_symplectic(f, _grid_for(f.chart, per_axis))
+        symplectic = certify_symplectic(f, chart_grid(f.chart, per_axis))
         if not symplectic.passed:
             return symplectic
         origin = {nm: 0.0 for nm in f.chart.names}
@@ -517,14 +513,14 @@ def _run_check(rec: ExampleRecord, check: str,
                       liouville_derivative=v.liouville_derivative)
     if check == "induced-contact":
         data = induced_contact(omega)
-        return data.verify(_grid_for(data.chart, per_axis))
+        return data.verify(chart_grid(data.chart, per_axis))
     if check == "contact":
         data = rec.extras["contact"]
-        return data.verify(_grid_for(data.chart, per_axis))
+        return data.verify(chart_grid(data.chart, per_axis))
     if check == "collar":
         collar = rec.extras["collar"]
         ch = collar.collar_chart()
-        return collar.verify(_grid_for(ch, per_axis))
+        return collar.verify(chart_grid(ch, per_axis))
     if check == "sc-gluing":
         return certify_sc_gluing(rec.extras["glued_sc"])
     if check == "folded-gluing":
@@ -540,7 +536,7 @@ def _run_check(rec: ExampleRecord, check: str,
                                         rec.extras["k"])
         except StructureError as e:
             return refuted({}, detail=str(e))
-        return data.verify(_grid_for(data.chart, per_axis))
+        return data.verify(chart_grid(data.chart, per_axis))
     if check == "loci":
         return _check_loci(rec)
     if check == "dual-jacobi":
@@ -578,7 +574,8 @@ def _run_check(rec: ExampleRecord, check: str,
     raise CatalogError(f"unknown check '{check}'")
 
 
-def run_example(rec: ExampleRecord, per_axis: Optional[int] = None) -> dict:
+def run_example(rec: ExampleRecord,
+                per_axis: int = DEFAULT_POINTS_PER_AXIS) -> dict:
     checks = {name: _cert_result(_run_check(rec, name, per_axis))
               for name in rec.expected}
     return {

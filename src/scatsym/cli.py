@@ -18,7 +18,7 @@ from .catalog import (
     CatalogError, build_example, list_examples, run_example, s2xs1_contact,
     torus_contact,
 )
-from .certificates import Certificate, chart_grid
+from .certificates import DEFAULT_POINTS_PER_AXIS, Certificate, chart_grid
 from .cohomology import BettiProfile, bk_poisson, sc_derham, sc_poisson
 from .expr import DEFAULT_SEED, Expr, ExprError, Record, ser
 from .geometry import GeometryError, SingularForm, form_from_json, form_to_json
@@ -213,8 +213,8 @@ def _cmd_decompose(args):
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", type=int, default=17,
-                   help="grid points per axis (default 17)")
+    p.add_argument("--grid", type=int, default=DEFAULT_POINTS_PER_AXIS,
+                   help="grid points per axis (default %(default)s)")
     p.add_argument("--tol-closed", type=float, default=TOL_CLOSED,
                    dest="tol_closed")
     p.add_argument("--tol-nondeg", type=float, default=TOL_NONDEG,
@@ -233,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a form file against a flavor")
     p.add_argument("form", nargs="?", help="JSON form file")
     p.add_argument("--flavor", default="sc",
-                   help="coframe flavor: b, zero, sc, sc^k, b^k, zero^m-b^k")
+                   help="coframe flavor, which fixes the weights of dx and "
+                        "dy_j: b, zero, sc, sc^k, b^k or zero^m-b^k (k and "
+                        "m from --k and --m)")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--dim", type=int, default=4)

@@ -77,10 +77,6 @@ class BettiProfile(Record):
     def b_z(self, p: int) -> int:
         return self.betti_z[p] if 0 <= p <= self.dim_z else 0
 
-    def poincare_dual(self) -> bool:
-        return all(self.b_m(p) == self.b_m(self.dim_m - p)
-                   for p in range(self.dim_m + 1))
-
     @classmethod
     def torus(cls, dim: int, z_components: int = 1,
               tag: str = "torus") -> "BettiProfile":
@@ -310,11 +306,6 @@ def sc_reduction_primitive(ch: Chart, alphas: Sequence[SingularForm],
                      k=p - i)
         out = out + piece
     return out
-
-
-def sc_reduced_element(ch: Chart, alpha0: SingularForm, p: int) -> SingularForm:
-    """dx/x^{p+1} wedge alpha_0 - d(alpha_0)/(p x^p)."""
-    return exact_singular(alpha0, ch, p)
 
 
 # ---------------------------------------------------------------------------

@@ -209,22 +209,14 @@ def _matrix_to_bivector(ch: Chart, m, kind: str) -> SingularForm:
     return make_form(ch, 2, terms, kind)
 
 
-def dualize(omega: SingularForm) -> SingularForm:
-    """Inverse bivector: pi matrix = (omega matrix)^{-1}, so that the sharp
-    map of pi inverts the flat map of omega."""
-    if omega.degree != 2 or omega.kind != "form":
-        raise StructureError("dualize expects a degree-2 form")
-    w = _full_matrix(omega)
-    inv = sym_inverse(w)
-    return _matrix_to_bivector(omega.chart, inv, "vector")
-
-
-def dualize_inverse(pi: SingularForm) -> SingularForm:
-    if pi.degree != 2 or pi.kind != "vector":
-        raise StructureError("dualize_inverse expects a bivector")
-    p = _full_matrix(pi)
-    inv = sym_inverse(p)
-    return _matrix_to_bivector(pi.chart, inv, "form")
+def dualize(f: SingularForm) -> SingularForm:
+    """The inverse of a degree-2 form or bivector: a form gives the bivector
+    whose matrix is the inverse of its own, so that the sharp map of pi
+    inverts the flat map of omega, and a bivector gives the form back."""
+    if f.degree != 2:
+        raise StructureError("dualize expects a degree-2 form or bivector")
+    kind = "vector" if f.kind == "form" else "form"
+    return _matrix_to_bivector(f.chart, sym_inverse(_full_matrix(f)), kind)
 
 
 def _sample_matrix(f: SingularForm, n_samples: int, domain: Optional[dict],

@@ -9,8 +9,9 @@ from scatsym.algebroids import (
 )
 from scatsym.catalog import build_example
 from scatsym.certificates import chart_grid
-from scatsym.expr import ONE
-from scatsym.geometry import Chart, make_form
+from scatsym.cli import EXIT_PARSE, main
+from scatsym.expr import ONE, add, const, mul, var
+from scatsym.geometry import Chart, form_to_json, make_form
 
 
 @pytest.fixture
@@ -33,6 +34,53 @@ def test_sc_coframe_rejects_excess_pole(plane4):
     assert not verdict.passed
     # the offending (exponent, labels) slot is named in the detail
     assert "(1, ('dx', 'dy1'))" in verdict.detail
+
+
+@pytest.fixture
+def x_last4():
+    names = ("y1", "y2", "y3", "x")
+    return Chart(names, ((-1.0, 1.0),) * 4, "x")
+
+
+def test_x_last_chart_names_the_excess_pole_dx_first(x_last4):
+    frame = coframe("sc", x_last4)
+    omega = make_form(x_last4, 2, [(4, ONE, ("x", "y1"))])
+    verdict = is_smooth_section(omega, frame)
+    assert not verdict.passed
+    assert "(1, ('dx', 'dy1'))" in verdict.detail
+
+
+def test_nondegenerate_ignores_the_sign_of_the_frame_volume(plane4, x_last4):
+    # on the x-last chart dx ^ dy1 ^ dy2 ^ dy3 = -dVol, so the volume
+    # coefficient flips sign; |.| and hence the margin must not change
+    coeff = add(const(2), mul(var("y2"), var("y3")))
+    certs = []
+    for ch in (plane4, x_last4):
+        omega = make_form(ch, 2, [(3, coeff, ("x", "y1")),
+                                  (2, ONE, ("y2", "y3"))])
+        certs.append(nondegenerate(omega, coframe("sc", ch),
+                                   chart_grid(ch, 5)))
+    assert all(c.passed for c in certs)
+    assert certs[0].min_margin == certs[1].min_margin
+
+
+@pytest.mark.parametrize("flavor,k,m,weight", [
+    ("b", 1, 1, 1), ("zero", 1, 1, 4), ("sc", 1, 1, 5), ("sc^k", 2, 1, 9),
+    ("b^k", 2, 1, 2), ("zero^m-b^k", 2, 3, 14)])
+def test_volume_weight_follows_the_weight_table(plane4, flavor, k, m,
+                                                weight):
+    # dx/x^wx and three dy_j/x^wy: wx + 3 wy, as the coframe table says
+    assert coframe(flavor, plane4, k=k, m=m).volume_weight() == weight
+
+
+@pytest.mark.parametrize("flavor", ["rigged-sc", "rigged-b^k", "scattering"])
+def test_unknown_flavor_is_a_frame_error(plane4, flavor, tmp_path):
+    with pytest.raises(FrameError):
+        coframe(flavor, plane4)
+    path = tmp_path / "form.json"
+    path.write_text(form_to_json(
+        make_form(plane4, 2, [(3, ONE, ("x", "y1"))])))
+    assert main(["verify", str(path), "--flavor", flavor]) == EXIT_PARSE
 
 
 def test_b_coframe_weights(plane4):

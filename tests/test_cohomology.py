@@ -12,12 +12,12 @@ from scatsym.cohomology import (
     Unresolved, Zero, assemble_sc_quotient, bk_poisson, d_h_squared_check,
     horizontal_d, kunneth, lie_derivative, quotient_kernel_check_rigged,
     quotient_kernel_check_sc, rigged_closed_representative, sc_derham,
-    sc_poisson, sc_reduced_element, sc_reduction_primitive, torus_betti,
+    sc_poisson, sc_reduction_primitive, torus_betti,
 )
 from scatsym.expr import Const, ONE, cos, mul, sin, var
 from scatsym.geometry import (
-    Chart, exterior_derivative, forms_equal, interior_product, make_form,
-    smooth_form, wedge, zero_form,
+    Chart, exact_singular, exterior_derivative, forms_equal, interior_product,
+    make_form, smooth_form, wedge, zero_form,
 )
 from scatsym.structures import ContactData
 
@@ -141,7 +141,7 @@ def test_sc_reduction_identity(torus3, with_x):
     nu = assemble_sc_quotient(with_x, alphas, betas, p)
     primitive = sc_reduction_primitive(with_x, alphas, p)
     reduced = nu - exterior_derivative(primitive)
-    want = sc_reduced_element(with_x, alphas[0], p)
+    want = exact_singular(alphas[0], with_x, p)
     assert forms_equal(reduced, want).is_zero
 
 

@@ -812,7 +812,7 @@ def test_collect_x_powers_grades_bare_x_powers_only():
 
 
 def test_only_expr_names_the_polynomial_internals():
-    # make_form and rewrite_in_frame normalise through collect_x_powers
+    # make_form and is_smooth_section normalise through collect_x_powers
     pkg = Path(expr_module.__file__).resolve().parent
     private = re.compile(r"\b(_poly|_rebuild|_poly_add_into)\b")
     offenders = []

@@ -29,8 +29,8 @@ from scatsym.geometry import (
 from scatsym.structures import (
     ContactData, CosymplecticData, StructureError, _full_matrix,
     _reeb_identities, _sample_matrix, closedness, cosymplectic_extract, decompose,
-    dual_jacobi_check, dual_roundtrip_check, dualize, dualize_inverse,
-    induced_contact, lift, normal_form, reeb, schouten_jacobi_check,
+    dual_jacobi_check, dual_roundtrip_check, dualize, induced_contact, lift,
+    normal_form, reeb, schouten_jacobi_check,
     strong_filling_check, verify_sc_symplectic, z_chart,
 )
 
@@ -151,7 +151,7 @@ def test_dualize_inverse_is_symbolic_inverse(darboux):
     ch, _, omega = darboux
     pi = dualize(omega)
     assert pi.kind == "vector"
-    back = dualize_inverse(pi)
+    back = dualize(pi)
     assert forms_equal(back, omega).is_zero
 
 
