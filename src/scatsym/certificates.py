@@ -1,9 +1,11 @@
 """Verdict objects and grid helpers for numerical certification.
 
-A grid certificate compiles its margin into one grid kernel
-(expr.compile_margin), which computes each distinct subtree once per point
-and keeps the running minimum; a point goes to the tree walk `evaluate`
-only when the kernel cannot settle it."""
+A tensor grid is kept as its axes (Grid), not as one dict per point.  A
+grid certificate compiles its margin into one grid kernel
+(expr.compile_margin), which streams the rows of the axes' product,
+computes each distinct subtree once per point and keeps the running
+minimum; a point becomes a dict, and goes to the tree walk `evaluate`, only
+when the kernel cannot settle it."""
 
 from __future__ import annotations
 
@@ -11,7 +13,9 @@ import itertools
 import math
 from typing import Mapping, Optional, Sequence, Union
 
-from .expr import DomainError, Expr, Record, compile_margin, evaluate, nan_max
+from .expr import (
+    DomainError, Expr, Record, compile_margin, evaluate, floor_root, nan_max,
+)
 from .geometry import Chart, SingularForm, ZeroVerdictMap
 
 DEFAULT_POINTS_PER_AXIS = 17
@@ -107,11 +111,32 @@ def axis_points(lo: float, hi: float, count: int, include: Sequence[float] = ())
     return sorted(pts)
 
 
-def chart_grid(chart_: Chart, per_axis: int = DEFAULT_POINTS_PER_AXIS):
+class Grid:
+    """A tensor grid kept as its axes, ((name, values), ...): its points are
+    the product of the axes, first axis slowest."""
+
+    def __init__(self, axes):
+        self.axes = tuple((name, tuple(values)) for name, values in axes)
+        self.names = tuple(name for name, _ in self.axes)
+
+    def __len__(self) -> int:
+        return math.prod(len(values) for _, values in self.axes)
+
+    def rows(self):
+        """The points as tuples of values in the order of names."""
+        return itertools.product(*(values for _, values in self.axes))
+
+    def __iter__(self):
+        """The points as {name: value} dicts."""
+        return (dict(zip(self.names, row)) for row in self.rows())
+
+
+def chart_grid(chart_: Chart, per_axis: int = DEFAULT_POINTS_PER_AXIS) -> Grid:
     """Tensor grid over the chart, always including the x = 0 slice.
 
-    Axis counts shrink uniformly until the total stays under
-    MAX_GRID_POINTS.
+    per_axis shrinks to the largest count, but not below 2, whose n-th
+    power keeps an n-D grid within MAX_GRID_POINTS (before any x = 0
+    point is added).
     """
     if per_axis < 1:
         raise ValueError(
@@ -120,15 +145,23 @@ def chart_grid(chart_: Chart, per_axis: int = DEFAULT_POINTS_PER_AXIS):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"grid needs a finite range for '{name}', "
                              f"got ({lo}, {hi})")
-    n = chart_.dim
-    count = per_axis
-    while count > 2 and count ** n > MAX_GRID_POINTS:
-        count -= 1
-    axes = []
-    for name, (lo, hi) in zip(chart_.names, chart_.ranges):
-        include = (0.0,) if name == chart_.x else ()
-        axes.append([(name, v) for v in axis_points(lo, hi, count, include)])
-    return [dict(combo) for combo in itertools.product(*axes)]
+    count, n = per_axis, chart_.dim
+    if n:
+        count = min(count, max(2, floor_root(MAX_GRID_POINTS, n)))
+    return Grid((name, axis_points(lo, hi, count,
+                                   (0.0,) if name == chart_.x else ()))
+                for name, (lo, hi) in zip(chart_.names, chart_.ranges))
+
+
+def _dict_rows(points: list, names: tuple):
+    """The rows of dict points in the order names; a point that lacks a
+    name gives (), which the kernel cannot unpack, so the tree walk settles
+    it."""
+    for pt in points:
+        try:
+            yield tuple([pt[name] for name in names])
+        except KeyError:
+            yield ()
 
 
 def certify_positive(margin: Union[Expr, Sequence[Expr]], points, tol: float,
@@ -136,21 +169,27 @@ def certify_positive(margin: Union[Expr, Sequence[Expr]], points, tol: float,
     """margin > tol on every grid point; min_margin is min margin - tol.
 
     The margin is an expression, read with its sign, or a list of
-    expressions, read as max |e| (0.0 for an empty list).  The kernel of
-    expr.compile_margin runs over the points in order; a point it cannot
-    settle is settled by the tree walk, and the kernel resumes after it.
-    A point where the margin is undefined (DomainError) refutes, with that
-    point as the witness.  No points certify nothing, so an empty set
+    expressions, read as max |e| (0.0 for an empty list).  points is a
+    Grid, or point dicts, read as rows in the key order of the first.  The
+    kernel of expr.compile_margin streams the rows in order; a point it
+    cannot settle is settled by the tree walk, and the kernel resumes after
+    it.  A point where the margin is undefined (DomainError) refutes, with
+    that point as the witness.  No points certify nothing, so an empty set
     refutes."""
-    points = list(points)
-    if not points:
+    grid = isinstance(points, Grid)
+    if not grid:
+        points = list(points)
+    if not len(points):
         return refuted({}, detail=f"{detail}: no grid points")
+    names = points.names if grid else tuple(points[0])
+    rows = points.rows() if grid else _dict_rows(points, names)
     magnitude = not isinstance(margin, Expr)
     exprs = list(margin) if magnitude else [margin]
-    kernel = compile_margin(exprs, magnitude)
-    i, least = kernel(points, 0, math.inf, tol)
-    while i < len(points):
-        pt = points[i]
+    kernel = compile_margin(exprs, magnitude, names)
+    i, row, least = kernel(rows, 0, math.inf, tol)
+    while row is not None:
+        # the one place a grid point becomes a dict; a dict is walked as given
+        pt = dict(zip(names, row)) if grid else points[i]
         try:
             values = [float(evaluate(e, pt)) for e in exprs]
         except DomainError as e:
@@ -158,8 +197,8 @@ def certify_positive(margin: Union[Expr, Sequence[Expr]], points, tol: float,
         v = nan_max(map(abs, values), default=0.0) if magnitude else values[0]
         if not v > tol:  # NaN fails too
             return refuted(pt, v - tol, detail=detail)
-        i, least = kernel(points, i + 1, min(least, v), tol)
-    return verified(len(points), tol, least - tol, detail=detail)
+        i, row, least = kernel(rows, i + 1, min(least, v), tol)
+    return verified(i, tol, least - tol, detail=detail)
 
 
 def certify_nonvanishing(form: SingularForm, grid, tol: float,

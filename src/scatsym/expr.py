@@ -442,16 +442,20 @@ def _exact_root(c: Rational, q: Fraction) -> Optional[Fraction]:
 
 def _int_root(n: int, r: int) -> Optional[int]:
     """The integer r-th root of n >= 1, or None if n is not an r-th power."""
-    if r == 2:
-        root = math.isqrt(n)
-    else:
-        root = 1 << -(-n.bit_length() // r)  # >= the root; Newton descends
-        while True:
-            step = ((r - 1) * root + n // root ** (r - 1)) // r
-            if step >= root:
-                break
-            root = step
+    root = floor_root(n, r)
     return root if root ** r == n else None
+
+
+def floor_root(n: int, r: int) -> int:
+    """The largest integer whose r-th power is at most n >= 1."""
+    if r == 2:
+        return math.isqrt(n)
+    root = 1 << -(-n.bit_length() // r)  # >= the root; Newton descends
+    while True:
+        step = ((r - 1) * root + n // root ** (r - 1)) // r
+        if step >= root:
+            return root
+        root = step
 
 
 def exp(a) -> Expr:
@@ -748,21 +752,25 @@ def compile_floats(exprs: Sequence[Expr]) -> Callable[[Mapping[str, float]], lis
     return _FloatCompiler().function(list(exprs))
 
 
-def compile_margin(exprs: Sequence[Expr], magnitude: bool):
+def compile_margin(exprs: Sequence[Expr], magnitude: bool,
+                   names: Sequence[str]):
     """One grid kernel for a certificate margin: the signed value of the
     only expression, or max |e| over exprs if magnitude (0.0 when empty).
 
-    kernel(points, start, least, tol) runs the code of compile_floats over
-    points[start:] in order, keeping least = min(least, margin).  It
-    returns (i, least) at the first point i it cannot settle: compiled code
-    raised, a value is not finite, or the margin is not above tol; it
-    returns (len(points), least) when it settles them all.  Every value in
-    a settled margin is finite, so it equals evaluate's up to the sign of a
-    zero, and a zero value loses its sign under |.| or in a sum whose
-    result is nonzero.  A margin that is itself zero is settled only when
-    tol < 0, and then least - tol does not depend on its sign.
+    kernel(rows, i, least, tol) runs the code of compile_floats over the
+    rest of the iterator rows, each a tuple of floats in the order of
+    names, keeping least = min(least, margin); i counts the rows read
+    before.  It returns (i, row, least) at the first row it cannot settle:
+    compiled code raised (also when a row does not unpack, or the margin
+    reads a variable not in names), a value is not finite, or the margin is
+    not above tol; it returns (i, None, least) when the rows run out, i
+    then being the number of rows read in all.  Every value in a settled
+    margin is finite, so it equals evaluate's up to the sign of a zero, and
+    a zero value loses its sign under |.| or in a sum whose result is
+    nonzero.  A margin that is itself zero is settled only when tol < 0,
+    and then least - tol does not depend on its sign.
     """
-    return _FloatCompiler().kernel(list(exprs), magnitude)
+    return _FloatCompiler().kernel(list(exprs), magnitude, tuple(names))
 
 
 class _FloatCompiler:
@@ -782,10 +790,11 @@ class _FloatCompiler:
         self.indent = 0
         self.count = 0
 
-    def values(self, exprs: list, indent: int) -> list:
-        """Emit the code of exprs at the given indent, sharing one memo."""
+    def values(self, exprs: list, indent: int, bound=None) -> list:
+        """Emit the code of exprs at the given indent, sharing one memo;
+        bound is the outer scope (see node)."""
         self.indent, memo = indent, {}
-        return [self.node(e, (memo, None)) for e in exprs]
+        return [self.node(e, (memo, bound)) for e in exprs]
 
     def define(self, src: list, name: str):
         exec(compile("\n".join(src + [""]), f"<{name}>", "exec"), self.ns)
@@ -809,10 +818,16 @@ class _FloatCompiler:
                             *checks, f"    return [{', '.join(outs)}]"],
                            "compiled")
 
-    def kernel(self, exprs: list, magnitude: bool):
+    def kernel(self, exprs: list, magnitude: bool, names: tuple):
         """The compile_margin kernel: m is the margin, and f is m or the sum
-        of the |e|, finite only if every value in m is."""
-        vals = [self.ref(v) for v in self.values(exprs, 3)]
+        of the |e|, finite only if every value in m is.  Each row unpacks
+        into one local per name."""
+        coords = [f"v{self.count + k}" for k in range(1, len(names) + 1)]
+        self.count, self.indent = self.count + len(names), 3
+        if names:
+            self.emit(f"{', '.join(coords)}, = row")
+        vals = [self.ref(v) for v in
+                self.values(exprs, 3, dict(zip(names, coords)))]
         if not magnitude:
             margin = [f"m = f = {vals[0]}"]
         elif not vals:
@@ -822,19 +837,19 @@ class _FloatCompiler:
             for v in vals[1:]:
                 margin += [f"a = abs({v})", "f += a", "if a > m: m = a"]
         return self.define([
-            "def kernel(pts, i, least, tol):",
-            "    for i in range(i, len(pts)):",
-            "        pt = pts[i]",
+            "def kernel(rows, i, least, tol):",
+            "    for row in rows:",
             "        try:",
             *(self.lines or ["            pass"]),
             "        except _RECHECK:",
-            "            return i, least",
+            "            return i, row, least",
             *("        " + line for line in margin),
             "        if not (m > tol and f - f == 0.0):",
-            "            return i, least",
+            "            return i, row, least",
             "        if m < least:",
             "            least = m",
-            "    return len(pts), least"], "kernel")
+            "        i += 1",
+            "    return i, None, least"], "kernel")
 
     # -- emission helpers
 
@@ -875,8 +890,9 @@ class _FloatCompiler:
     # -- nodes
 
     def node(self, e: Expr, scope: tuple):
-        """scope is (memo, bound): bound is None for the outer point, or
-        {name: value} inside a PiecewiseDecay branch."""
+        """scope is (memo, bound): bound is None for the outer point of a
+        compile_floats function, or {name: value}, the grid coordinates of
+        a kernel or the variable of a PiecewiseDecay branch."""
         memo = scope[0]
         if e not in memo:  # structural: equal subtrees share one statement
             memo[e] = self._node(e, scope)

@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .certificates import (
-    Certificate, all_of, axis_points, certify_positive, geometric_refinement,
+    Certificate, Grid, all_of, axis_points, certify_positive,
+    geometric_refinement,
 )
 from .expr import (
     Const, Exp, Expr, ONE, Piece, PiecewiseDecay, Prod, Record, Sum, ZERO, add,
@@ -231,7 +232,7 @@ def certify_sc_gluing(g: GluedForm) -> Certificate:
         mul(phi, powx(add(var("r"), Const(Fraction(-1))), -2)), "r")
     # the margins below are raw Sum/Prod nodes, not add/mul, so that they
     # compute a + (-b) and (-1) * b, which are a - b and -b bit for bit
-    pts = [{"r": v} for v in axis_points(0.875, 1.0, 10000)]
+    pts = Grid([("r", axis_points(0.875, 1.0, 10000))])
     c_phi = certify_positive(
         Sum((quotient, Const(-139))), pts, 0.0,
         detail="phi'/(r-1)^2 - 2 phi/(r-1)^3 - 139 on (7/8, 1)")
@@ -241,7 +242,7 @@ def certify_sc_gluing(g: GluedForm) -> Certificate:
         detail="psi' + 128 on (7/8, 1), non-strict")
 
     b = g.profile
-    grid = [{GLUE_R: v} for v in geometric_refinement(1.0, 0.5, 1.0)]
+    grid = Grid([(GLUE_R, geometric_refinement(1.0, 0.5, 1.0))])
     c_b = certify_positive(b, grid, 0.0, detail="B on (1/2, 1)")
     c_ab = certify_positive(
         Sum((differentiate(b, GLUE_R), Prod((Const(-1), b)))), grid, 0.0,
@@ -258,20 +259,20 @@ def certify_folded_gluing(g: GluedForm) -> Certificate:
     if g.kind != "folded":
         raise GluingError("expected a concave-concave glued form")
     points = 2000
-    gap_pts = [{"r": v} for v in axis_points(1.0, 2.0, points)]
+    gap_pts = Grid([("r", axis_points(1.0, 2.0, points))])
     r = var("r")
     # raw nodes, as in certify_sc_gluing: e^r + (-4) e^{(-1) r} is
     # e^r - 4 e^{-r} bit for bit
     gap = certify_positive(
         Sum((Exp(r), Prod((Const(-4), Exp(Prod((Const(-1), r))))))),
         gap_pts, 0.0, detail="e^r - 4 e^{-r} on (1, 2); equivalently e^2 > 4")
-    ratio_pts = [{"r": v} for v in axis_points(0.0, 1.0, points, include=(1.0,))]
+    ratio_rs = axis_points(0.0, 1.0, points, include=(1.0,))
     ratio = certify_positive(
         Sum((Exp(Prod((Const(2), r))), Const(-1))),
-        [p for p in ratio_pts if p["r"] > 0], 0.0,
+        Grid([("r", [v for v in ratio_rs if v > 0])]), 0.0,
         detail="e^{2r} - 1 on (0, 1]")
 
-    grid = [{GLUE_R: v} for v in axis_points(0.0, 2.0, points)]
+    grid = Grid([(GLUE_R, axis_points(0.0, 2.0, points))])
     pos_a = certify_positive(
         differentiate(g.profile, GLUE_R), grid, 0.0,
         detail="dr1 wedge alpha coefficient on (0, 2)")

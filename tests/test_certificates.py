@@ -1,16 +1,26 @@
-"""Grid certificates: verdicts, witnesses and margins."""
+"""Grid certificates: verdicts, witnesses and margins, and grids kept as
+their axes."""
 
+import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from scatsym import certificates
 from scatsym.certificates import (
-    Certificate, all_of, certify_nonvanishing, certify_positive, chart_grid,
-    proven, refuted, verified,
+    MAX_GRID_POINTS, Certificate, Grid, all_of, axis_points,
+    certify_nonvanishing, certify_positive, chart_grid, proven, refuted,
+    verified,
 )
-from scatsym.expr import Const, ONE, ZeroVerdict, add, parse, powx, var
+from scatsym.expr import (
+    Const, ONE, UnknownVariableError, ZeroVerdict, add, evaluate, parse, powx,
+    var,
+)
 from scatsym.geometry import Chart, ZeroVerdictMap, make_form, smooth_form
+from test_expr import _SPECIAL, _random_tree
 
 
 def _nan_at_y_above(t):
@@ -106,3 +116,133 @@ def test_part_names_must_not_collide_with_fields(name):
         all_of("d", **{name: proven()})
     with pytest.raises(ValueError):
         Certificate("proven", parts=((name, proven()),))
+
+
+# -- grids kept as their axes
+
+
+def _chart(dim, x=None, lo=-1.0):
+    names = tuple(f"q{k}" for k in range(dim))
+    return Chart(names, ((lo, 1.0),) * dim, x and names[x - 1])
+
+
+def _former_chart_grid(ch, per_axis):
+    """chart_grid as it was: a one-step shrink loop and one dict per point."""
+    count = per_axis
+    while count > 2 and count ** ch.dim > MAX_GRID_POINTS:
+        count -= 1
+    axes = []
+    for name, (lo, hi) in zip(ch.names, ch.ranges):
+        include = (0.0,) if name == ch.x else ()
+        axes.append([(name, v) for v in axis_points(lo, hi, count, include)])
+    return [dict(combo) for combo in itertools.product(*axes)]
+
+
+def test_chart_grid_shrinks_as_the_one_step_loop_did():
+    # from dim 15 on, 2 points per axis exceed MAX_GRID_POINTS
+    for dim in (*range(1, 9), 15, 16):
+        ch = _chart(dim)
+        for per_axis in range(1, 61):
+            count = per_axis
+            while count > 2 and count ** dim > MAX_GRID_POINTS:
+                count -= 1
+            sizes = [len(values) for _, values in chart_grid(ch, per_axis).axes]
+            assert sizes == [count] * dim, (dim, per_axis)
+
+
+def test_chart_grid_takes_a_huge_per_axis_at_once():
+    # the one-step loop took seconds here; 11^4 <= 20000 < 12^4
+    grid = chart_grid(_chart(4, x=1), 10 ** 18)
+    assert [len(values) for _, values in grid.axes] == [11] * 4
+    assert len(grid) == 11 ** 4
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_chart_grid_yields_the_former_point_dicts(dim):
+    # no x; x last on a lopsided range, where x = 0 is an extra point; x
+    # first on a symmetric range, where 0 is the midpoint at odd counts.
+    # 17 per axis shrinks from dim 4 on
+    for ch in (_chart(dim), _chart(dim, x=dim, lo=-0.5), _chart(dim, x=1)):
+        for per_axis in (1, 2, 4, 17):
+            grid = chart_grid(ch, per_axis)
+            former = _former_chart_grid(ch, per_axis)
+            assert list(grid) == former
+            assert len(grid) == len(former)
+            assert [list(p) for p in grid] == [list(p) for p in former]
+
+
+def _verdict(cert):
+    m = cert.min_margin
+    bits = m if m is None else "nan" if math.isnan(m) else (
+        m, math.copysign(1.0, m))
+    return cert.kind, cert.witness, bits, cert.grid_points, cert.detail
+
+
+def test_certify_positive_on_a_grid_matches_its_point_dicts(monkeypatch):
+    walks = []
+
+    def counting(e, pt):
+        walks.append(pt)
+        return evaluate(e, pt)
+
+    monkeypatch.setattr(certificates, "evaluate", counting)
+    rng = random.Random(20183)
+    seen = set()
+    for _ in range(300):
+        trees = [_random_tree(rng, rng.randint(1, 4))
+                 for _ in range(rng.randint(1, 3))]
+        axes = [(name, sorted({0.0, *rng.sample(_SPECIAL, rng.randint(1, 5))}))
+                for name in ("x", "y")]
+        grid = Grid(axes)
+        tol = rng.choice([0.0, 1e-8, 0.5, -1e-9, -4.0])
+        for margin in (trees[0], trees):
+            walks.clear()
+            try:
+                want = _verdict(certify_positive(margin, list(grid), tol, "d"))
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    certify_positive(margin, grid, tol, "d")
+                continue
+            walked = len(walks)
+            walks.clear()
+            assert _verdict(certify_positive(margin, grid, tol, "d")) == want
+            assert len(walks) == walked
+            if want[0] == "refuted" and want[1] != tuple(
+                    sorted(next(iter(grid)).items())):
+                seen.add("refuted mid-grid")
+            if want[0] != "refuted" and walked:
+                seen.add("resumed after a tree walk")
+    assert seen == {"refuted mid-grid", "resumed after a tree walk"}
+
+
+def test_ragged_points_still_raise_unknown_variable():
+    x, y, z = var("x"), var("y"), var("z")
+    ragged = [{"x": 1.0, "y": 1.0}, {"x": 2.0}, {"y": 3.0, "x": 3.0}]
+    with pytest.raises(UnknownVariableError):
+        certify_positive(add(y, ONE), ragged, 0.0)
+    with pytest.raises(UnknownVariableError):
+        certify_positive(add(z, ONE), [{"x": 1.0}, {"x": 2.0, "z": 1.0}], 0.0)
+    # a point that lacks only names the margin does not read is walked as
+    # given, and so is one with names the first point lacks
+    assert certify_positive(x, ragged, 0.0).min_margin == 1.0
+    mixed = [{"x": 0.0}, {"x": 2.0, "z": 1.0}]
+    cert = certify_positive(add(x, ONE, x * z), mixed, 0.0)
+    assert cert.passed and cert.grid_points == 2 and cert.min_margin == 1.0
+
+
+def test_certify_positive_streams_a_six_dimensional_grid():
+    grid = chart_grid(_chart(6, x=1))
+    assert len(grid) == 15625
+    margin = add(ONE, *(powx(var(name), 2) for name in grid.names))
+    tracemalloc.start()
+    try:
+        cert = certify_positive(margin, grid, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        points = list(grid)
+        as_dicts = tracemalloc.get_traced_memory()[1]
+        del points
+    finally:
+        tracemalloc.stop()
+    assert cert.passed and cert.grid_points == 15625
+    assert peak < 1_000_000 < as_dicts

@@ -370,7 +370,7 @@ def test_compiled_code_computes_in_floats_only():
         d = differentiate(bump, "r")
         for e in (bump, d, mul(d, powx(add(r, Const(Fraction(-1))), -2)),
                   powx(add(bump, ONE), Fraction(1, 2)), mul(bump, bump, r)):
-            for fn in (compile_floats([e]), compile_margin([e], False)):
+            for fn in (compile_floats([e]), compile_margin([e], False, ("r",))):
                 names = set(fn.__code__.co_names) | set(fn.__globals__)
                 assert not names & {"_num_prod", "_pow_value"}
 
@@ -461,7 +461,7 @@ def test_equal_subtrees_compile_to_one_statement():
     # x, y, x + y, exp(x + y), the product: the second x + y is the first
     assert len(_statements(compile_floats([one]))) == 5
     assert len(_statements(compile_floats([Sum((one, other))]))) == 6
-    assert len(_statements(compile_margin([one, other], True))) == 5
+    assert len(_statements(compile_margin([one, other], True, ("x", "y")))) == 5
     for bump in (bump_phi(), bump_psi_sc(), bump_psi_f()):
         d = differentiate(bump, "r")
         alone = len(_statements(compile_floats([d])))

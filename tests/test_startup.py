@@ -30,15 +30,24 @@ def test_cli_import_skips_dataclasses_and_inspect():
 @pytest.mark.parametrize("argv", [
     ["catalog", "list"],
     ["cohomology", "--theorem", "sc-derham", "--profile", "torus:4", "--p", "1"],
-], ids=["catalog-list", "cohomology"])
+    ["catalog", "run", "sc-darboux", "--param", "n=2"],
+], ids=["catalog-list", "cohomology", "grid"])
 def test_benchmark_tracer_runs_the_cli(tmp_path, argv):
     # the tracer imports scatsym.cli and then looks up every module it
-    # rebinds in sys.modules, so each must be imported by the CLI eagerly
+    # rebinds in sys.modules, so each must be imported by the CLI eagerly;
+    # its point counter turns each grid into point dicts, and the report
+    # must not change
     trace = tmp_path / "trace.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(trace), *argv],
-        env=_env(), cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        env=_env(), cwd=tmp_path, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    plain = subprocess.run([sys.executable, "-m", "scatsym.cli", *argv],
+                           env=_env(), cwd=tmp_path, capture_output=True,
+                           timeout=120)
+    assert plain.returncode == 0 and proc.stdout == plain.stdout
     doc = json.loads(trace.read_text())
     assert doc["stats"]["cli.main"][0] == 1
     assert any(span[2] == "cli.main" for span in doc["spans"])
+    if argv[1] == "run":
+        assert doc["counts"]["certificates.certify_positive.points"] > 0
