@@ -9,6 +9,7 @@ operations (differentiation, evaluation, zero testing) are pure.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -1092,6 +1093,13 @@ def _sort_key(e: Expr) -> str:
     return ser(e)
 
 
+def _mono_order(item: tuple) -> tuple:
+    """Sort key of a (monomial, coeff) item: its atoms, then their
+    exponents, so that y and y**2 do not tie."""
+    mono = item[0]
+    return tuple(_sort_key(a) for a, _ in mono), tuple(q for _, q in mono)
+
+
 def _atom(e: Expr, q: Rational = 1) -> _Poly:
     return {((e, q),): 1}
 
@@ -1099,8 +1107,7 @@ def _atom(e: Expr, q: Rational = 1) -> _Poly:
 @functools.lru_cache(maxsize=None)
 def poly(e: Expr) -> tuple:
     """Canonical polynomial form as a sorted tuple of (monomial, coeff)."""
-    p = _poly(e)
-    return tuple(sorted(p.items(), key=lambda kv: tuple(map(_sort_key, (a for a, _ in kv[0])))))
+    return tuple(sorted(_poly(e).items(), key=_mono_order))
 
 
 @functools.lru_cache(maxsize=None)
@@ -1218,8 +1225,7 @@ def _expand_ripe(p: _Poly) -> _Poly:
 
 def _rebuild(p: _Poly) -> Expr:
     terms = []
-    items = sorted(p.items(), key=lambda kv: tuple(map(_sort_key, (a for a, _ in kv[0]))))
-    for mono, c in items:
+    for mono, c in sorted(p.items(), key=_mono_order):
         factors = [Const(c)] if (c != 1 or not mono) else []
         for atom, q in mono:
             factors.append(atom if q == 1 else Pow(atom, q))
@@ -1260,6 +1266,39 @@ def collect_x_powers(terms, x: Optional[str]) -> dict:
         for j, p in parts.items():
             _poly_add_into(slots.setdefault((k - j, key), {}), p)
     return {slot: _rebuild(p) for slot, p in slots.items() if p}
+
+
+def pfaffians(entries: Mapping[tuple, Expr], d: int, size: int,
+              scale: Rational) -> dict:
+    """{S: scale * Pf(W_S)} over the increasing `size`-subsets S of range(d)
+    whose Pfaffian is not zero, W the antisymmetric matrix with
+    W[i][j] = entries[(i, j)] for i < j (a missing pair is 0).
+
+    Each Pfaffian is expanded along its first index over exact polynomials,
+    Pf(S) = sum_k (-1)^(k+1) W[s0][sk] Pf(S without s0, sk), with every
+    sub-Pfaffian computed once and each product expanded as for a Prod.
+    """
+    rows = {ij: _poly(e) for ij, e in entries.items()}
+    memo: dict = {(): {(): 1}}
+
+    def pf(s: tuple) -> _Poly:
+        if s not in memo:
+            out: _Poly = {}
+            for k in range(1, len(s)):
+                w = rows.get((s[0], s[k]))
+                if w:
+                    term = _expand_ripe(_poly_mul(w, pf(s[1:k] + s[k + 1:])))
+                    _poly_add_into(out, term if k % 2 else
+                                   {m: -c for m, c in term.items()})
+            memo[s] = out
+        return memo[s]
+
+    out = {}
+    for s in itertools.combinations(range(d), size):
+        p = pf(s)
+        if p:
+            out[s] = _rebuild({m: _q(c * scale) for m, c in p.items()})
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .expr import (
     is_zero,
     mul,
     parse,
+    pfaffians,
     powx,
     ser,
     substitute,
@@ -236,12 +237,21 @@ def interior_product(v: SingularForm, f: SingularForm) -> SingularForm:
 
 
 def top_power(f: SingularForm, n: int) -> SingularForm:
+    """f^n = n! sum_S Pf(W_S) dx_S over the 2n-subsets S of the chart's
+    coordinates, W the antisymmetric matrix of f's pole sums: one exact
+    Pfaffian expansion and one make_form.  f^0 is the constant 1, and f^1
+    has f's terms unless a coefficient holds x at a fractional power, whose
+    pole order make_form leaves where it came."""
     if f.degree != 2:
         raise GeometryError("top_power expects a degree-2 form")
-    out = f
-    for _ in range(n - 1):
-        out = wedge(out, f)
-    return out
+    if n < 0:
+        raise GeometryError("top_power expects n >= 0")
+    ch = f.chart
+    entries = {tuple(map(ch.index, idx)): c for idx, c in f.pole_sums().items()}
+    pfs = pfaffians(entries, ch.dim, 2 * n, math.factorial(n))
+    return make_form(ch, 2 * n,
+                     [(0, c, tuple(ch.names[i] for i in s)) for s, c in pfs.items()],
+                     f.kind)
 
 
 def z_chart(ch: Chart) -> Chart:

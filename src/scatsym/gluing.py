@@ -266,10 +266,9 @@ def certify_folded_gluing(g: GluedForm) -> Certificate:
     gap = certify_positive(
         Sum((Exp(r), Prod((Const(-4), Exp(Prod((Const(-1), r))))))),
         gap_pts, 0.0, detail="e^r - 4 e^{-r} on (1, 2); equivalently e^2 > 4")
-    ratio_rs = axis_points(0.0, 1.0, points, include=(1.0,))
     ratio = certify_positive(
         Sum((Exp(Prod((Const(2), r))), Const(-1))),
-        Grid([("r", [v for v in ratio_rs if v > 0])]), 0.0,
+        Grid([("r", axis_points(0.0, 1.0, points, include=(1.0,)))]), 0.0,
         detail="e^{2r} - 1 on (0, 1]")
 
     grid = Grid([(GLUE_R, axis_points(0.0, 2.0, points))])

@@ -90,7 +90,7 @@ def _reeb_volume(one: SingularForm, two: SingularForm):
     if ch.dim % 2 == 0:
         raise StructureError("odd-dimensional chart required")
     n = (ch.dim + 1) // 2
-    pw = top_power(two, n - 1) if n > 1 else scalar_one(ch)
+    pw = top_power(two, n - 1)
     return pw, wedge(one, pw)
 
 
@@ -424,7 +424,7 @@ def verify_folded(omega: SingularForm, grid=None,
     zgrid = chart_grid(zch) if grid is None else grid
     transversal = certify_positive(
         [ddx], zgrid, tol, detail="|d/dx of top coefficient| on the fold")
-    sub = top_power(omega, d - 1) if d > 1 else scalar_one(ch)
+    sub = top_power(omega, d - 1)
     nonvanish = certify_nonvanishing(
         restrict_to_z(sub), zgrid, tol,
         detail="|omega^{d-1} restricted to the fold|")

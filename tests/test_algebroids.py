@@ -1,6 +1,11 @@
 """Coframe flavors, smooth-section tests, non-degeneracy, and the
 existence obstruction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from scatsym import algebroids
@@ -120,6 +125,22 @@ def test_no_go_refutes(m, k, dim):
     assert rep.beta_forced_zero
     assert rep.top_power_vanishes
     assert rep.refutes
+
+
+def test_no_go_dim8_stays_small():
+    # the top power is one Pfaffian expansion, not three wedges whose
+    # intermediate forms filled the polynomial memo (a 4.04 MB peak); a
+    # fresh process, so no earlier test has warmed the memos
+    code = ("import tracemalloc; from scatsym.algebroids import no_go_check; "
+            "tracemalloc.start(); rep = no_go_check(2, 3, 8); "
+            "print(rep.refutes, tracemalloc.get_traced_memory()[1])")
+    src = Path(algebroids.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    refutes, peak = out.stdout.split()
+    assert refutes == "True"
+    assert int(peak) < 1_500_000
 
 
 def test_no_go_compares_a_missing_slot_with_beta_on_z(monkeypatch):

@@ -825,6 +825,32 @@ def test_only_expr_names_the_polynomial_internals():
     assert offenders == []
 
 
+def test_canon_orders_powers_of_one_atom():
+    # y1 and y1^2 share their atoms; their exponents break the tie
+    y1 = var("y1")
+    a = add(mul(22, y1), mul(-4, y1, y1))
+    b = add(mul(-4, y1, y1), mul(22, y1))
+    assert poly(a) == poly(b)
+    assert canon(a) == canon(b)
+
+
+def test_canon_ignores_summand_order():
+    rng = random.Random(20161)
+    checked = 0
+    for _ in range(200):
+        parts = [_random_tree(rng, rng.randint(1, 3))
+                 for _ in range(rng.randint(2, 5))]
+        shuffled = rng.sample(parts, len(parts))
+        try:
+            want = poly(add(*parts))
+        except ExprError:  # canon refuses a raw 0^-k node
+            continue
+        assert poly(add(*shuffled)) == want
+        assert canon(add(*shuffled)) == canon(add(*parts))
+        checked += 1
+    assert checked > 150
+
+
 def test_products_expand_atoms_raised_to_a_plain_power():
     s = add(powx(X, -1), Y)
     root = powx(s, Fraction(1, 2))

@@ -1,6 +1,8 @@
 """Singular forms on charts: wedge, d, contraction, Laurent slots,
 equality checks, and JSON serialization."""
 
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,8 +18,8 @@ from scatsym.expr import (
 from scatsym.geometry import (
     Chart, GeometryError, evaluate_form, exterior_derivative,
     form_from_json, form_to_json, forms_equal, interior_product,
-    laurent_decompose, make_form, smooth_form, top_power, wedge, z_chart,
-    zero_form,
+    laurent_decompose, make_form, scalar_one, smooth_form, top_power, wedge,
+    z_chart, zero_form,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -155,6 +157,43 @@ def test_top_power(plane):
     omega = smooth_form(plane, {("x", "y"): Const(Fraction(2))})
     sq = top_power(omega, 1)
     assert forms_equal(sq, omega).is_zero
+    assert top_power(omega, 0) == scalar_one(plane)
+    with pytest.raises(GeometryError):
+        top_power(omega, -1)
+
+
+def _random_two_form(rng, ch, kind, blank=None):
+    """A 2-form with poles up to x^-3 whose coefficients are small sums of
+    products of coordinates, 1/x, sin(x) and the opaque roots s^(1/2),
+    s^(-1/2) of s = 1 - sum of squares, with the row of the coordinate
+    `blank` left zero.  Bare x appears at integer powers only: make_form
+    keeps x^(1/2) in the coefficient at whatever pole order it came with,
+    so a fractional power has no one graded form to compare."""
+    x = var(ch.x)
+    root = powx(add(1, *[mul(-1, var(n), var(n)) for n in ch.names]),
+                Fraction(1, 2))
+    atoms = [var(n) for n in ch.names] + [powx(x, -1), sin(x), root,
+                                          powx(root, -1)]
+    terms = []
+    for idx in itertools.combinations(ch.names, 2):
+        if blank not in idx and rng.random() < 0.7:
+            c = add(*[mul(rng.randint(-3, 3),
+                          *rng.sample(atoms, rng.randint(0, 2)))
+                      for _ in range(rng.randint(1, 2))])
+            terms.append((rng.randint(-1, 3), c, idx))
+    return make_form(ch, 2, terms, kind)
+
+
+@pytest.mark.parametrize("kind", ["form", "vector"])
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_top_power_is_the_repeated_wedge(dim, kind):
+    ch = Chart(("x",) + tuple(f"y{i}" for i in range(1, dim)),
+               ((-0.5, 0.5),) * dim, "x")
+    rng = random.Random(20160 + dim)
+    for blank in (None, None, rng.choice(ch.names)):
+        f = _random_two_form(rng, ch, kind, blank)
+        for n in range(1, dim // 2 + 1):
+            assert top_power(f, n) == functools.reduce(wedge, [f] * n), (n, f)
 
 
 def test_json_roundtrip(torus4):
@@ -289,8 +328,9 @@ def test_make_form_matches_the_two_pass_normalisation(x):
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_make_form_rebuilds_each_output_term_once(monkeypatch, n):
-    # the top power of the 4-D and 8-D sc Darboux forms: make_form sums
-    # each slot as a polynomial and rebuilds it once, with no canon pass
+    # the top power of the 4-D and 8-D sc Darboux forms is one make_form
+    # call, which sums each slot as a polynomial and rebuilds it once, with
+    # no canon pass
     omega = build_example("sc-darboux", n=n).omega
     calls = {"canon": 0, "_rebuild": 0}
     inside = []
@@ -319,7 +359,7 @@ def test_make_form_rebuilds_each_output_term_once(monkeypatch, n):
                         raising=False)
     monkeypatch.setattr(expr, "_rebuild", counting("_rebuild", expr._rebuild))
     top = top_power(omega, n)
-    assert top.terms and len(out_terms) == n - 1
+    assert top.terms and len(out_terms) == 1
     assert calls["canon"] == 0
     assert calls["_rebuild"] == sum(out_terms)
 
