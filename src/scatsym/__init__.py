@@ -26,8 +26,8 @@ from .structures import (
     ContactData, CosymplecticData, FillingVerdict, closedness,
     cosymplectic_extract, decompose, dual_jacobi_check, dual_roundtrip_check,
     dualize, induced_contact, lift, normal_form, reeb,
-    restrict_to_z, schouten_jacobi_check, strong_filling_check, verify_folded,
-    verify_sc_symplectic, z_chart,
+    restrict_to_z, strong_filling_check, verify_folded, verify_sc_symplectic,
+    z_chart,
 )
 from .gluing import (
     FillingCollar, GluedForm, certify_folded_gluing, certify_sc_gluing,

@@ -5,7 +5,11 @@ grid certificate compiles its margin into one grid kernel
 (expr.compile_margin), which streams the rows of the axes' product,
 computes each distinct subtree once per point and keeps the running
 minimum; a point becomes a dict, and goes to the tree walk `evaluate`, only
-when the kernel cannot settle it."""
+when the kernel cannot settle it.
+
+A `proven` verdict claims an identity between exact normal forms (`canon`),
+not definedness on the whole chart: where `canon` cancels a pole, as in
+x * x^-1 - 1 on (-1, 1), it holds only off that pole (ROADMAP.md item 2)."""
 
 from __future__ import annotations
 

@@ -100,6 +100,8 @@ def _load_form(path: str) -> SingularForm:
 
 def _cmd_verify(args):
     if args.no_go:
+        if args.form is not None:
+            raise ValueError("--no-go reads no form file")
         rep = no_go_check(args.m, args.k, args.dim, seed=args.seed)
         report = {"command": "verify", "mode": "no-go",
                   "config": _config(args, "seed"),
@@ -181,6 +183,8 @@ def _cmd_cohomology(args):
 
 def _cmd_catalog(args):
     if args.verb == "list":
+        if args.name is not None or args.param:
+            raise ValueError("catalog list takes no example name or --param")
         return {"command": "catalog", "examples": list_examples()}, True
     if args.name is None:
         raise ValueError("catalog run requires an example name")
@@ -212,13 +216,10 @@ def _cmd_decompose(args):
 # parser
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", type=int, default=DEFAULT_POINTS_PER_AXIS,
-                   help="grid points per axis (default %(default)s)")
-    p.add_argument("--tol-closed", type=float, default=TOL_CLOSED,
-                   dest="tol_closed")
-    p.add_argument("--tol-nondeg", type=float, default=TOL_NONDEG,
-                   dest="tol_nondeg")
+def _seed_and_out(p: argparse.ArgumentParser) -> None:
+    """--seed and --out.  Each subcommand takes --seed, read or not: the
+    benchmark appends it to every request, and the determinism criterion
+    passes it to catalog, glue and cohomology."""
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="write the JSON report to this path")
 
@@ -241,13 +242,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--no-go", action="store_true", dest="no_go",
                    help="run the existence obstruction for (m, k, dim)")
-    _common_flags(p)
+    p.add_argument("--grid", type=int, default=DEFAULT_POINTS_PER_AXIS,
+                   help="grid points per axis (default %(default)s)")
+    p.add_argument("--tol-closed", type=float, default=TOL_CLOSED)
+    p.add_argument("--tol-nondeg", type=float, default=TOL_NONDEG)
+    _seed_and_out(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("glue", help="glue two collars and certify the result")
     p.add_argument("--kind", choices=("sc", "folded", "classic"), default="sc")
     p.add_argument("--contact", choices=sorted(_CONTACTS), default="t3")
-    _common_flags(p)
+    p.add_argument("--tol-closed", type=float, default=TOL_CLOSED)
+    _seed_and_out(p)
     p.set_defaults(handler=_cmd_glue)
 
     p = sub.add_parser("cohomology", help="evaluate a cohomology formula")
@@ -258,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True, help="cohomology degree")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    _common_flags(p)
+    _seed_and_out(p)
     p.set_defaults(handler=_cmd_cohomology)
 
     p = sub.add_parser("catalog", help="run the worked-example registry")
@@ -266,12 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?")
     p.add_argument("--param", action="append", default=[],
                    help="example parameter as key=value (repeatable)")
-    _common_flags(p)
+    p.add_argument("--grid", type=int, default=DEFAULT_POINTS_PER_AXIS,
+                   help="grid points per axis (default %(default)s)")
+    _seed_and_out(p)
     p.set_defaults(handler=_cmd_catalog)
 
     p = sub.add_parser("decompose", help="split a normal form into (a, b1, b2)")
     p.add_argument("form", help="JSON form file")
-    _common_flags(p)
+    p.add_argument("--tol-closed", type=float, default=TOL_CLOSED)
+    _seed_and_out(p)
     p.set_defaults(handler=_cmd_decompose)
 
     return parser

@@ -267,9 +267,10 @@ def dual_roundtrip_check(omega: SingularForm, n_samples: int = 100,
 def dual_jacobi_check(omega: SingularForm, n_samples: int = 100,
                       tol: float = TOL_CLOSED,
                       domain: Optional[dict] = None) -> Certificate:
-    """[pi, pi] = 0 for pi the dual of omega, with P = W^{-1} and
-    d_m P = -P (d_m W) P at each sample point; an undefined or singular W
-    refutes."""
+    """[pi, pi] = 0 for pi the dual of omega, by the coordinate Schouten
+    formula on P = W^{-1} and d_m P = -P (d_m W) P at each sample point.
+    Every sample is inverted before any component is checked, so an
+    undefined or singular W refutes first."""
     samples = []
     for pt, w, dw in _sample_matrix(omega, n_samples, domain, True):
         if w is None:
@@ -280,36 +281,17 @@ def dual_jacobi_check(omega: SingularForm, n_samples: int = 100,
         dp = [[[-v for v in row] for row in float_matmul(float_matmul(p, a), p)]
               for a in dw]
         samples.append((pt, p, dp))
-    return _jacobi_on_samples(omega.chart.dim, samples, tol)
-
-
-def schouten_jacobi_check(pi: SingularForm, n_samples: int = 100,
-                          tol: float = TOL_CLOSED,
-                          domain: Optional[dict] = None) -> Certificate:
-    """[pi,pi] = 0 componentwise via the coordinate Schouten formula; an
-    undefined matrix or partial refutes."""
-    if pi.degree != 2 or pi.kind != "vector":
-        raise StructureError("expected a bivector")
-    samples = list(_sample_matrix(pi, n_samples, domain, True))
-    return _jacobi_on_samples(pi.chart.dim, samples, tol)
-
-
-def _jacobi_on_samples(d: int, samples: list, tol: float) -> Certificate:
-    """Coordinate Schouten bracket [p, p] = 0 at each (point, p, [d_m p])
-    of samples, p a float d x d bivector matrix and d_m p its derivative
-    along coordinate m; an entry (point, None, DomainError) refutes."""
+    d = omega.chart.dim
     worst = 0.0
-    for pt, pv, dv in samples:
-        if pv is None:
-            return refuted(pt, detail=f"coefficient matrix undefined, {dv}")
+    for pt, p, dp in samples:
         for i in range(d):
             for j in range(i + 1, d):
                 for l in range(j + 1, d):
                     comp = 0.0
                     for m in range(d):
-                        comp += (pv[m][i] * dv[m][j][l]
-                                 + pv[m][j] * dv[m][l][i]
-                                 + pv[m][l] * dv[m][i][j])
+                        comp += (p[m][i] * dp[m][j][l]
+                                 + p[m][j] * dp[m][l][i]
+                                 + p[m][l] * dp[m][i][j])
                     if not abs(comp) <= tol:  # NaN fails too
                         return refuted(pt, tol - abs(comp),
                                        detail=f"[pi,pi]^({i},{j},{l}) != 0")

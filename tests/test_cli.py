@@ -1,5 +1,6 @@
 """Command line surface: exit codes, report files, and determinism."""
 
+import argparse
 import json
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from scatsym import cli
 from scatsym.catalog import build_example
 from scatsym.cli import (
-    EXIT_FAIL, EXIT_INTERNAL, EXIT_PARSE, EXIT_PASS, main,
+    EXIT_FAIL, EXIT_INTERNAL, EXIT_PARSE, EXIT_PASS, build_parser, main,
 )
 from scatsym.geometry import form_to_json
 
@@ -87,15 +88,118 @@ def test_catalog_run_empty_grid_exits_2(grid):
 
 def test_catalog_run_with_params(tmp_path):
     out = tmp_path / "cat.json"
-    # catalog run reads --grid only, so --tol-nondeg is neither used nor
-    # recorded
     code = main(["catalog", "run", "sc-darboux", "--param", "n=1",
-                 "--tol-nondeg", "1e9", "--out", str(out)])
+                 "--out", str(out)])
     assert code == EXIT_PASS
     doc = json.loads(out.read_text())
     assert doc["params"] == {"n": 1}
     assert doc["passed"] is True
     assert doc["config"] == {"grid": 17}
+
+
+_COHOMOLOGY = ["cohomology", "--theorem", "sc-derham", "--profile", "torus:4",
+               "--p", "1"]
+
+
+# a report request of each subcommand; FORM stands for a form file
+_REQUESTS = {
+    "glue": ["glue"],
+    "cohomology": _COHOMOLOGY,
+    "catalog": ["catalog", "run", "sc-darboux", "--param", "n=1"],
+    "decompose": ["decompose", "FORM"],
+}
+_UNREAD_FLAGS = [("glue", "--grid"), ("glue", "--tol-nondeg"),
+                 ("catalog", "--tol-closed"), ("catalog", "--tol-nondeg"),
+                 ("cohomology", "--grid"), ("cohomology", "--tol-closed"),
+                 ("cohomology", "--tol-nondeg"),
+                 ("decompose", "--grid"), ("decompose", "--tol-nondeg")]
+
+
+def _with_form(argv, form_file):
+    return [form_file if a == "FORM" else a for a in argv]
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD_FLAGS,
+                         ids=[" ".join(pair) for pair in _UNREAD_FLAGS])
+def test_a_flag_the_subcommand_does_not_read_exits_2(command, flag, form_file,
+                                                     tmp_path):
+    out = tmp_path / "report.json"
+    argv = _with_form(_REQUESTS[command], form_file)
+    assert main([*argv, flag, "1", "--out", str(out)]) == EXIT_PARSE
+    assert not out.exists()
+
+
+_IGNORED_INPUTS = [["catalog", "list", "sc-darboux"],
+                   ["catalog", "list", "--param", "n=1"],
+                   ["verify", "FORM", "--no-go"]]
+
+
+@pytest.mark.parametrize("argv", _IGNORED_INPUTS,
+                         ids=[" ".join(argv) for argv in _IGNORED_INPUTS])
+def test_an_input_the_mode_ignores_exits_2(argv, form_file, tmp_path):
+    out = tmp_path / "report.json"
+    argv = _with_form(argv, form_file)
+    assert main([*argv, "--out", str(out)]) == EXIT_PARSE
+    assert not out.exists()
+
+
+def _subparsers(parser):
+    (action,) = (a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# the arguments after the subcommand of one request per mode
+_MODES = {
+    "verify": [["FORM"], ["--no-go", "--m", "1", "--k", "0", "--dim", "4"]],
+    "glue": [["--kind", kind] for kind in ("sc", "folded", "classic")],
+    "cohomology": [_COHOMOLOGY[1:],
+                   ["--theorem", "sc-poisson", "--profile", "torus:4",
+                    "--p", "1", "--n", "2"],
+                   ["--theorem", "bk-poisson", "--profile", "bk-torus:2",
+                    "--p", "2", "--k", "1"]],
+    "catalog": [["list"], ["run", "sc-darboux", "--param", "n=1"]],
+    "decompose": [["FORM"]],
+}
+
+
+def _options_read(argv, monkeypatch):
+    """The attributes that main reads from the parsed arguments of argv,
+    after parsing."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = build_parser()
+    parse = parser.parse_args
+
+    def parse_recording(args):
+        namespace = parse(args, Recording())
+        reads.clear()
+        return namespace
+
+    monkeypatch.setattr(parser, "parse_args", parse_recording)
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    assert main(argv) in (EXIT_PASS, EXIT_FAIL), argv
+    return reads
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers(build_parser())))
+def test_every_option_of_a_subcommand_is_read(command, form_file, tmp_path,
+                                              monkeypatch):
+    # an option that no mode reads would be accepted and then ignored;
+    # --seed is exempt because the benchmark appends it to every request
+    out = str(tmp_path / "report.json")
+    read = set()
+    for mode in _MODES[command]:
+        argv = _with_form([command, *mode, "--out", out], form_file)
+        read |= _options_read(argv, monkeypatch)
+    dests = {a.dest for a in _subparsers(build_parser())[command]._actions
+             if a.dest != "help"}
+    assert dests - read <= {"seed"}
 
 
 def test_cohomology_command(capsys):

@@ -30,8 +30,7 @@ from scatsym.structures import (
     ContactData, CosymplecticData, StructureError, _full_matrix,
     _reeb_identities, _sample_matrix, closedness, cosymplectic_extract, decompose,
     dual_jacobi_check, dual_roundtrip_check, dualize, induced_contact, lift,
-    normal_form, reeb, schouten_jacobi_check,
-    strong_filling_check, verify_sc_symplectic, z_chart,
+    normal_form, reeb, strong_filling_check, verify_sc_symplectic, z_chart,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -205,13 +204,37 @@ def test_dual_checks_refute_where_the_matrix_is_undefined():
     ch = Chart(("x", "y", "z", "w"), ((-0.5, 0.5),) * 4, "x")
     omega = make_form(ch, 2, [(0, ONE, ("x", "y")),
                               (0, expr.sqrt(var("y")), ("z", "w"))])
-    pi = make_form(ch, 2, omega.terms, "vector")
-    for check, f in ((dual_roundtrip_check, omega), (dual_jacobi_check, omega),
-                     (schouten_jacobi_check, pi)):
-        cert = check(f)
+    for check in (dual_roundtrip_check, dual_jacobi_check):
+        cert = check(omega)
         assert cert.kind == "refuted"
         assert cert.detail.startswith("coefficient matrix undefined")
         assert dict(cert.witness)["y"] < 0
+
+
+def test_dual_checks_sample_inside_the_chart(monkeypatch):
+    # on x in (-100, 1) the off-pole box used to be (5.05, 1), so both
+    # checks sampled x only in (1, 5.05), outside the chart, where
+    # sqrt(1 - x) is undefined
+    ch = Chart(("x", "y", "z", "w"), ((-100.0, 1.0),) + ((-1.0, 1.0),) * 3,
+               "x")
+    omega = make_form(ch, 2, [(0, expr.sqrt(add(ONE, mul(-1, var("x")))),
+                               ("x", "y")),
+                              (0, ONE, ("z", "w"))])
+    seen = []
+
+    def recording(names, domain, n_samples, *rest):
+        pts = expr.sample_points(names, domain, n_samples, *rest)
+        seen.extend(pts)
+        return pts
+
+    monkeypatch.setattr(structures, "sample_points", recording)
+    for check in (dual_roundtrip_check, dual_jacobi_check):
+        seen.clear()
+        assert check(omega).passed
+        assert len(seen) == 100
+        for pt in seen:
+            for name, (lo, hi) in zip(ch.names, ch.ranges):
+                assert lo < pt[name] < hi, (check.__name__, name, pt[name])
 
 
 def test_dual_jacobi_refutes_non_closed_form():
@@ -411,25 +434,6 @@ def test_reeb_of_a_somewhere_undefined_alpha_refutes_with_witness():
     cert = ContactData(ch, alpha, reeb(alpha)).verify(chart_grid(ch, 5))
     assert cert.kind == "refuted"
     assert dict(cert.witness)["y"] < 0
-
-
-def test_schouten_refutes_non_poisson():
-    ch = Chart(("u", "v", "w"), ((0.1, 1.0),) * 3, None)
-    # p_uv = w, p_uw = u, p_vw = v has [pi, pi]^{uvw} = -2w != 0
-    pi = make_form(ch, 2, [(0, var("w"), ("u", "v")),
-                           (0, var("u"), ("u", "w")),
-                           (0, var("v"), ("v", "w"))], "vector")
-    cert = schouten_jacobi_check(pi, n_samples=20)
-    assert not cert.passed
-
-
-def test_schouten_accepts_so3_bracket():
-    ch = Chart(("u", "v", "w"), ((0.1, 1.0),) * 3, None)
-    pi = make_form(ch, 2, [(0, var("w"), ("u", "v")),
-                           (0, mul(Const(Fraction(-1)), var("v")), ("u", "w")),
-                           (0, var("u"), ("v", "w"))], "vector")
-    cert = schouten_jacobi_check(pi, n_samples=20)
-    assert cert.passed
 
 
 def test_cosymplectic_extract():
