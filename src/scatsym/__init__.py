@@ -11,8 +11,8 @@ from .expr import (
     is_zero, mul, parse, powx, ser, sin, sqrt, var,
 )
 from .geometry import (
-    Chart, GeometryError, SingularForm, ZeroVerdictMap, chart,
-    exterior_derivative, form_from_json, form_to_json, forms_equal,
+    Chart, GeometryError, SingularForm, ZeroVerdictMap, exterior_derivative,
+    form_from_json, form_to_json, forms_equal,
     interior_product, laurent_decompose, make_form, smooth_form, top_power,
     wedge, zero_form,
 )

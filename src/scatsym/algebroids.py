@@ -161,7 +161,7 @@ def no_go_check(m: int, k: int, dim: int, seed: int = 1) -> NoGoReport:
     # closedness at the x^{-(m+1)} dx-slot: equals -m * beta|_Z exactly,
     # because k + m != m + 1 keeps the d(alpha) term out of this slot
     target = beta.scale(Const(Fraction(-m)))
-    slot = {s.exponent: s for s in laurent_decompose(d_omega)}.get(m + 1)
+    slot = laurent_decompose(d_omega).get(m + 1)
     dx_part = slot.dx_part if slot else zero_form(z_chart(ch), 2)
     slot_ok = (dx_part - restrict_to_z(target)).is_zero_form
 

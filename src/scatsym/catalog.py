@@ -99,37 +99,33 @@ def _round_sphere_primitive(ch: Chart, pairs, dependent: str,
 # sphere constructions
 
 
-def sphere_chart(n: int, bound: float = 0.3) -> Chart:
+def sphere_chart(n: int) -> Chart:
     """Chart U_{x1} of the 2n-sphere: free coordinates (y1, x2, y2, ..., z)
     with x1 = sqrt(1 - the rest) and the equator at z = 0."""
     names = ["y1"]
     for i in range(2, n + 1):
         names += [f"x{i}", f"y{i}"]
     names.append("z")
-    ranges = tuple((-bound, bound) for _ in names)
-    return Chart(tuple(names), ranges, "z")
+    return Chart(tuple(names), tuple((-0.3, 0.3) for _ in names), "z")
 
 
-def sphere_primitive(n: int, ch: Optional[Chart] = None) -> SingularForm:
+def sphere_primitive(n: int) -> SingularForm:
     """sigma = (1/2) sum (x_i dy_i - y_i dx_i) on the chart U_{x1}."""
-    if ch is None:
-        ch = sphere_chart(n)
     pairs = [(f"x{i}", f"y{i}") for i in range(1, n + 1)]
-    return _round_sphere_primitive(ch, pairs, "x1", half=True)
+    return _round_sphere_primitive(sphere_chart(n), pairs, "x1", half=True)
 
 
-def sphere_form(n: int, ch: Optional[Chart] = None) -> SingularForm:
+def sphere_form(n: int) -> SingularForm:
     """beta = -2 dz/z^3 wedge sigma + d(sigma)/z^2 = d(sigma/z^2)."""
-    if ch is None:
-        ch = sphere_chart(n)
-    return exterior_derivative(lift(sphere_primitive(n, ch), ch, 2))
+    sigma = sphere_primitive(n)
+    return exterior_derivative(lift(sigma, sigma.chart, 2))
 
 
-def sphere_pole_chart(n: int, bound: float = 0.3) -> Chart:
+def sphere_pole_chart(n: int) -> Chart:
     names = []
     for i in range(1, n + 1):
         names += [f"x{i}", f"y{i}"]
-    return Chart(tuple(names), tuple((-bound, bound) for _ in names), None)
+    return Chart(tuple(names), tuple((-0.3, 0.3) for _ in names), None)
 
 
 def sphere_pole_form(n: int) -> SingularForm:
@@ -170,12 +166,12 @@ def torus_contact() -> ContactData:
     return ContactData(zch, alpha, reeb)
 
 
-def s2xs1_contact(bound: float = 0.5) -> ContactData:
+def s2xs1_contact() -> ContactData:
     """alpha = u dv - v du + z dtheta on S^2 x S^1 with z = sqrt(1-u^2-v^2);
     Reeb = (-v d/du + u d/dv + 2z d/dtheta) / (1 + z^2)."""
     names = ("u", "v", "theta")
-    zch = Chart(names, ((-bound, bound), (-bound, bound), (0.0, TWO_PI)),
-                None, frozenset({"theta"}))
+    zch = Chart(names, ((-0.5, 0.5), (-0.5, 0.5), (0.0, TWO_PI)), None,
+                frozenset({"theta"}))
     zdep = _dependent_sqrt(["u", "v"])
     alpha = _round_sphere_primitive(zch, [("u", "v")], dependent="",
                                     half=False) \
@@ -197,9 +193,9 @@ def circle_contact() -> ContactData:
     return ContactData(zch, alpha, reeb)
 
 
-def _x_chart(contact: ContactData, bound: float = 0.5) -> Chart:
+def _x_chart(contact: ContactData) -> Chart:
     zch = contact.chart
-    return Chart(("x",) + zch.names, ((-bound, bound),) + zch.ranges, "x",
+    return Chart(("x",) + zch.names, ((-0.5, 0.5),) + zch.ranges, "x",
                  zch.circles)
 
 
@@ -241,9 +237,9 @@ def darboux_dual_model(ch: Chart, n: int) -> SingularForm:
 # registry
 
 
-def _check_param(name, value, lo=1, hi=MAX_PARAM):
-    if not isinstance(value, int) or not lo <= value <= hi:
-        raise CatalogError(f"parameter {name}={value} outside [{lo}, {hi}]")
+def _check_param(name, value, hi=MAX_PARAM):
+    if not isinstance(value, int) or not 1 <= value <= hi:
+        raise CatalogError(f"parameter {name}={value} outside [1, {hi}]")
 
 
 def _euclidean_end(n: int = 2) -> ExampleRecord:
@@ -263,8 +259,7 @@ def _euclidean_end(n: int = 2) -> ExampleRecord:
 
 def _sc_sphere(n: int = 2) -> ExampleRecord:
     _check_param("n", n)
-    ch = sphere_chart(n)
-    omega = sphere_form(n, ch)
+    omega = sphere_form(n)
     return ExampleRecord(
         "sc-sphere", (("n", n),), "sc", omega,
         ("sc-symplectic", "sphere-coefficient", "pole-symplectic",
@@ -526,7 +521,7 @@ def _run_check(rec: ExampleRecord, check: str, per_axis: int) -> Certificate:
     if check == "folded-gluing":
         return certify_folded_gluing(rec.extras["glued_folded"])
     if check == "folded":
-        return verify_folded(omega)
+        return verify_folded(omega, chart_grid(z_chart(omega.chart), per_axis))
     if check == "closed-proven":
         return exact(exterior_derivative(omega).is_zero_form,
                      "d(omega) vanishes structurally")

@@ -90,6 +90,13 @@ def _config(args, *used) -> dict:
     return {name: getattr(args, name) for name in used}
 
 
+def _refuse(args, mode: str, *names) -> None:
+    """ValueError (exit 2) if the request gives one of names: mode reads none."""
+    given = sorted(set(names).intersection(getattr(args, "given", ())))
+    if given:
+        raise ValueError(f"{mode} reads no --{given[0].replace('_', '-')}")
+
+
 def _load_form(path: str) -> SingularForm:
     return form_from_json(Path(path).read_text(encoding="utf-8"))
 
@@ -102,6 +109,8 @@ def _cmd_verify(args):
     if args.no_go:
         if args.form is not None:
             raise ValueError("--no-go reads no form file")
+        _refuse(args, "verify --no-go", "flavor", "grid", "tol_closed",
+                "tol_nondeg")
         rep = no_go_check(args.m, args.k, args.dim, seed=args.seed)
         report = {"command": "verify", "mode": "no-go",
                   "config": _config(args, "seed"),
@@ -111,6 +120,7 @@ def _cmd_verify(args):
         return report, not rep.refutes
     if args.form is None:
         raise ValueError("a form file is required unless --no-go is given")
+    _refuse(args, "verify FORM", "dim")
     f = _load_form(args.form)
     frame = coframe(args.flavor, f.chart, k=args.k, m=args.m)
     rep = verify_sc_symplectic(f, frame, chart_grid(f.chart, args.grid),
@@ -126,23 +136,23 @@ _CONTACTS = {"t3": torus_contact, "s2xs1": s2xs1_contact}
 
 
 def _cmd_glue(args):
+    if args.kind != "classic":
+        _refuse(args, f"glue --kind {args.kind}", "tol_closed")
     contact = _CONTACTS[args.contact]()
     used = ("tol_closed",) if args.kind == "classic" else ()
     report = {"command": "glue", "kind": args.kind, "contact": args.contact,
               "config": _config(args, *used)}
     if args.kind == "sc":
         cert = certify_sc_gluing(glue_convex_convex(contact))
-        report["result"] = cert
-        return report, cert.passed
-    if args.kind == "folded":
+    elif args.kind == "folded":
         cert = certify_folded_gluing(glue_concave_concave(contact))
-        report["result"] = cert
-        return report, cert.passed
-    # classic: convex against concave, no inequality certificate needed
-    glued = glue_convex_concave(contact)
-    closed = closedness(glued.omega, tol=args.tol_closed)
-    report["result"] = {"closed": closed, "omega": glued.omega}
-    return report, closed.is_zero
+    else:  # classic: convex against concave, no inequality certificate needed
+        glued = glue_convex_concave(contact)
+        closed = closedness(glued.omega, tol=args.tol_closed)
+        report["result"] = {"closed": closed, "omega": glued.omega}
+        return report, closed.is_zero
+    report["result"] = cert
+    return report, cert.passed
 
 
 def _load_profile(spec: str) -> BettiProfile:
@@ -164,6 +174,9 @@ def _load_profile(spec: str) -> BettiProfile:
 
 
 def _cmd_cohomology(args):
+    unread = {"sc-derham": ("k", "n"), "sc-poisson": ("k",),
+              "bk-poisson": ("n",)}[args.theorem]
+    _refuse(args, f"cohomology --theorem {args.theorem}", *unread)
     profile = _load_profile(args.profile)
     if args.theorem == "sc-derham":
         rep = sc_derham(profile, args.p)
@@ -185,6 +198,7 @@ def _cmd_catalog(args):
     if args.verb == "list":
         if args.name is not None or args.param:
             raise ValueError("catalog list takes no example name or --param")
+        _refuse(args, "catalog list", "grid")
         return {"command": "catalog", "examples": list_examples()}, True
     if args.name is None:
         raise ValueError("catalog run requires an example name")
@@ -216,6 +230,14 @@ def _cmd_decompose(args):
 # parser
 
 
+class _Given(argparse.Action):
+    """Store the value and add the option to args.given (see _refuse)."""
+
+    def __call__(self, parser, namespace, values, option_string):
+        setattr(namespace, self.dest, values)
+        namespace.given = {self.dest, *getattr(namespace, "given", ())}
+
+
 def _seed_and_out(p: argparse.ArgumentParser) -> None:
     """--seed and --out.  Each subcommand takes --seed, read or not: the
     benchmark appends it to every request, and the determinism criterion
@@ -233,26 +255,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a form file against a flavor")
     p.add_argument("form", nargs="?", help="JSON form file")
-    p.add_argument("--flavor", default="sc",
+    p.add_argument("--flavor", default="sc", action=_Given,
                    help="coframe flavor, which fixes the weights of dx and "
                         "dy_j: b, zero, sc, sc^k, b^k or zero^m-b^k (k and "
                         "m from --k and --m)")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--dim", type=int, default=4)
+    p.add_argument("--dim", type=int, default=4, action=_Given)
     p.add_argument("--no-go", action="store_true", dest="no_go",
                    help="run the existence obstruction for (m, k, dim)")
     p.add_argument("--grid", type=int, default=DEFAULT_POINTS_PER_AXIS,
+                   action=_Given,
                    help="grid points per axis (default %(default)s)")
-    p.add_argument("--tol-closed", type=float, default=TOL_CLOSED)
-    p.add_argument("--tol-nondeg", type=float, default=TOL_NONDEG)
+    p.add_argument("--tol-closed", type=float, default=TOL_CLOSED,
+                   action=_Given)
+    p.add_argument("--tol-nondeg", type=float, default=TOL_NONDEG,
+                   action=_Given)
     _seed_and_out(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("glue", help="glue two collars and certify the result")
     p.add_argument("--kind", choices=("sc", "folded", "classic"), default="sc")
     p.add_argument("--contact", choices=sorted(_CONTACTS), default="t3")
-    p.add_argument("--tol-closed", type=float, default=TOL_CLOSED)
+    p.add_argument("--tol-closed", type=float, default=TOL_CLOSED,
+                   action=_Given)
     _seed_and_out(p)
     p.set_defaults(handler=_cmd_glue)
 
@@ -262,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True,
                    help="profile JSON file, or torus:D / sphere:N / bk-torus:N")
     p.add_argument("--p", type=int, required=True, help="cohomology degree")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--k", type=int, default=None, action=_Given)
+    p.add_argument("--n", type=int, default=None, action=_Given)
     _seed_and_out(p)
     p.set_defaults(handler=_cmd_cohomology)
 
@@ -273,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", default=[],
                    help="example parameter as key=value (repeatable)")
     p.add_argument("--grid", type=int, default=DEFAULT_POINTS_PER_AXIS,
+                   action=_Given,
                    help="grid points per axis (default %(default)s)")
     _seed_and_out(p)
     p.set_defaults(handler=_cmd_catalog)

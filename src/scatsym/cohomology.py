@@ -78,10 +78,9 @@ class BettiProfile(Record):
         return self.betti_z[p] if 0 <= p <= self.dim_z else 0
 
     @classmethod
-    def torus(cls, dim: int, z_components: int = 1,
-              tag: str = "torus") -> "BettiProfile":
-        return cls(dim, torus_betti(dim), dim - 1, torus_betti(dim - 1),
-                   z_components, tag)
+    def torus(cls, dim: int) -> "BettiProfile":
+        return cls(dim, torus_betti(dim), dim - 1, torus_betti(dim - 1), 1,
+                   "torus")
 
     @classmethod
     def sphere(cls, n: int) -> "BettiProfile":

@@ -1246,11 +1246,11 @@ def is_provably_zero(e: Expr) -> bool:
 def collect_x_powers(terms, x: Optional[str]) -> dict:
     """Collect (k, coeff, key) triples into {(k - j, key): coeff}.
 
-    x**j is the integer power of the bare variable `x` in a monomial of
-    coeff (j = 0 when x is None); occurrences of x inside opaque atoms or
-    at fractional powers stay in the coefficient.  Each slot's monomials
-    are summed exactly and rebuilt once into a canonical coefficient;
-    slots that cancel are dropped.
+    x**j is the power of the bare variable `x` in a monomial of coeff
+    (j = 0 when x is None), and a fractional j raises ExprError; x inside
+    opaque atoms stays in the coefficient.  Each slot's monomials are
+    summed exactly and rebuilt once into a canonical coefficient; slots
+    that cancel are dropped.
     """
     xv = None if x is None else Var(x)
     slots: dict = {}
@@ -1259,7 +1259,9 @@ def collect_x_powers(terms, x: Optional[str]) -> dict:
         for mono, c in _poly(coeff).items():
             j, rest = 0, mono
             for i, (atom, q) in enumerate(mono):
-                if atom == xv and q.denominator == 1:
+                if atom == xv:
+                    if q.denominator != 1:
+                        raise ExprError(f"{x}^({q}) has no integer pole order")
                     j, rest = int(q), mono[:i] + mono[i + 1:]
                     break
             parts.setdefault(j, {})[rest] = c
@@ -1329,12 +1331,12 @@ def _halton(i: int, base: int) -> float:
     return r
 
 
-def sample_points(names, domain, n_samples, seed=DEFAULT_SEED):
+def sample_points(names, domain, n_samples):
     """Deterministic low-discrepancy points in the open box `domain`."""
     names = list(names)
     if len(names) > len(_PRIMES):
         raise ExprError("too many dimensions for the sampler")
-    offset = (seed % 7919) + 1
+    offset = (DEFAULT_SEED % 7919) + 1
     pts = []
     for i in range(n_samples):
         point = {}
@@ -1356,7 +1358,7 @@ def nan_max(items, key=None, default=None):
 
 
 def is_zero(e: Expr, domain: Mapping[str, tuple], n_samples: int = 100,
-            tol: float = 1e-12, seed: int = DEFAULT_SEED) -> ZeroVerdict:
+            tol: float = 1e-12) -> ZeroVerdict:
     """Proven zero by the exact normal form, else sampled on the box: a
     sample where |e| exceeds tol, or where e is undefined (its value is
     then NaN), is a nonzero witness."""
@@ -1372,7 +1374,7 @@ def is_zero(e: Expr, domain: Mapping[str, tuple], n_samples: int = 100,
     if missing:
         raise UnknownVariableError(f"domain does not bind {missing}")
     max_abs = 0.0
-    for point in sample_points(names, domain, n_samples, seed):
+    for point in sample_points(names, domain, n_samples):
         try:
             v = float(evaluate(e, point))
         except DomainError:  # undefined here: a NaN witness

@@ -81,12 +81,6 @@ class Chart(Record):
         return {n: r for n, r in zip(self.names, self.ranges)}
 
 
-def chart(names: Sequence[str], ranges: Mapping[str, tuple], x: Optional[str] = None,
-          circles: Sequence[str] = ()) -> Chart:
-    return Chart(tuple(names), tuple(tuple(map(float, ranges[n])) for n in names),
-                 x, frozenset(circles))
-
-
 def _sorted_index(chart_: Chart, idx: Sequence[str]):
     """Sort a multi-index into chart order, returning (sign, tuple) or None
     on a repeated coordinate."""
@@ -166,8 +160,8 @@ def make_form(chart_: Chart, degree: int, terms, kind: str = "form") -> Singular
     return SingularForm(chart_, degree, tuple(out), kind)
 
 
-def zero_form(chart_: Chart, degree: int, kind: str = "form") -> SingularForm:
-    return SingularForm(chart_, degree, (), kind)
+def zero_form(chart_: Chart, degree: int) -> SingularForm:
+    return SingularForm(chart_, degree, ())
 
 
 def scalar_one(chart_: Chart) -> SingularForm:
@@ -240,8 +234,7 @@ def top_power(f: SingularForm, n: int) -> SingularForm:
     """f^n = n! sum_S Pf(W_S) dx_S over the 2n-subsets S of the chart's
     coordinates, W the antisymmetric matrix of f's pole sums: one exact
     Pfaffian expansion and one make_form.  f^0 is the constant 1, and f^1
-    has f's terms unless a coefficient holds x at a fractional power, whose
-    pole order make_form leaves where it came."""
+    has f's terms."""
     if f.degree != 2:
         raise GeometryError("top_power expects a degree-2 form")
     if n < 0:
@@ -287,17 +280,16 @@ def exact_singular(f: SingularForm, ch: Chart, j: int) -> SingularForm:
 
 
 class LaurentSlot(Record):
-    exponent: int  # the k of x^{-k}
     dx_part: SingularForm  # alpha with term x^{-k} dx wedge alpha, on Z
     rest: SingularForm  # beta with term x^{-k} beta (no dx factor), on Z
 
 
-def laurent_decompose(f: SingularForm, order: int = 0):
+def laurent_decompose(f: SingularForm) -> dict:
     """Expand coefficients in x about Z and split off dx components.
 
-    Returns LaurentSlots sorted by decreasing exponent, covering exponents
-    from the deepest pole down to -order, with both parts of each slot
-    forms on z_chart(f.chart).  Coefficients must be analytic in x at 0;
+    Returns {exponent: LaurentSlot} in decreasing exponent, from the
+    deepest pole down to 0, with both parts of each slot forms on
+    z_chart(f.chart).  Coefficients must be analytic in x at 0;
     PiecewiseDecay nodes in x are rejected.
     """
     ch = f.chart
@@ -319,21 +311,19 @@ def laurent_decompose(f: SingularForm, order: int = 0):
     for k, c, idx in f.terms:
         _check_expandable(c, xname)
         g = c
-        for j in range(0, k + order + 1):
+        for j in range(k + 1):
             cj = substitute(g, {xname: ZERO})
             put(k - j, idx, mul(Fraction(1, math.factorial(j)), cj))
             g = differentiate(g, xname)
     zch = z_chart(ch)
-    out = []
+    out = {}
     for expo in sorted(slots, reverse=True):
         dx_terms, rest_terms = slots[expo]
-        if expo < -order:
-            continue
         dxf = make_form(zch, f.degree - 1, dx_terms)
         restf = make_form(zch, f.degree, rest_terms)
         if dxf.is_zero_form and restf.is_zero_form:
             continue
-        out.append(LaurentSlot(expo, dxf, restf))
+        out[expo] = LaurentSlot(dxf, restf)
     return out
 
 
@@ -368,10 +358,10 @@ def evaluate_form(f: SingularForm, point: Mapping[str, float]) -> dict:
 
 
 def forms_equal(a: SingularForm, b: SingularForm, n_samples: int = 200,
-                tol: float = 1e-9, domain: Optional[dict] = None) -> ZeroVerdictMap:
-    """Per-slot zero verdicts for a - b."""
+                tol: float = 1e-9) -> ZeroVerdictMap:
+    """Per-slot zero verdicts for a - b on a's chart box."""
     diff = a - b
-    dom = dict(domain or a.chart.box())
+    dom = a.chart.box()
     verdicts = {}
     for k, c, idx in diff.terms:
         verdicts[(k, idx)] = is_zero(c, dom, n_samples, tol)

@@ -148,9 +148,9 @@ class FillingCollar(Record):
         eta = lift(self.contact.alpha, ch).scale(scalar)
         return exterior_derivative(eta)
 
-    def verify(self, grid=None, tol: float = 1e-8) -> Certificate:
+    def verify(self, grid=None) -> Certificate:
         """d(e^{-+r1} alpha) is symplectic on the collar."""
-        return certify_symplectic(self.collar_form(), grid, tol,
+        return certify_symplectic(self.collar_form(), grid,
                                   closed_detail="collar form not closed",
                                   detail="|top power of the glued form|")
 

@@ -30,16 +30,13 @@ class StructureError(GeometryError):
     pass
 
 
-def closedness(f: SingularForm, n_samples: int = 500,
-               tol: float = TOL_CLOSED) -> ZeroVerdictMap:
+def closedness(f: SingularForm, tol: float = TOL_CLOSED) -> ZeroVerdictMap:
     df = exterior_derivative(f)
-    return forms_equal(df, zero_form(f.chart, f.degree + 1),
-                       n_samples=n_samples, tol=tol)
+    return forms_equal(df, zero_form(f.chart, f.degree + 1), 500, tol)
 
 
 def verify_sc_symplectic(omega: SingularForm, frame: Optional[AlgebroidFrame] = None,
-                         grid=None, n_samples: int = 500,
-                         tol_closed: float = TOL_CLOSED,
+                         grid=None, tol_closed: float = TOL_CLOSED,
                          tol_nondeg: float = TOL_NONDEG) -> Certificate:
     """A smooth section of the frame (sc by default), closed, and
     non-degenerate against the frame volume."""
@@ -48,7 +45,7 @@ def verify_sc_symplectic(omega: SingularForm, frame: Optional[AlgebroidFrame] = 
     if frame is None:
         frame = coframe("sc", omega.chart)
     section = is_smooth_section(omega, frame)
-    closed = closedness(omega, n_samples, tol_closed)
+    closed = closedness(omega, tol_closed)
     nd = certify_volume(omega, frame, grid, tol_nondeg) if section.passed \
         else section
     return all_of(f"closed, non-degenerate section of the {frame.flavor} "
@@ -56,7 +53,7 @@ def verify_sc_symplectic(omega: SingularForm, frame: Optional[AlgebroidFrame] = 
                   closed=closed, nondegeneracy=nd)
 
 
-def certify_symplectic(omega: SingularForm, grid=None, tol: float = TOL_NONDEG,
+def certify_symplectic(omega: SingularForm, grid=None,
                        closed_detail: str = "form not closed",
                        detail: str = "|top power|") -> Certificate:
     """A smooth degree-2 form is symplectic: closed, and its top power is
@@ -66,7 +63,7 @@ def certify_symplectic(omega: SingularForm, grid=None, tol: float = TOL_NONDEG,
     if not closedness(omega).is_zero:
         return refuted({}, detail=closed_detail)
     return certify_nonvanishing(top_power(omega, omega.chart.dim // 2), grid,
-                                tol, detail)
+                                TOL_NONDEG, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +71,13 @@ def certify_symplectic(omega: SingularForm, grid=None, tol: float = TOL_NONDEG,
 
 
 def _reeb_identities(field: SingularForm, one: SingularForm,
-                     two: SingularForm, tol: float) -> bool:
+                     two: SingularForm) -> bool:
     """one(field) = 1 and i_field(two) = 0."""
     ch = one.chart
     return (forms_equal(interior_product(field, one), scalar_one(ch),
-                        tol=tol).is_zero
+                        tol=TOL_NONDEG).is_zero
             and forms_equal(interior_product(field, two), zero_form(ch, 1),
-                            tol=tol).is_zero)
+                            tol=TOL_NONDEG).is_zero)
 
 
 def _reeb_volume(one: SingularForm, two: SingularForm):
@@ -95,12 +92,12 @@ def _reeb_volume(one: SingularForm, two: SingularForm):
 
 
 def _verify_reeb_pair(one: SingularForm, two: SingularForm,
-                      field: SingularForm, grid, tol: float,
-                      detail: str) -> Certificate:
+                      field: SingularForm, grid, detail: str) -> Certificate:
     """one wedge two^{n-1} nonvanishing on the grid, then the Reeb
     identities."""
-    cert = certify_nonvanishing(_reeb_volume(one, two)[1], grid, tol, detail)
-    if cert.passed and not _reeb_identities(field, one, two, tol):
+    cert = certify_nonvanishing(_reeb_volume(one, two)[1], grid, TOL_NONDEG,
+                                detail)
+    if cert.passed and not _reeb_identities(field, one, two):
         return refuted({}, detail="Reeb identities fail")
     return cert
 
@@ -110,9 +107,9 @@ class ContactData(Record):
     alpha: SingularForm
     reeb: SingularForm  # kind vector
 
-    def verify(self, grid=None, tol: float = TOL_NONDEG) -> Certificate:
+    def verify(self, grid=None) -> Certificate:
         return _verify_reeb_pair(self.alpha, exterior_derivative(self.alpha),
-                                 self.reeb, grid, tol,
+                                 self.reeb, grid,
                                  "|alpha wedge (d alpha)^{n-1}|")
 
 
@@ -122,12 +119,12 @@ class CosymplecticData(Record):
     eta: SingularForm  # closed 2-form
     reeb: SingularForm  # kind vector
 
-    def verify(self, grid=None, tol: float = TOL_NONDEG) -> Certificate:
+    def verify(self, grid=None) -> Certificate:
         if not closedness(self.theta).is_zero:
             return refuted({}, detail="theta not closed")
         if not closedness(self.eta).is_zero:
             return refuted({}, detail="eta not closed")
-        return _verify_reeb_pair(self.theta, self.eta, self.reeb, grid, tol,
+        return _verify_reeb_pair(self.theta, self.eta, self.reeb, grid,
                                  "|theta wedge eta^{n-1}|")
 
 
@@ -164,15 +161,10 @@ def reeb(alpha: SingularForm,
 # contact structure induced on Z
 
 
-def _laurent_slots(omega: SingularForm) -> dict:
-    """omega's Laurent slots by exponent k of x^{-k}, down to k = 0."""
-    return {s.exponent: s for s in laurent_decompose(omega, order=0)}
-
-
 def induced_contact(omega: SingularForm) -> ContactData:
     """Read alpha from the dx/x^3 slot and check the x^{-2} slot is -d(alpha)/2
     at Z."""
-    slots = _laurent_slots(omega)
+    slots = laurent_decompose(omega)
     if 3 not in slots or slots[3].dx_part.is_zero_form:
         raise StructureError("no dx/x^3 slot; not a scattering form")
     alpha = slots[3].dx_part
@@ -242,12 +234,12 @@ def _sample_matrix(f: SingularForm, n_samples: int, domain: Optional[dict],
         yield pt, values[0], values[1:]
 
 
-def dual_roundtrip_check(omega: SingularForm, n_samples: int = 100,
-                         tol: float = 1e-8,
+def dual_roundtrip_check(omega: SingularForm,
                          domain: Optional[dict] = None) -> Certificate:
-    """pi-sharp after omega-flat is the identity: P W = I at each sample
-    point, W the matrix of omega and P = W^{-1}; an undefined or singular W
-    refutes."""
+    """pi-sharp after omega-flat is the identity: P W = I to TOL_NONDEG at
+    each of 100 sample points, W the matrix of omega and P = W^{-1}; an
+    undefined or singular W refutes."""
+    n_samples, tol = 100, TOL_NONDEG
     worst = 0.0
     for pt, w, error in _sample_matrix(omega, n_samples, domain, False):
         if w is None:
@@ -265,12 +257,12 @@ def dual_roundtrip_check(omega: SingularForm, n_samples: int = 100,
 
 
 def dual_jacobi_check(omega: SingularForm, n_samples: int = 100,
-                      tol: float = TOL_CLOSED,
                       domain: Optional[dict] = None) -> Certificate:
-    """[pi, pi] = 0 for pi the dual of omega, by the coordinate Schouten
-    formula on P = W^{-1} and d_m P = -P (d_m W) P at each sample point.
-    Every sample is inverted before any component is checked, so an
-    undefined or singular W refutes first."""
+    """[pi, pi] = 0 to TOL_CLOSED for pi the dual of omega, by the
+    coordinate Schouten formula on P = W^{-1} and d_m P = -P (d_m W) P at
+    each sample point.  Every sample is inverted before any component is
+    checked, so an undefined or singular W refutes first."""
+    tol = TOL_CLOSED
     samples = []
     for pt, w, dw in _sample_matrix(omega, n_samples, domain, True):
         if w is None:
@@ -339,7 +331,7 @@ class FillingVerdict(Record):
 def decompose(omega: SingularForm):
     """Cohomology decomposition slots (a, b1, b2) of a normal-form omega."""
     zch = z_chart(omega.chart)
-    slots = _laurent_slots(omega)
+    slots = laurent_decompose(omega)
     a = slots[3].dx_part if 3 in slots else zero_form(zch, 1)
     b1 = slots[1].dx_part if 1 in slots else zero_form(zch, 1)
     b2 = slots[0].rest if 0 in slots else zero_form(zch, 2)
@@ -368,27 +360,22 @@ def strong_filling_check(omega: SingularForm, tol: float = TOL_CLOSED) -> Fillin
 
 
 def cosymplectic_extract(omega: SingularForm, k: int) -> CosymplecticData:
-    """theta from the dx/x^k slot and eta from the smooth slot, at Z."""
-    slots = _laurent_slots(omega)
+    """theta from the dx/x^k slot and eta from the smooth slot, at Z, with
+    their Reeb field.  It only extracts: CosymplecticData.verify certifies."""
+    slots = laurent_decompose(omega)
     if k not in slots or slots[k].dx_part.is_zero_form:
         raise StructureError(f"no dx/x^{k} slot")
     theta = slots[k].dx_part
     zch = theta.chart
     eta = slots[0].rest if 0 in slots else zero_form(zch, 2)
-    r = reeb(theta, closed_two=eta)
-    data = CosymplecticData(zch, theta, eta, r)
-    cert = data.verify()
-    if not cert.passed:
-        raise StructureError(f"cosymplectic invariants fail: {cert.detail}")
-    return data
+    return CosymplecticData(zch, theta, eta, reeb(theta, closed_two=eta))
 
 
 # ---------------------------------------------------------------------------
 # folded forms
 
 
-def verify_folded(omega: SingularForm, grid=None,
-                  tol: float = TOL_NONDEG) -> Certificate:
+def verify_folded(omega: SingularForm, grid=None) -> Certificate:
     """omega smooth and closed; top power vanishes transversally exactly on
     the declared fold {x = 0}; omega^{d-1} pulls back nonvanishingly to Z."""
     ch = omega.chart
@@ -404,11 +391,11 @@ def verify_folded(omega: SingularForm, grid=None,
     vanish = is_zero(at_z, zch.box() or {"_": (0, 1)}, 200, TOL_CLOSED)
     ddx = canon(substitute(differentiate(coeff, ch.x), {ch.x: ZERO}))
     zgrid = chart_grid(zch) if grid is None else grid
-    transversal = certify_positive(
-        [ddx], zgrid, tol, detail="|d/dx of top coefficient| on the fold")
+    transversal = certify_positive([ddx], zgrid, TOL_NONDEG,
+                                   "|d/dx of top coefficient| on the fold")
     sub = top_power(omega, d - 1)
     nonvanish = certify_nonvanishing(
-        restrict_to_z(sub), zgrid, tol,
+        restrict_to_z(sub), zgrid, TOL_NONDEG,
         detail="|omega^{d-1} restricted to the fold|")
     return all_of(f"folded along {ch.x} = 0", closed=closed,
                   vanishing_on_fold=vanish, transversal=transversal,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from scatsym import catalog
+from scatsym import catalog, certificates
 from scatsym.catalog import (
     CatalogError, _float_check, build_example, list_examples, run_example,
     sphere_slot_coefficient,
@@ -126,3 +126,23 @@ def test_pole_symplectic_refutes_before_evaluating_the_pole(monkeypatch):
     monkeypatch.setattr(catalog, "evaluate_form", undefined)
     cert = catalog._run_check(rec, "pole-symplectic", 3)
     assert not cert.passed and cert.detail == "form not closed"
+
+
+def test_folded_check_reads_the_grid():
+    # folded-darboux n=2 folds along x1 = 0, whose chart is 3-D
+    cert = catalog._run_check(build_example("folded-darboux"), "folded", 3)
+    assert dict(cert.parts)["transversal"].grid_points == 3 ** 3
+
+
+def test_cosymplectic_check_certifies_on_one_grid(monkeypatch):
+    # extraction certifies nothing, so only the check's own grid is scanned
+    sizes = []
+    real = certificates.certify_positive
+
+    def counting(margin, points, *args, **kwargs):
+        sizes.append(len(points))
+        return real(margin, points, *args, **kwargs)
+
+    monkeypatch.setattr(certificates, "certify_positive", counting)
+    cert = catalog._run_check(build_example("bk-torus"), "cosymplectic", 3)
+    assert cert.passed and sizes == [3 ** 3]

@@ -56,6 +56,17 @@ def test_verify_malformed_file_exits_2(tmp_path):
     assert main(["verify", str(bad)]) == EXIT_PARSE
 
 
+def test_verify_fractional_bare_x_exits_2(form_file, tmp_path):
+    # x1 is the chart's Z coordinate: x1^(1/2) has no pole order
+    doc = json.loads(open(form_file).read())
+    doc["terms"][0]["coeff"] = "(pow (var x1) 1/2)"
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["verify", str(path), "--out", str(out)]) == EXIT_PARSE
+    assert not out.exists()
+
+
 def test_verify_missing_file_exits_2(tmp_path):
     assert main(["verify", str(tmp_path / "absent.json")]) == EXIT_PARSE
 
@@ -114,17 +125,47 @@ _UNREAD_FLAGS = [("glue", "--grid"), ("glue", "--tol-nondeg"),
                  ("cohomology", "--tol-nondeg"),
                  ("decompose", "--grid"), ("decompose", "--tol-nondeg")]
 
+# a request of each mode, with the options of its subcommand that the mode
+# refuses because it does not read them
+_MODES = {
+    "verify FORM": (["verify", "FORM"], ["--dim"]),
+    "verify --no-go": (["verify", "--no-go", "--m", "1", "--k", "0",
+                        "--dim", "4"],
+                       ["--flavor", "--grid", "--tol-closed", "--tol-nondeg"]),
+    "glue --kind sc": (["glue", "--kind", "sc"], ["--tol-closed"]),
+    "glue --kind folded": (["glue", "--kind", "folded"], ["--tol-closed"]),
+    "glue --kind classic": (["glue", "--kind", "classic"], []),
+    "cohomology --theorem sc-derham": (_COHOMOLOGY, ["--k", "--n"]),
+    "cohomology --theorem sc-poisson": (
+        ["cohomology", "--theorem", "sc-poisson", "--profile", "torus:4",
+         "--p", "1", "--n", "2"], ["--k"]),
+    "cohomology --theorem bk-poisson": (
+        ["cohomology", "--theorem", "bk-poisson", "--profile", "bk-torus:2",
+         "--p", "2", "--k", "1"], ["--n"]),
+    "catalog list": (["catalog", "list"], ["--grid"]),
+    "catalog run": (_REQUESTS["catalog"], []),
+    "decompose": (_REQUESTS["decompose"], []),
+}
+
+# (id, request, flag): the options no mode of a subcommand declares, then
+# those a mode refuses
+_UNREAD = ([(f"{command} {flag}", _REQUESTS[command], flag)
+            for command, flag in _UNREAD_FLAGS]
+           + [(f"{mode} {flag}", argv, flag)
+              for mode, (argv, refused) in _MODES.items()
+              for flag in refused])
+
 
 def _with_form(argv, form_file):
     return [form_file if a == "FORM" else a for a in argv]
 
 
-@pytest.mark.parametrize("command, flag", _UNREAD_FLAGS,
-                         ids=[" ".join(pair) for pair in _UNREAD_FLAGS])
-def test_a_flag_the_subcommand_does_not_read_exits_2(command, flag, form_file,
+@pytest.mark.parametrize("argv, flag", [u[1:] for u in _UNREAD],
+                         ids=[u[0] for u in _UNREAD])
+def test_a_flag_the_subcommand_does_not_read_exits_2(argv, flag, form_file,
                                                      tmp_path):
     out = tmp_path / "report.json"
-    argv = _with_form(_REQUESTS[command], form_file)
+    argv = _with_form(argv, form_file)
     assert main([*argv, flag, "1", "--out", str(out)]) == EXIT_PARSE
     assert not out.exists()
 
@@ -147,20 +188,6 @@ def _subparsers(parser):
     (action,) = (a for a in parser._actions
                  if isinstance(a, argparse._SubParsersAction))
     return action.choices
-
-
-# the arguments after the subcommand of one request per mode
-_MODES = {
-    "verify": [["FORM"], ["--no-go", "--m", "1", "--k", "0", "--dim", "4"]],
-    "glue": [["--kind", kind] for kind in ("sc", "folded", "classic")],
-    "cohomology": [_COHOMOLOGY[1:],
-                   ["--theorem", "sc-poisson", "--profile", "torus:4",
-                    "--p", "1", "--n", "2"],
-                   ["--theorem", "bk-poisson", "--profile", "bk-torus:2",
-                    "--p", "2", "--k", "1"]],
-    "catalog": [["list"], ["run", "sc-darboux", "--param", "n=1"]],
-    "decompose": [["FORM"]],
-}
 
 
 def _options_read(argv, monkeypatch):
@@ -190,16 +217,20 @@ def _options_read(argv, monkeypatch):
 @pytest.mark.parametrize("command", sorted(_subparsers(build_parser())))
 def test_every_option_of_a_subcommand_is_read(command, form_file, tmp_path,
                                               monkeypatch):
-    # an option that no mode reads would be accepted and then ignored;
-    # --seed is exempt because the benchmark appends it to every request
+    # each mode reads every option it accepts, and refuses the others
+    # (test_a_flag_the_subcommand_does_not_read_exits_2); --seed is exempt
+    # because the benchmark appends it to every request
     out = str(tmp_path / "report.json")
-    read = set()
-    for mode in _MODES[command]:
-        argv = _with_form([command, *mode, "--out", out], form_file)
-        read |= _options_read(argv, monkeypatch)
     dests = {a.dest for a in _subparsers(build_parser())[command]._actions
              if a.dest != "help"}
-    assert dests - read <= {"seed"}
+    modes = [m for m in _MODES.values() if m[0][0] == command]
+    assert modes
+    for argv, refused in modes:
+        read = _options_read(_with_form([*argv, "--out", out], form_file),
+                             monkeypatch)
+        refused = {flag[2:].replace("-", "_") for flag in refused}
+        assert dests - read - refused <= {"seed"}, argv
+        assert not refused & read, argv
 
 
 def test_cohomology_command(capsys):

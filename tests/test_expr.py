@@ -89,8 +89,6 @@ def test_sample_points_deterministic():
     a = sample_points(("x", "y"), dom, 50)
     b = sample_points(("x", "y"), dom, 50)
     assert a == b
-    c = sample_points(("x", "y"), dom, 50, seed=7)
-    assert c != a
     for pt in a:
         assert 0.0 < pt["x"] < 1.0
         assert -2.0 < pt["y"] < 2.0
@@ -800,11 +798,14 @@ def test_node_hash_is_memoized_outside_eq_repr_and_pickle():
 
 def test_collect_x_powers_grades_bare_x_powers_only():
     sq = powx(X, Fraction(1, 2))
-    terms = [(2, add(mul(powx(X, -1), Y), mul(X, exp(X)), sq), "a"),
+    terms = [(2, add(mul(powx(X, -1), Y), mul(X, exp(X)), exp(sq)), "a"),
              (3, mul(-1, Y), "a"),  # cancels x^-1 y at k = 2
              (0, mul(X, X, Y), "b")]
     assert collect_x_powers(terms, "x") == {
-        (1, "a"): exp(X), (2, "a"): sq, (-2, "b"): Y}
+        (1, "a"): exp(X), (2, "a"): exp(sq), (-2, "b"): Y}
+    # a bare x at a fractional power has no integer pole order
+    with pytest.raises(ExprError):
+        collect_x_powers([(2, mul(Y, sq), "a")], "x")
     # without a Z coordinate every monomial stays at j = 0
     assert collect_x_powers(terms, None) == {
         (2, "a"): canon(terms[0][1]), (3, "a"): canon(terms[1][1]),

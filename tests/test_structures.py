@@ -421,7 +421,7 @@ def test_induced_darboux_reeb_field_satisfies_the_identities(n):
     data = induced_contact(omega)
     assert data.reeb.kind == "vector"
     assert _reeb_identities(data.reeb, data.alpha,
-                            exterior_derivative(data.alpha), 1e-8)
+                            exterior_derivative(data.alpha))
     assert data.verify(chart_grid(data.chart, 3)).passed
 
 
