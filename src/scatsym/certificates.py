@@ -2,10 +2,10 @@
 
 A tensor grid is kept as its axes (Grid), not as one dict per point.  A
 grid certificate compiles its margin into one grid kernel
-(expr.compile_margin), which streams the rows of the axes' product,
-computes each distinct subtree once per point and keeps the running
-minimum; a point becomes a dict, and goes to the tree walk `evaluate`, only
-when the kernel cannot settle it.
+(expr.compile_margin), which streams the rows of the product of the axes
+the margin reads, computes each distinct subtree once per point and keeps
+the running minimum; a point becomes a dict, and goes to the tree walk
+`evaluate`, only when the kernel cannot settle it.
 
 A `proven` verdict claims an identity between exact normal forms (`canon`),
 not definedness on the whole chart: where `canon` cancels a pole, as in
@@ -18,7 +18,8 @@ import math
 from typing import Mapping, Optional, Sequence, Union
 
 from .expr import (
-    DomainError, Expr, Record, compile_margin, evaluate, floor_root, nan_max,
+    DomainError, Expr, Record, compile_margin, evaluate, floor_root, free_vars,
+    nan_max,
 )
 from .geometry import Chart, SingularForm, ZeroVerdictMap
 
@@ -185,15 +186,23 @@ def certify_positive(margin: Union[Expr, Sequence[Expr]], points, tol: float,
         points = list(points)
     if not len(points):
         return refuted({}, detail=f"{detail}: no grid points")
-    names = points.names if grid else tuple(points[0])
-    rows = points.rows() if grid else _dict_rows(points, names)
     magnitude = not isinstance(margin, Expr)
     exprs = list(margin) if magnitude else [margin]
+    if grid:
+        # scan only the axes the margin reads; the first grid point with a
+        # given value on them has every other axis at its first value
+        read = frozenset().union(*map(free_vars, exprs))
+        first = {name: values[0] for name, values in points.axes}
+        sub = Grid(axis for axis in points.axes if axis[0] in read)
+        names, rows = sub.names, sub.rows()
+    else:
+        names = tuple(points[0])
+        rows = _dict_rows(points, names)
     kernel = compile_margin(exprs, magnitude, names)
     i, row, least = kernel(rows, 0, math.inf, tol)
     while row is not None:
         # the one place a grid point becomes a dict; a dict is walked as given
-        pt = dict(zip(names, row)) if grid else points[i]
+        pt = first | dict(zip(names, row)) if grid else points[i]
         try:
             values = [float(evaluate(e, pt)) for e in exprs]
         except DomainError as e:
@@ -202,7 +211,8 @@ def certify_positive(margin: Union[Expr, Sequence[Expr]], points, tol: float,
         if not v > tol:  # NaN fails too
             return refuted(pt, v - tol, detail=detail)
         i, row, least = kernel(rows, i + 1, min(least, v), tol)
-    return verified(i, tol, least - tol, detail=detail)
+    return verified(len(points) if grid else i, tol, least - tol,
+                    detail=detail)
 
 
 def certify_nonvanishing(form: SingularForm, grid, tol: float,

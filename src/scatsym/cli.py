@@ -7,6 +7,7 @@ failing run still leaves a diffable artifact."""
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -105,6 +106,10 @@ def _load_form(path: str) -> SingularForm:
 # command handlers: each returns (report dict, passed flag)
 
 
+# the flavors whose coframe weights read --k or --m (algebroids.coframe)
+_FLAVOR_PARAMS = {"sc^k": ("k",), "b^k": ("k",), "zero^m-b^k": ("k", "m")}
+
+
 def _cmd_verify(args):
     if args.no_go:
         if args.form is not None:
@@ -121,13 +126,19 @@ def _cmd_verify(args):
     if args.form is None:
         raise ValueError("a form file is required unless --no-go is given")
     _refuse(args, "verify FORM", "dim")
+    reads = _FLAVOR_PARAMS.get(args.flavor, ())
+    _refuse(args, f"verify --flavor {args.flavor}",
+            *(name for name in ("k", "m") if name not in reads))
     f = _load_form(args.form)
-    frame = coframe(args.flavor, f.chart, k=args.k, m=args.m)
+    used = _config(args, *reads)  # a flavor's coframe ignores the others
+    frame = coframe(args.flavor, f.chart, k=used.get("k", 1),
+                    m=used.get("m", 1))
     rep = verify_sc_symplectic(f, frame, chart_grid(f.chart, args.grid),
                                tol_closed=args.tol_closed,
                                tol_nondeg=args.tol_nondeg)
     report = {"command": "verify", "mode": "symplectic",
-              "config": _config(args, "grid", "tol_closed", "tol_nondeg"),
+              "config": {**_config(args, "grid", "tol_closed", "tol_nondeg"),
+                         **used},
               "flavor": args.flavor, "result": rep}
     return report, rep.passed
 
@@ -174,9 +185,10 @@ def _load_profile(spec: str) -> BettiProfile:
 
 
 def _cmd_cohomology(args):
-    unread = {"sc-derham": ("k", "n"), "sc-poisson": ("k",),
-              "bk-poisson": ("n",)}[args.theorem]
-    _refuse(args, f"cohomology --theorem {args.theorem}", *unread)
+    used = {"sc-derham": (), "sc-poisson": ("n",),
+            "bk-poisson": ("k",)}[args.theorem]
+    _refuse(args, f"cohomology --theorem {args.theorem}",
+            *(name for name in ("k", "n") if name not in used))
     profile = _load_profile(args.profile)
     if args.theorem == "sc-derham":
         rep = sc_derham(profile, args.p)
@@ -189,8 +201,8 @@ def _cmd_cohomology(args):
             raise ValueError("bk-poisson requires --k")
         rep = bk_poisson(profile, args.p, args.k)
     report = {"command": "cohomology", "theorem": args.theorem,
-              "profile": profile, "p": args.p, "config": {},
-              "result": rep}
+              "profile": profile, "p": args.p,
+              "config": _config(args, *used), "result": rep}
     return report, True
 
 
@@ -259,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coframe flavor, which fixes the weights of dx and "
                         "dy_j: b, zero, sc, sc^k, b^k or zero^m-b^k (k and "
                         "m from --k and --m)")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--k", type=int, default=1, action=_Given)
+    p.add_argument("--m", type=int, default=1, action=_Given)
     p.add_argument("--dim", type=int, default=4, action=_Given)
     p.add_argument("--no-go", action="store_true", dest="no_go",
                    help="run the existence obstruction for (m, k, dim)")
@@ -342,5 +354,17 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """The process entry point (`python -m scatsym.cli`, the `scatsym`
+    script): main, then exit with its code.  Every object left lives until
+    exit, so gc.freeze() spares the interpreter its final collection over
+    them; sys.exit, unlike os._exit, still flushes stdio.  main itself
+    never freezes, because tests and the benchmark tracer call it
+    in-process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,9 +1,8 @@
 """Small coefficient matrices: symbolic determinant, adjugate and inverse,
-and a float inverse (Gauss-Jordan) and product for their values at a point."""
+and a float inverse (Gauss-Jordan) for their values at a point."""
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from typing import List, Optional
 
@@ -77,8 +76,3 @@ def float_inverse(m: List[List[float]]) -> Optional[List[List[float]]]:
             if i != c and f != 0.0:
                 a[i] = [v - f * w for v, w in zip(a[i], a[c])]
     return [row[n:] for row in a]
-
-
-def float_matmul(a: List[List[float]], b: List[List[float]]) -> List[List[float]]:
-    cols = list(zip(*b))
-    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]

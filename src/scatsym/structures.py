@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Optional
 
@@ -20,7 +21,7 @@ from .geometry import (  # z_chart, restrict_to_z, lift: re-exported
     lift, make_form, off_pole_domain, restrict_to_z, scalar_one, top_power,
     wedge, z_chart, zero_form,
 )
-from .linalg import float_inverse, float_matmul, sym_inverse
+from .linalg import float_inverse, sym_inverse
 
 TOL_CLOSED = 1e-9
 TOL_NONDEG = 1e-8
@@ -211,27 +212,139 @@ def dualize(f: SingularForm) -> SingularForm:
     return _matrix_to_bivector(f.chart, sym_inverse(_full_matrix(f)), kind)
 
 
-def _sample_matrix(f: SingularForm, n_samples: int, domain: Optional[dict],
-                   partials: bool):
-    """Yield each sample point with the float values there of the matrix m
-    of f and, if partials, of its derivative along each coordinate; m and
-    its partials are compiled once into one function (compile_floats), so
-    subtrees they share are computed once per point.  At a point where one
-    of them is undefined, yield (point, None, the DomainError) and stop."""
-    ch, m = f.chart, _full_matrix(f)
-    mats = [m] + ([[[differentiate(e, nm) for e in row] for row in m]
-                   for nm in ch.names] if partials else [])
-    values_at = compile_floats([e for a in mats for row in a for e in row])
+class _DualPass(Record):
+    """One sampling of the matrix W of a form for the dual checks: samples
+    holds (point, W, dw, P = W^{-1}) at each sample point up to the first
+    one where W, or a partial with partials set, is undefined or W is
+    singular; stop is that point and its refutation detail.  dw holds the
+    values of the structurally nonzero entries slots ((m, i, j), ...) of
+    the partials d_m W, and w_cols[j] the rows i with W[i][j] not ZERO."""
+
+    key: tuple  # (form, n_samples, domain)
+    partials: bool
+    slots: tuple
+    w_cols: tuple
+    samples: list
+    stop: Optional[tuple] = None  # (point, detail)
+    undefined: bool = False  # stop is a DomainError
+
+
+_last_pass: Optional[_DualPass] = None
+
+
+def _dual_samples(omega: SingularForm, n_samples: int, domain: Optional[dict],
+                  partials: bool) -> _DualPass:
+    """The duality pass of omega: W and, if partials, the nonzero entries
+    of each d_m W are compiled once into one function (compile_floats),
+    and each sample point is evaluated and each W inverted once.  The last
+    pass is kept, so a check on an equal form, sample count and domain
+    samples nothing.  A pass with partials serves a check without them
+    unless a DomainError stopped it: a partial can be undefined where W is
+    defined."""
+    global _last_pass
+    key = (omega, n_samples, None if domain is None else dict(domain))
+    last = _last_pass
+    if last is not None and last.key == key and (
+            last.partials == partials or last.partials and not last.undefined):
+        return last
+    ch, m = omega.chart, _full_matrix(omega)
     d = ch.dim
+    exprs, slots = [e for row in m for e in row], []
+    if partials:
+        for k, name in enumerate(ch.names):
+            for i, row in enumerate(m):
+                for j, e in enumerate(row):
+                    de = differentiate(e, name)
+                    if de != ZERO:
+                        exprs.append(de)
+                        slots.append((k, i, j))
+    values_at = compile_floats(exprs)
+    samples, stop, undefined = [], None, False
     for pt in sample_points(ch.names, off_pole_domain(ch, domain), n_samples):
         try:
             flat = values_at(pt)
         except DomainError as e:
-            yield pt, None, e
-            return
-        values = [[flat[k + i:k + i + d] for i in range(0, d * d, d)]
-                  for k in range(0, len(flat), d * d)]
-        yield pt, values[0], values[1:]
+            stop, undefined = (pt, f"coefficient matrix undefined, {e}"), True
+            break
+        w = [flat[i:i + d] for i in range(0, d * d, d)]
+        p = float_inverse(w)
+        if p is None:
+            stop = (pt, "coefficient matrix is singular")
+            break
+        samples.append((pt, w, flat[d * d:], p))
+    w_cols = tuple(tuple(i for i in range(d) if m[i][j] != ZERO)
+                   for j in range(d))
+    _last_pass = _DualPass(key, partials, tuple(slots), w_cols, samples, stop,
+                           undefined)
+    return _last_pass
+
+
+def _finite(p) -> bool:
+    """Every entry of the float matrix p is finite.  A sum of finite
+    entries that overflows also reads False, which only sends p down the
+    path that keeps every term."""
+    s = sum(map(sum, p))
+    return s - s == 0.0
+
+
+# A term dropped from a product below is a finite entry times a ZERO entry,
+# i.e. +-0.0.  Each dot product starts at +0.0, as sum() does, and a sum
+# that starts at +0.0 is never -0.0, so adding +-0.0 leaves it unchanged:
+# dropping those terms is exact.  At a point where P has a non-finite
+# entry, a dropped term could be NaN, so there every term is kept.
+
+
+def _dot(terms: list) -> str:
+    """Code for sum(terms) starting at +0.0, rounded as sum() rounds."""
+    if len(terms) == 1:
+        return f"(0.0 + {terms[0]})"
+    return f"sum(({', '.join(terms)}), 0.0)"
+
+
+@functools.lru_cache(maxsize=None)
+def _jacobi_kernel(d: int, slots: tuple, dense: bool):
+    """kernel(p, dw, tol): the coordinate Schouten bracket [pi, pi] at one
+    sample point, with p = W^{-1}, dw the values of d_m W at slots, and
+    d_m P = -(P d_m W) P, as straight-line code generated once per (d,
+    slots, dense).  Each component (i, j, l), i < j < l, is summed over m
+    in order; the kernel returns (|component|, (i, j, l)) for the first
+    one not within tol, else (the largest, None).  Unless dense, it reads
+    only the slots, the nonzero columns of P d_m W and the m with d_m W
+    not identically ZERO, which is exact where p is finite."""
+    at = {s: f"x{n}" for n, s in enumerate(slots)}
+    triples = [(i, j, l) for i in range(d) for j in range(i + 1, d)
+               for l in range(j + 1, d)]
+    pairs = sorted({pair for i, j, l in triples
+                    for pair in ((j, l), (l, i), (i, j))})
+    lines = ["def kernel(p, dw, tol):", "    " + ", ".join(
+        "(" + ", ".join(f"p{i}_{j}" for j in range(d)) + ",)"
+        for i in range(d)) + ", = p"]
+    if slots:
+        lines.append(f"    {', '.join(at.values())}, = dw")
+    ms = range(d) if dense else sorted({m for m, _, _ in slots})
+    for m in ms:
+        cols = range(d) if dense else sorted({k for n, _, k in slots
+                                              if n == m})
+        for i in sorted({i for i, _ in pairs}):
+            for k in cols:
+                terms = [f"p{i}_{j} * {at.get((m, j, k), '0.0')}"
+                         for j in range(d) if dense or (m, j, k) in at]
+                lines.append(f"    t{i}_{k} = {_dot(terms)}")
+        for i, j in pairs:
+            lines.append(f"    q{m}_{i}_{j} = "
+                         f"-{_dot([f't{i}_{k} * p{k}_{j}' for k in cols])}")
+    lines.append("    w = 0.0")
+    for i, j, l in triples:
+        comp = " + ".join(["0.0"] + [
+            f"(p{m}_{i} * q{m}_{j}_{l} + p{m}_{j} * q{m}_{l}_{i}"
+            f" + p{m}_{l} * q{m}_{i}_{j})" for m in ms])
+        lines += [f"    c = abs({comp})",
+                  f"    if not c <= tol: return c, ({i}, {j}, {l})",
+                  "    if c > w: w = c"]
+    lines.append("    return w, None")
+    ns = {}
+    exec(compile("\n".join(lines), "<jacobi>", "exec"), ns)
+    return ns["kernel"]
 
 
 def dual_roundtrip_check(omega: SingularForm,
@@ -240,18 +353,20 @@ def dual_roundtrip_check(omega: SingularForm,
     each of 100 sample points, W the matrix of omega and P = W^{-1}; an
     undefined or singular W refutes."""
     n_samples, tol = 100, TOL_NONDEG
+    run = _dual_samples(omega, n_samples, domain, False)
+    dense = (range(omega.chart.dim),) * omega.chart.dim
     worst = 0.0
-    for pt, w, error in _sample_matrix(omega, n_samples, domain, False):
-        if w is None:
-            return refuted(pt, detail=f"coefficient matrix undefined, {error}")
-        p = float_inverse(w)
-        if p is None:
-            return refuted(pt, detail="coefficient matrix is singular")
-        err = nan_max(abs(v - (i == j)) for i, row in
-                      enumerate(float_matmul(p, w)) for j, v in enumerate(row))
+    for pt, w, _, p in run.samples:
+        cols = run.w_cols if _finite(p) else dense
+        err = nan_max(abs(sum([row[i] * w[i][j] for i in rows], 0.0)
+                          - (k == j))
+                      for k, row in enumerate(p)
+                      for j, rows in enumerate(cols))
         if not err <= tol:  # NaN fails too
             return refuted(pt, tol - err, detail="P W differs from the identity")
         worst = max(worst, err)
+    if run.stop is not None:
+        return refuted(run.stop[0], detail=run.stop[1])
     return verified(n_samples, tol, tol - worst,
                     detail="pi-sharp . omega-flat = id (P W = I)")
 
@@ -263,34 +378,21 @@ def dual_jacobi_check(omega: SingularForm, n_samples: int = 100,
     each sample point.  Every sample is inverted before any component is
     checked, so an undefined or singular W refutes first."""
     tol = TOL_CLOSED
-    samples = []
-    for pt, w, dw in _sample_matrix(omega, n_samples, domain, True):
-        if w is None:
-            return refuted(pt, detail=f"coefficient matrix undefined, {dw}")
-        p = float_inverse(w)
-        if p is None:
-            return refuted(pt, detail="coefficient matrix is singular")
-        dp = [[[-v for v in row] for row in float_matmul(float_matmul(p, a), p)]
-              for a in dw]
-        samples.append((pt, p, dp))
+    run = _dual_samples(omega, n_samples, domain, True)
+    if run.stop is not None:
+        return refuted(run.stop[0], detail=run.stop[1])
     d = omega.chart.dim
-    worst = 0.0
-    for pt, p, dp in samples:
-        for i in range(d):
-            for j in range(i + 1, d):
-                for l in range(j + 1, d):
-                    comp = 0.0
-                    for m in range(d):
-                        comp += (p[m][i] * dp[m][j][l]
-                                 + p[m][j] * dp[m][l][i]
-                                 + p[m][l] * dp[m][i][j])
-                    if not abs(comp) <= tol:  # NaN fails too
-                        return refuted(pt, tol - abs(comp),
-                                       detail=f"[pi,pi]^({i},{j},{l}) != 0")
-                    worst = max(worst, abs(comp))
     if d <= 2:
         return proven(detail="Jacobi is automatic below three components")
-    return verified(len(samples), tol, tol - worst, detail="[pi,pi] = 0")
+    sparse, worst = _jacobi_kernel(d, run.slots, False), 0.0
+    for pt, _, dw, p in run.samples:
+        kernel = sparse if _finite(p) else _jacobi_kernel(d, run.slots, True)
+        comp, at = kernel(p, dw, tol)
+        if at is not None:
+            return refuted(pt, tol - comp,
+                           detail="[pi,pi]^({},{},{}) != 0".format(*at))
+        worst = max(worst, comp)
+    return verified(len(run.samples), tol, tol - worst, detail="[pi,pi] = 0")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,7 +132,11 @@ _UNREAD_FLAGS = [("glue", "--grid"), ("glue", "--tol-nondeg"),
 # a request of each mode, with the options of its subcommand that the mode
 # refuses because it does not read them
 _MODES = {
-    "verify FORM": (["verify", "FORM"], ["--dim"]),
+    "verify FORM": (["verify", "FORM"], ["--dim", "--k", "--m"]),
+    "verify FORM --flavor b^k": (["verify", "FORM", "--flavor", "b^k"],
+                                 ["--dim", "--m"]),
+    "verify FORM --flavor zero^m-b^k": (
+        ["verify", "FORM", "--flavor", "zero^m-b^k"], ["--dim"]),
     "verify --no-go": (["verify", "--no-go", "--m", "1", "--k", "0",
                         "--dim", "4"],
                        ["--flavor", "--grid", "--tol-closed", "--tol-nondeg"]),
@@ -239,6 +247,35 @@ def test_cohomology_command(capsys):
     assert code == EXIT_PASS
     doc = json.loads(capsys.readouterr().out)
     assert doc["result"]["finite_rank"] == 6 + 2 * 3
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--theorem", "bk-poisson", "--profile", "bk-torus:2", "--p", "2",
+      "--k", "3"], {"k": 3}),
+    (["--theorem", "sc-poisson", "--profile", "torus:4", "--p", "1",
+      "--n", "2"], {"n": 2}),
+    (["--theorem", "sc-derham", "--profile", "torus:4", "--p", "1"], {}),
+], ids=["bk-poisson", "sc-poisson", "sc-derham"])
+def test_cohomology_echoes_what_it_reads(argv, config, capsys):
+    assert main(["cohomology", *argv]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["config"] == config
+
+
+@pytest.mark.parametrize("flavor, given, echoed", [
+    ("sc", [], {}),
+    ("sc^k", ["--k", "2"], {"k": 2}),
+    ("b^k", ["--k", "3"], {"k": 3}),
+    ("zero^m-b^k", ["--k", "2", "--m", "3"], {"k": 2, "m": 3}),
+    ("zero^m-b^k", [], {"k": 1, "m": 1}),
+])
+def test_verify_echoes_the_k_and_m_its_flavor_reads(flavor, given, echoed,
+                                                    form_file, tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["verify", form_file, "--flavor", flavor, *given,
+                 "--out", str(out)])
+    assert code in (EXIT_PASS, EXIT_FAIL)
+    config = json.loads(out.read_text())["config"]
+    assert {k: v for k, v in config.items() if k in ("k", "m")} == echoed
 
 
 def test_cohomology_bad_profile_exits_2():
@@ -442,3 +479,27 @@ def test_verify_exact_constant_overflow_refutes_with_witness(tmp_path):
     assert cert["kind"] == "refuted"
     assert "float overflow" in cert["detail"]
     assert cert["witness"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["catalog", "run", "sc-darboux", "--param", "n=1"], EXIT_PASS),
+    (["verify", "--no-go", "--m", "1", "--k", "2", "--dim", "4"], EXIT_FAIL),
+    (["catalog", "run", "nonsense"], EXIT_PARSE),
+], ids=["pass", "fail", "parse"])
+def test_exit_code_through_the_module_entry_point(argv, code, tmp_path):
+    # the process exit path (cli.run) keeps main's code and flushes the
+    # whole report and the status line; exit 2 writes no report
+    out, want = tmp_path / "report.json", tmp_path / "in-process.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scatsym.cli", *argv, "--out", str(out)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code == EXIT_PARSE:
+        assert not out.exists()
+        assert proc.stderr.startswith("error: ")
+        return
+    assert main([*argv, "--out", str(want)]) == code
+    assert out.read_bytes() == want.read_bytes()
+    status = "PASS" if code == EXIT_PASS else "FAIL"
+    assert proc.stdout == f"{status} report written to {out}\n"

@@ -1,7 +1,9 @@
 """Symplectic, contact, cosymplectic, Poisson duality, and filling checks."""
 
 import math
+import operator
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,21 +18,23 @@ from scatsym.catalog import (
     build_example, circle_contact, darboux_chart, darboux_contact_primitive,
     s2xs1_contact, torus_contact,
 )
-from scatsym.certificates import chart_grid
+from scatsym.certificates import chart_grid, proven, refuted, verified
 from scatsym import algebroids, expr, structures
 from scatsym.expr import (
-    Const, ONE, add, compile_floats, cos, differentiate, evaluate, mul, sin,
-    var,
+    Const, ONE, ZERO, add, compile_floats, cos, differentiate, evaluate, mul,
+    sin, var,
 )
 from scatsym.geometry import (
-    Chart, exterior_derivative, forms_equal, make_form,
+    Chart, exterior_derivative, forms_equal, make_form, off_pole_domain,
     smooth_form, zero_form,
 )
+from scatsym.linalg import float_inverse
 from scatsym.structures import (
-    ContactData, CosymplecticData, StructureError, _full_matrix,
-    _reeb_identities, _sample_matrix, closedness, cosymplectic_extract, decompose,
-    dual_jacobi_check, dual_roundtrip_check, dualize, induced_contact, lift,
-    normal_form, reeb, strong_filling_check, verify_sc_symplectic, z_chart,
+    ContactData, CosymplecticData, StructureError, _dual_samples,
+    _full_matrix, _reeb_identities, closedness, cosymplectic_extract,
+    decompose, dual_jacobi_check, dual_roundtrip_check, dualize,
+    induced_contact, lift, normal_form, reeb, strong_filling_check,
+    verify_sc_symplectic, z_chart,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -184,6 +188,14 @@ def _overflowing(name):
                expr.exp(mul(Const(Fraction(401)), v)))
 
 
+def _overflowing_difference(name):
+    """e^{900 v} e^{903 v} (e^{906 v} - e^{909 v}): -inf for v above about
+    0.393 and NaN (inf - inf) above about 0.781."""
+    e = [expr.exp(mul(Const(Fraction(a)), var(name)))
+         for a in (900, 903, 906, 909)]
+    return mul(e[0], e[1], add(e[2], mul(-1, e[3])))
+
+
 def test_dual_roundtrip_refutes_nan_error():
     # W has an inf entry, so P W has NaN entries; max() used to skip them
     # and certified a margin of 1e-08
@@ -320,8 +332,14 @@ def test_sample_matrix_is_evaluate_bit_for_bit(monkeypatch, name, params):
     ch, m = omega.chart, _full_matrix(omega)
     mats = [m] + [[[differentiate(e, nm) for e in row] for row in m]
                   for nm in ch.names]
-    count = 0
-    for pt, w, dw in _sample_matrix(omega, 100, None, True):
+    d, count = ch.dim, 0
+    monkeypatch.setattr(structures, "_last_pass", None)
+    run = _dual_samples(omega, 100, None, True)
+    for pt, w, values, _ in run.samples:
+        # the pass keeps the partials' entries at its slots; the rest are ZERO
+        dw = [[[0.0] * d for _ in range(d)] for _ in range(d)]
+        for (k, i, j), v in zip(run.slots, values):
+            dw[k][i][j] = v
         for got, want in zip([w] + dw, mats):
             assert [[_bits(v) for v in row] for row in got] == \
                 [[_bits(float(evaluate(e, pt))) for e in row] for row in want]
@@ -334,6 +352,212 @@ def test_sample_matrix_is_evaluate_bit_for_bit(monkeypatch, name, params):
     monkeypatch.setattr(expr, "evaluate_dag", tree_walk)
     assert dual_roundtrip_check(omega).passed
     assert dual_jacobi_check(omega).passed
+
+
+# the dense duality checks the sparse kernels replaced, kept as the
+# reference they must equal bit for bit
+
+
+def _dense_samples(f, n_samples, domain, partials):
+    ch, m = f.chart, _full_matrix(f)
+    mats = [m] + ([[[differentiate(e, nm) for e in row] for row in m]
+                   for nm in ch.names] if partials else [])
+    values_at = compile_floats([e for a in mats for row in a for e in row])
+    d = ch.dim
+    for pt in expr.sample_points(ch.names, off_pole_domain(ch, domain),
+                                 n_samples):
+        try:
+            flat = values_at(pt)
+        except expr.DomainError as e:
+            yield pt, None, e
+            return
+        values = [[flat[k + i:k + i + d] for i in range(0, d * d, d)]
+                  for k in range(0, len(flat), d * d)]
+        yield pt, values[0], values[1:]
+
+
+def _dense_matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def _dense_roundtrip(omega, domain=None):
+    n_samples, tol = 100, structures.TOL_NONDEG
+    worst = 0.0
+    for pt, w, error in _dense_samples(omega, n_samples, domain, False):
+        if w is None:
+            return refuted(pt, detail=f"coefficient matrix undefined, {error}")
+        p = float_inverse(w)
+        if p is None:
+            return refuted(pt, detail="coefficient matrix is singular")
+        err = expr.nan_max(abs(v - (i == j)) for i, row in
+                           enumerate(_dense_matmul(p, w))
+                           for j, v in enumerate(row))
+        if not err <= tol:
+            return refuted(pt, tol - err, detail="P W differs from the identity")
+        worst = max(worst, err)
+    return verified(n_samples, tol, tol - worst,
+                    detail="pi-sharp . omega-flat = id (P W = I)")
+
+
+def _dense_jacobi(omega, n_samples=100, domain=None):
+    tol = structures.TOL_CLOSED
+    samples = []
+    for pt, w, dw in _dense_samples(omega, n_samples, domain, True):
+        if w is None:
+            return refuted(pt, detail=f"coefficient matrix undefined, {dw}")
+        p = float_inverse(w)
+        if p is None:
+            return refuted(pt, detail="coefficient matrix is singular")
+        dp = [[[-v for v in row]
+               for row in _dense_matmul(_dense_matmul(p, a), p)] for a in dw]
+        samples.append((pt, p, dp))
+    d = omega.chart.dim
+    worst = 0.0
+    for pt, p, dp in samples:
+        for i in range(d):
+            for j in range(i + 1, d):
+                for l in range(j + 1, d):
+                    comp = 0.0
+                    for m in range(d):
+                        comp += (p[m][i] * dp[m][j][l]
+                                 + p[m][j] * dp[m][l][i]
+                                 + p[m][l] * dp[m][i][j])
+                    if not abs(comp) <= tol:
+                        return refuted(pt, tol - abs(comp),
+                                       detail=f"[pi,pi]^({i},{j},{l}) != 0")
+                    worst = max(worst, abs(comp))
+    if d <= 2:
+        return proven(detail="Jacobi is automatic below three components")
+    return verified(len(samples), tol, tol - worst, detail="[pi,pi] = 0")
+
+
+def _cert_bits(c):
+    margin = None if c.min_margin is None else _bits(c.min_margin)
+    return (c.kind, c.grid_points, c.tolerance, margin, c.witness, c.detail)
+
+
+def _random_two_form(rng, d):
+    """Darboux pairs, random constant entries and a few random others: a
+    closed form (the constants plus d of a polynomial 1-form), a non-closed
+    one, one with an entry that overflows to inf or to NaN, one with a
+    subnormal entry, or one that is singular where y1 < 0.2."""
+    names = ("x",) + tuple(f"y{i}" for i in range(1, d))
+    ch = Chart(names, ((-0.5, 0.5),) + ((-1.0, 1.0),) * (d - 1),
+               rng.choice(["x", None]))
+    v = [var(n) for n in names]
+
+    def poly():
+        return add(*[mul(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                         *rng.sample(v, rng.randint(0, 2)))
+                     for _ in range(rng.randint(1, 3))])
+
+    kind = rng.choice(["closed", "open", "inf", "nan", "tiny", "singular"])
+    terms = [(rng.choice([0, 0, 1, 2]) if ch.x else 0, ONE,
+              (names[i], names[i + 1])) for i in range(0, d, 2)]
+    if kind == "singular":
+        step = expr.PiecewiseDecay(add(var("y1"), Fraction(-1, 5)), "t", (
+            expr.Piece(None, 0, Const(Fraction(0))),
+            expr.Piece(0, None, ONE)))
+        terms[-1] = (0, step, terms[-1][2])
+    if kind == "tiny":  # a subnormal entry: W^{-1} overflows to inf
+        terms[0] = (0, Const(Fraction(1, 10 ** 310)), terms[0][2])
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    for a, b in rng.sample(pairs, rng.randint(0, len(pairs))):
+        # constant entries: P dense, d_m W still sparse
+        terms.append((0, Const(Fraction(rng.randint(-4, 4), 9)),
+                      (names[a], names[b])))
+    for a, b in rng.sample(pairs, rng.randint(1, 3)):
+        c = {"inf": _overflowing, "nan": _overflowing_difference}.get(
+            kind, lambda name: poly())(names[b])
+        terms.append((0, mul(Fraction(1, 10), c), (names[a], names[b])))
+    omega = make_form(ch, 2, terms)
+    if kind == "closed":
+        omega = make_form(ch, 2, [t for t in terms if isinstance(t[1], Const)])
+        alpha = smooth_form(ch, {(n,): mul(Fraction(1, 10), poly())
+                                 for n in rng.sample(names, 2)})
+        omega = omega + exterior_derivative(alpha)
+    return kind, omega
+
+
+def test_sparse_dual_checks_equal_the_dense_ones(monkeypatch):
+    # random forms with structural zeros, d = 4 and 6: both checks give the
+    # dense code's Certificate with bit-equal margins, whether the round
+    # trip samples afresh or reuses the Jacobi pass
+    kernels = set()
+    generate = structures._jacobi_kernel
+
+    def recording(d, slots, dense):
+        kernels.add(dense)
+        return generate(d, slots, dense)
+
+    monkeypatch.setattr(structures, "_jacobi_kernel", recording)
+    rng = random.Random(2023)
+    seen = set()
+    for _ in range(30):
+        kind, omega = _random_two_form(rng, rng.choice([4, 6]))
+        want_rt, want_jac = _dense_roundtrip(omega), _dense_jacobi(omega)
+        monkeypatch.setattr(structures, "_last_pass", None)
+        fresh_rt = dual_roundtrip_check(omega)
+        jac, reused_rt = dual_jacobi_check(omega), dual_roundtrip_check(omega)
+        assert _cert_bits(jac) == _cert_bits(want_jac), kind
+        for got in (fresh_rt, reused_rt):
+            assert _cert_bits(got) == _cert_bits(want_rt), kind
+        seen.add((kind, want_rt.detail, want_jac.detail.split("^")[0]))
+    assert {detail for _, detail, _ in seen} >= {
+        "pi-sharp . omega-flat = id (P W = I)",
+        "P W differs from the identity", "coefficient matrix is singular"}
+    assert {detail for _, _, detail in seen} >= {"[pi,pi] = 0", "[pi,pi]"}
+    assert kernels == {False, True}  # P had a non-finite entry somewhere
+
+
+def test_the_round_trip_reuses_the_jacobi_pass(monkeypatch):
+    compiled = []
+
+    def counting(exprs):
+        compiled.append(len(exprs))
+        return compile_floats(exprs)
+
+    monkeypatch.setattr(structures, "compile_floats", counting)
+    monkeypatch.setattr(structures, "_last_pass", None)
+    omega = build_example("sc-poisson-darboux", n=2).omega
+    assert dual_jacobi_check(omega).passed
+    assert dual_roundtrip_check(omega).passed
+    assert len(compiled) == 1
+    # an equal form built afresh is the same form
+    same = build_example("sc-poisson-darboux", n=2).omega
+    assert dual_roundtrip_check(same).passed and len(compiled) == 1
+    other = build_example("sc-darboux", n=2).omega
+    assert dual_jacobi_check(other).passed
+    assert dual_roundtrip_check(other).passed
+    assert len(compiled) == 2
+    # other sample counts and domains are other passes
+    dual_jacobi_check(other, n_samples=40)
+    dual_roundtrip_check(other, domain=dict(other.chart.box()))
+    assert len(compiled) == 4
+
+
+def test_the_round_trip_does_not_reuse_a_pass_a_partial_stopped(monkeypatch):
+    # a partial undefined where W is defined refutes Jacobi, but the round
+    # trip reads only W, so it samples afresh and passes
+    ch = Chart(("x", "y", "z", "w"), ((-0.5, 0.5),) * 4, None)
+    omega = make_form(ch, 2, [(0, ONE, ("x", "y")), (0, ONE, ("z", "w"))])
+    compiled = []
+
+    def counting(exprs):
+        compiled.append(len(exprs))
+        return compile_floats(exprs)
+
+    def undefined_partial(e, name):
+        return expr.sqrt(var("y")) if name == "x" else ZERO
+
+    monkeypatch.setattr(structures, "compile_floats", counting)
+    monkeypatch.setattr(structures, "differentiate", undefined_partial)
+    monkeypatch.setattr(structures, "_last_pass", None)
+    jac = dual_jacobi_check(omega)
+    assert jac.detail.startswith("coefficient matrix undefined")
+    assert dual_roundtrip_check(omega).passed
+    assert len(compiled) == 2
 
 
 def test_only_geometry_folds_poles():
