@@ -8,7 +8,7 @@ certifies gluing constructions, and evaluates cohomology formulas."""
 from .expr import (
     Const, DEFAULT_SEED, DomainError, Expr, ExprError, Var, ZeroVerdict,
     add, canon, cos, const, differentiate, evaluate, exp, is_provably_zero,
-    is_zero, mul, parse, powx, ser, sin, sqrt, var,
+    is_zero, mul, powx, ser, sin, sqrt, var,
 )
 from .geometry import (
     Chart, GeometryError, SingularForm, ZeroVerdictMap, exterior_derivative,
@@ -35,8 +35,26 @@ from .gluing import (
 )
 from .cohomology import (
     BettiProfile, CohomologyReport, FiniteRank, InfiniteDimensional,
-    Unresolved, Zero, bk_poisson, d_h_squared_check, horizontal_d, kunneth,
-    lie_derivative, quotient_kernel_check_rigged, quotient_kernel_check_sc,
-    rigged_closed_representative, sc_derham, sc_poisson, sc_reduction_primitive,
+    Unresolved, Zero, bk_poisson, kunneth, sc_derham, sc_poisson,
 )
 from .catalog import ExampleRecord, build_example, list_examples, run_example
+
+# public names whose modules load on first use (PEP 562), so that importing
+# the package compiles none of them
+_LAZY = {
+    "parse": "reader",
+    "d_h_squared_check": "quotient",
+    "horizontal_d": "quotient",
+    "lie_derivative": "quotient",
+    "quotient_kernel_check_rigged": "quotient",
+    "quotient_kernel_check_sc": "quotient",
+    "rigged_closed_representative": "quotient",
+    "sc_reduction_primitive": "quotient",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)

@@ -2,9 +2,9 @@
 
 A tensor grid is kept as its axes (Grid), not as one dict per point.  A
 grid certificate compiles its margin into one grid kernel
-(expr.compile_margin), which streams the rows of the product of the axes
-the margin reads, computes each distinct subtree once per point and keeps
-the running minimum; a point becomes a dict, and goes to the tree walk
+(floatcode.compile_margin), which streams the rows of the product of the
+axes the margin reads, computes each distinct subtree once per point and
+keeps the running minimum; a point becomes a dict, and goes to the tree walk
 `evaluate`, only when the kernel cannot settle it.
 
 A `proven` verdict claims an identity between exact normal forms (`canon`),
@@ -18,8 +18,7 @@ import math
 from typing import Mapping, Optional, Sequence, Union
 
 from .expr import (
-    DomainError, Expr, Record, compile_margin, evaluate, floor_root, free_vars,
-    nan_max,
+    DomainError, Expr, Record, evaluate, floor_root, free_vars, nan_max,
 )
 from .geometry import Chart, SingularForm, ZeroVerdictMap
 
@@ -176,7 +175,7 @@ def certify_positive(margin: Union[Expr, Sequence[Expr]], points, tol: float,
     The margin is an expression, read with its sign, or a list of
     expressions, read as max |e| (0.0 for an empty list).  points is a
     Grid, or point dicts, read as rows in the key order of the first.  The
-    kernel of expr.compile_margin streams the rows in order; a point it
+    kernel of floatcode.compile_margin streams the rows in order; a point it
     cannot settle is settled by the tree walk, and the kernel resumes after
     it.  A point where the margin is undefined (DomainError) refutes, with
     that point as the witness.  No points certify nothing, so an empty set
@@ -198,6 +197,7 @@ def certify_positive(margin: Union[Expr, Sequence[Expr]], points, tol: float,
     else:
         names = tuple(points[0])
         rows = _dict_rows(points, names)
+    from .floatcode import compile_margin
     kernel = compile_margin(exprs, magnitude, names)
     i, row, least = kernel(rows, 0, math.inf, tol)
     while row is not None:

@@ -35,7 +35,6 @@ from .expr import (
     free_vars,
     is_zero,
     mul,
-    parse,
     pfaffians,
     powx,
     ser,
@@ -409,6 +408,7 @@ def form_to_json(f: SingularForm) -> str:
 
 
 def form_from_json(text: str) -> SingularForm:
+    from .reader import parse
     doc = json.loads(text)
     c = doc["chart"]
     ch = Chart(tuple(c["names"]), tuple(tuple(r) for r in c["ranges"]),

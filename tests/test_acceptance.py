@@ -11,14 +11,14 @@ import pytest
 
 from scatsym.algebroids import no_go_check
 from scatsym.catalog import (
-    build_example, darboux_chart, darboux_contact_primitive, list_examples,
-    run_example, sphere_slot_coefficient, torus_contact,
+    build_example, list_examples, run_example, torus_contact,
 )
 from scatsym.cli import EXIT_PASS, main
 from scatsym.cohomology import (
     BettiProfile, FiniteRank, InfiniteDimensional, bk_poisson,
-    d_h_squared_check, horizontal_d, lie_derivative,
-    quotient_kernel_check_rigged, quotient_kernel_check_sc,
+)
+from scatsym.examples import (
+    darboux_chart, darboux_contact_primitive, sphere_slot_coefficient,
 )
 from scatsym.expr import (
     Const, ONE, add, canon, cos, is_provably_zero, mul, powx, sin, var,
@@ -28,6 +28,10 @@ from scatsym.geometry import (
     smooth_form, wedge, zero_form,
 )
 from scatsym.gluing import GLUE_R, certify_folded_gluing, certify_sc_gluing
+from scatsym.quotient import (
+    d_h_squared_check, horizontal_d, lie_derivative,
+    quotient_kernel_check_rigged, quotient_kernel_check_sc,
+)
 from scatsym.structures import (
     ContactData, closedness, dual_jacobi_check, dual_roundtrip_check,
     dualize, lift, normal_form, strong_filling_check, verify_sc_symplectic,

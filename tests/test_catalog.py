@@ -2,11 +2,11 @@
 
 import pytest
 
-from scatsym import catalog, certificates
+from scatsym import catalog, certificates, examples
 from scatsym.catalog import (
-    CatalogError, _float_check, build_example, list_examples, run_example,
-    sphere_slot_coefficient,
+    CatalogError, build_example, list_examples, run_example,
 )
+from scatsym.examples import _float_check, sphere_slot_coefficient
 from scatsym.certificates import refuted
 from scatsym.expr import (
     Const, DomainError, add, canon, is_provably_zero, mul, powx, var,
@@ -19,6 +19,11 @@ def test_registry_names():
     assert "sc-sphere" in names
     assert "t2xs2" in names
     assert len(names) == 11
+
+
+def test_the_record_names_are_the_builders():
+    # catalog list names the records without importing examples
+    assert list(catalog.EXAMPLES) == sorted(examples.BUILDERS)
 
 
 def test_unknown_name_rejected():
@@ -121,16 +126,16 @@ def test_pole_symplectic_refutes_before_evaluating_the_pole(monkeypatch):
     def undefined(*_):
         raise DomainError("undefined at the pole")
 
-    monkeypatch.setattr(catalog, "certify_symplectic",
+    monkeypatch.setattr(examples, "certify_symplectic",
                         lambda *_: refuted({}, detail="form not closed"))
-    monkeypatch.setattr(catalog, "evaluate_form", undefined)
-    cert = catalog._run_check(rec, "pole-symplectic", 3)
+    monkeypatch.setattr(examples, "evaluate_form", undefined)
+    cert = examples._run_check(rec, "pole-symplectic", 3)
     assert not cert.passed and cert.detail == "form not closed"
 
 
 def test_folded_check_reads_the_grid():
     # folded-darboux n=2 folds along x1 = 0, whose chart is 3-D
-    cert = catalog._run_check(build_example("folded-darboux"), "folded", 3)
+    cert = examples._run_check(build_example("folded-darboux"), "folded", 3)
     assert dict(cert.parts)["transversal"].grid_points == 3 ** 3
 
 
@@ -144,5 +149,5 @@ def test_cosymplectic_check_certifies_on_one_grid(monkeypatch):
         return real(margin, points, *args, **kwargs)
 
     monkeypatch.setattr(certificates, "certify_positive", counting)
-    cert = catalog._run_check(build_example("bk-torus"), "cosymplectic", 3)
+    cert = examples._run_check(build_example("bk-torus"), "cosymplectic", 3)
     assert cert.passed and sizes == [3 ** 3]

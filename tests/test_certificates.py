@@ -17,9 +17,10 @@ from scatsym.certificates import (
 )
 from scatsym.expr import (
     Const, ONE, UnknownVariableError, ZeroVerdict, add, evaluate, free_vars,
-    parse, powx, var,
+    powx, var,
 )
 from scatsym.geometry import Chart, ZeroVerdictMap, make_form, smooth_form
+from scatsym.reader import parse
 from test_expr import _SPECIAL, _random_tree
 
 

@@ -101,6 +101,25 @@ def test_catalog_run_empty_grid_exits_2(grid):
                  "--grid", grid]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sc-darboux", "--param", "q=1"],
+     "example 'sc-darboux' has no parameter 'q'; it takes n"),
+    (["bk-torus", "--param", "n=2", "--param", "j=1"],
+     "example 'bk-torus' has no parameter 'j'; it takes k, n"),
+    (["t2xs2", "--param", "n=1"],
+     "example 't2xs2' has no parameter 'n'; it takes none"),
+    (["sc-darboux", "--param", "n=abc"], "parameter n=abc is not an integer"),
+    (["sc-darboux", "--param", "n=9"], "parameter n=9 outside [1, 4]"),
+], ids=["unknown-key", "unknown-second-key", "no-parameters", "not-an-integer",
+        "out-of-range"])
+def test_catalog_run_names_a_bad_parameter(argv, message, capsys):
+    # the error names the example and what it takes; no report is written
+    assert main(["catalog", "run", *argv]) == EXIT_PARSE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
 def test_catalog_run_with_params(tmp_path):
     out = tmp_path / "cat.json"
     code = main(["catalog", "run", "sc-darboux", "--param", "n=1",

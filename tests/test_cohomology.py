@@ -9,15 +9,18 @@ import pytest
 
 from scatsym.cohomology import (
     BettiProfile, CohomologyError, FiniteRank, InfiniteDimensional,
-    Unresolved, Zero, assemble_sc_quotient, bk_poisson, d_h_squared_check,
-    horizontal_d, kunneth, lie_derivative, quotient_kernel_check_rigged,
-    quotient_kernel_check_sc, rigged_closed_representative, sc_derham,
-    sc_poisson, sc_reduction_primitive, torus_betti,
+    Unresolved, Zero, bk_poisson, kunneth, sc_derham, sc_poisson,
+    torus_betti,
 )
 from scatsym.expr import Const, ONE, cos, mul, sin, var
 from scatsym.geometry import (
     Chart, exact_singular, exterior_derivative, forms_equal, interior_product,
     make_form, smooth_form, wedge, zero_form,
+)
+from scatsym.quotient import (
+    assemble_sc_quotient, d_h_squared_check, horizontal_d, lie_derivative,
+    quotient_kernel_check_rigged, quotient_kernel_check_sc,
+    rigged_closed_representative, sc_reduction_primitive,
 )
 from scatsym.structures import ContactData
 

@@ -12,13 +12,15 @@ from pathlib import Path
 import pytest
 
 import scatsym.expr as expr_module
+import scatsym.floatcode as floatcode
 from scatsym.expr import (
     Const, Cos, DomainError, Exp, ExprError, ONE, Piece, PiecewiseDecay, Pow,
-    Prod, Sin, Sum, Var, ZERO, add, canon, collect_x_powers, compile_floats,
-    compile_margin, cos, differentiate, evaluate, evaluate_dag, exp,
-    is_provably_zero, is_zero, mul, nan_max, parse, poly, powx, sample_points,
-    ser, sin, sqrt, substitute, var,
+    Prod, Sin, Sum, Var, ZERO, add, canon, collect_x_powers, cos,
+    differentiate, evaluate, evaluate_dag, exp, is_provably_zero, is_zero,
+    mul, nan_max, poly, powx, sample_points, ser, sin, sqrt, substitute, var,
 )
+from scatsym.floatcode import compile_floats, compile_margin
+from scatsym.reader import parse
 from scatsym.catalog import torus_contact
 from scatsym import certificates
 from scatsym.certificates import (
@@ -56,6 +58,31 @@ def test_chain_rule_exp():
 
 def test_derivative_of_constant_in_other_variable():
     assert is_provably_zero(differentiate(mul(Const(Fraction(3)), Y), "x"))
+
+
+def test_differentiate_derives_each_distinct_subtree_once():
+    # every term of a product's derivative repeats the other operands, so
+    # a shared subtree is reached along many paths; each (node, variable)
+    # is derived once
+    inner = sin(mul(X, Y))
+    e = mul(inner, cos(inner), exp(add(inner, X)))
+    nodes, stack = set(), [e]
+    while stack:
+        n = stack.pop()
+        if n not in nodes:
+            nodes.add(n)
+            stack.extend(getattr(n, "args", ()))
+            stack.extend(getattr(n, name) for name in ("arg", "base")
+                         if hasattr(n, name))
+    expr_module._diff.cache_clear()
+    d = differentiate(e, "x")
+    assert expr_module._diff.cache_info().misses == len(nodes)
+    assert differentiate(e, "x") is d
+    pt = {"x": Fraction(1, 3), "y": Fraction(2)}
+    h = 1e-6
+    num = (float(evaluate(e, {"x": 1 / 3 + h, "y": 2.0}))
+           - float(evaluate(e, {"x": 1 / 3 - h, "y": 2.0}))) / (2 * h)
+    assert float(evaluate(d, pt)) == pytest.approx(num, rel=1e-6)
 
 
 def test_division_by_zero_raises():
@@ -440,7 +467,7 @@ def test_compile_floats_folds_constant_entries(monkeypatch):
     def tree_walk(*args):
         raise AssertionError("constant entry evaluated per point")
 
-    monkeypatch.setattr(expr_module, "evaluate", tree_walk)
+    monkeypatch.setattr(floatcode, "evaluate", tree_walk)
     assert _same_values(("value", fn({})), ("value", want))
     assert compile_floats([])({}) == []
 

@@ -12,10 +12,10 @@ import pytest
 from scatsym import expr, geometry
 from scatsym.catalog import build_example
 from scatsym.expr import (
-    Const, ExprError, ONE, Piece, PiecewiseDecay, ZERO, add, canon,
-    compile_floats, cos, evaluate, exp, is_provably_zero, mul, poly, powx, sin,
-    var,
+    Const, ExprError, ONE, Piece, PiecewiseDecay, ZERO, add, canon, cos,
+    evaluate, exp, is_provably_zero, mul, poly, powx, sin, var,
 )
+from scatsym.floatcode import compile_floats
 from scatsym.geometry import (
     Chart, GeometryError, evaluate_form, exterior_derivative,
     form_from_json, form_to_json, forms_equal, interior_product,

@@ -8,9 +8,8 @@ import pytest
 from scatsym import expr
 from scatsym.catalog import s2xs1_contact, torus_contact
 from scatsym.certificates import axis_points, geometric_refinement
-from scatsym.expr import (
-    ONE, compile_floats, differentiate, evaluate, exp, mul, var,
-)
+from scatsym.expr import ONE, differentiate, evaluate, exp, mul, var
+from scatsym.floatcode import compile_floats
 from scatsym.geometry import exterior_derivative, smooth_form, wedge
 from scatsym.gluing import (
     GLUE_R, FillingCollar, GluingError, bump_phi, bump_psi_f, bump_psi_sc,

@@ -12,7 +12,7 @@ import functools
 from pathlib import Path
 
 import scatsym
-from scatsym import catalog
+from scatsym import examples
 
 PACKAGE = Path(scatsym.__file__).resolve().parent
 
@@ -27,17 +27,17 @@ EXEMPT = {
         "class X(Record, uncompared=...)",
     # the quotient-complex checks of criteria 05/06, which set n_samples;
     # computing the groups themselves is to replace them
-    ("cohomology", "quotient_kernel_check_sc", "n_samples"): "criteria 05",
-    ("cohomology", "quotient_kernel_check_sc", "tol"): "criteria 05",
-    ("cohomology", "quotient_kernel_check_rigged", "n_samples"): "criteria 06",
-    ("cohomology", "quotient_kernel_check_rigged", "tol"): "criteria 06",
-    ("cohomology", "_check_xi_support", "tol"): "criteria 06",
-    ("cohomology", "rigged_closed_representative", "tol"): "criteria 06",
-    ("cohomology", "d_h_squared_check", "tol"): "criteria 06",
+    ("quotient", "quotient_kernel_check_sc", "n_samples"): "criteria 05",
+    ("quotient", "quotient_kernel_check_sc", "tol"): "criteria 05",
+    ("quotient", "quotient_kernel_check_rigged", "n_samples"): "criteria 06",
+    ("quotient", "quotient_kernel_check_rigged", "tol"): "criteria 06",
+    ("quotient", "_check_xi_support", "tol"): "criteria 06",
+    ("quotient", "rigged_closed_representative", "tol"): "criteria 06",
+    ("quotient", "d_h_squared_check", "tol"): "criteria 06",
 }
 # catalog builders: `catalog run --param key=value` sets them through
 # build_example(name, **params)
-BUILDERS = {fn.__name__ for fn in catalog._REGISTRY.values()}
+BUILDERS = {fn.__name__ for fn in examples.BUILDERS.values()}
 
 
 @functools.cache

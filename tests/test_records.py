@@ -22,7 +22,8 @@ RECORDS = {
     "structures": ("ContactData", "CosymplecticData", "FillingVerdict"),
     "gluing": ("FillingCollar", "GluedForm"),
     "cohomology": ("BettiProfile", "FiniteRank", "Zero", "InfiniteDimensional",
-                   "Unresolved", "CohomologyReport", "QuotientVerdict"),
+                   "Unresolved", "CohomologyReport"),
+    "quotient": ("QuotientVerdict",),
     "catalog": ("ExampleRecord",),
 }
 CLASSES = [getattr(importlib.import_module(f"scatsym.{mod}"), name)

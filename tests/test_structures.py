@@ -14,27 +14,27 @@ import pytest
 
 import scatsym
 
-from scatsym.catalog import (
-    build_example, circle_contact, darboux_chart, darboux_contact_primitive,
-    s2xs1_contact, torus_contact,
-)
+from scatsym.catalog import build_example, s2xs1_contact, torus_contact
 from scatsym.certificates import chart_grid, proven, refuted, verified
-from scatsym import algebroids, expr, structures
-from scatsym.expr import (
-    Const, ONE, ZERO, add, compile_floats, cos, differentiate, evaluate, mul,
-    sin, var,
+from scatsym import algebroids, duality, expr, structures
+from scatsym.duality import _dual_samples
+from scatsym.examples import (
+    circle_contact, darboux_chart, darboux_contact_primitive,
 )
+from scatsym.expr import (
+    Const, ONE, ZERO, add, cos, differentiate, evaluate, mul, sin, var,
+)
+from scatsym.floatcode import compile_floats
 from scatsym.geometry import (
     Chart, exterior_derivative, forms_equal, make_form, off_pole_domain,
     smooth_form, zero_form,
 )
 from scatsym.linalg import float_inverse
 from scatsym.structures import (
-    ContactData, CosymplecticData, StructureError, _dual_samples,
-    _full_matrix, _reeb_identities, closedness, cosymplectic_extract,
-    decompose, dual_jacobi_check, dual_roundtrip_check, dualize,
-    induced_contact, lift, normal_form, reeb, strong_filling_check,
-    verify_sc_symplectic, z_chart,
+    ContactData, CosymplecticData, StructureError, _full_matrix,
+    _reeb_identities, closedness, cosymplectic_extract, decompose,
+    dual_jacobi_check, dual_roundtrip_check, dualize, induced_contact, lift,
+    normal_form, reeb, strong_filling_check, verify_sc_symplectic, z_chart,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -239,7 +239,7 @@ def test_dual_checks_sample_inside_the_chart(monkeypatch):
         seen.extend(pts)
         return pts
 
-    monkeypatch.setattr(structures, "sample_points", recording)
+    monkeypatch.setattr(duality, "sample_points", recording)
     for check in (dual_roundtrip_check, dual_jacobi_check):
         seen.clear()
         assert check(omega).passed
@@ -333,7 +333,7 @@ def test_sample_matrix_is_evaluate_bit_for_bit(monkeypatch, name, params):
     mats = [m] + [[[differentiate(e, nm) for e in row] for row in m]
                   for nm in ch.names]
     d, count = ch.dim, 0
-    monkeypatch.setattr(structures, "_last_pass", None)
+    monkeypatch.setattr(duality, "_last_pass", None)
     run = _dual_samples(omega, 100, None, True)
     for pt, w, values, _ in run.samples:
         # the pass keeps the partials' entries at its slots; the rest are ZERO
@@ -485,19 +485,19 @@ def test_sparse_dual_checks_equal_the_dense_ones(monkeypatch):
     # dense code's Certificate with bit-equal margins, whether the round
     # trip samples afresh or reuses the Jacobi pass
     kernels = set()
-    generate = structures._jacobi_kernel
+    generate = duality._jacobi_kernel
 
     def recording(d, slots, dense):
         kernels.add(dense)
         return generate(d, slots, dense)
 
-    monkeypatch.setattr(structures, "_jacobi_kernel", recording)
+    monkeypatch.setattr(duality, "_jacobi_kernel", recording)
     rng = random.Random(2023)
     seen = set()
     for _ in range(30):
         kind, omega = _random_two_form(rng, rng.choice([4, 6]))
         want_rt, want_jac = _dense_roundtrip(omega), _dense_jacobi(omega)
-        monkeypatch.setattr(structures, "_last_pass", None)
+        monkeypatch.setattr(duality, "_last_pass", None)
         fresh_rt = dual_roundtrip_check(omega)
         jac, reused_rt = dual_jacobi_check(omega), dual_roundtrip_check(omega)
         assert _cert_bits(jac) == _cert_bits(want_jac), kind
@@ -518,8 +518,8 @@ def test_the_round_trip_reuses_the_jacobi_pass(monkeypatch):
         compiled.append(len(exprs))
         return compile_floats(exprs)
 
-    monkeypatch.setattr(structures, "compile_floats", counting)
-    monkeypatch.setattr(structures, "_last_pass", None)
+    monkeypatch.setattr(duality, "compile_floats", counting)
+    monkeypatch.setattr(duality, "_last_pass", None)
     omega = build_example("sc-poisson-darboux", n=2).omega
     assert dual_jacobi_check(omega).passed
     assert dual_roundtrip_check(omega).passed
@@ -551,9 +551,9 @@ def test_the_round_trip_does_not_reuse_a_pass_a_partial_stopped(monkeypatch):
     def undefined_partial(e, name):
         return expr.sqrt(var("y")) if name == "x" else ZERO
 
-    monkeypatch.setattr(structures, "compile_floats", counting)
-    monkeypatch.setattr(structures, "differentiate", undefined_partial)
-    monkeypatch.setattr(structures, "_last_pass", None)
+    monkeypatch.setattr(duality, "compile_floats", counting)
+    monkeypatch.setattr(duality, "differentiate", undefined_partial)
+    monkeypatch.setattr(duality, "_last_pass", None)
     jac = dual_jacobi_check(omega)
     assert jac.detail.startswith("coefficient matrix undefined")
     assert dual_roundtrip_check(omega).passed
