@@ -7,7 +7,7 @@ certifies gluing constructions, and evaluates cohomology formulas."""
 
 from .expr import (
     Const, DEFAULT_SEED, DomainError, Expr, ExprError, Var, ZeroVerdict,
-    add, canon, cos, const, differentiate, evaluate, exp, is_provably_zero,
+    add, canon, cos, differentiate, evaluate, exp, is_provably_zero,
     is_zero, mul, powx, ser, sin, sqrt, var,
 )
 from .geometry import (

@@ -1,8 +1,8 @@
 """The duality pass behind structures.dual_roundtrip_check and
 structures.dual_jacobi_check: the matrix W of a form, and optionally its
-partials, sampled through one compiled function and inverted once per
-point, and the generated Schouten kernel the Jacobi check runs on it.
-Only requests that check a dual import this module."""
+partials, sampled at 100 points through one compiled function and
+inverted once per point, and the Schouten kernel the Jacobi check runs
+on it.  Only requests that check a dual import this module."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ class _DualPass(Record):
     values of the structurally nonzero entries slots ((m, i, j), ...) of
     the partials d_m W, and w_cols[j] the rows i with W[i][j] not ZERO."""
 
-    key: tuple  # (form, n_samples, domain)
+    form: SingularForm
     partials: bool
     slots: tuple
     w_cols: tuple
@@ -36,19 +36,17 @@ class _DualPass(Record):
 _last_pass: Optional[_DualPass] = None
 
 
-def _dual_samples(omega: SingularForm, n_samples: int, domain: Optional[dict],
-                  partials: bool) -> _DualPass:
-    """The duality pass of omega: W and, if partials, the nonzero entries
-    of each d_m W are compiled once into one function (compile_floats),
-    and each sample point is evaluated and each W inverted once.  The last
-    pass is kept, so a check on an equal form, sample count and domain
-    samples nothing.  A pass with partials serves a check without them
-    unless a DomainError stopped it: a partial can be undefined where W is
-    defined."""
+def _dual_samples(omega: SingularForm, partials: bool) -> _DualPass:
+    """The duality pass of omega on 100 points of its chart box, the x
+    axis kept off the pole: W and, if partials, the nonzero entries of
+    each d_m W are compiled once into one function (compile_floats), and
+    each sample point is evaluated and each W inverted once.  The last
+    pass is kept, so a check on an equal form samples nothing.  A pass
+    with partials serves a check without them unless a DomainError
+    stopped it: a partial can be undefined where W is defined."""
     global _last_pass
-    key = (omega, n_samples, None if domain is None else dict(domain))
     last = _last_pass
-    if last is not None and last.key == key and (
+    if last is not None and last.form == omega and (
             last.partials == partials or last.partials and not last.undefined):
         return last
     ch, m = omega.chart, _full_matrix(omega)
@@ -64,7 +62,7 @@ def _dual_samples(omega: SingularForm, n_samples: int, domain: Optional[dict],
                         slots.append((k, i, j))
     values_at = compile_floats(exprs)
     samples, stop, undefined = [], None, False
-    for pt in sample_points(ch.names, off_pole_domain(ch, domain), n_samples):
+    for pt in sample_points(ch.names, off_pole_domain(ch), 100):
         try:
             flat = values_at(pt)
         except DomainError as e:
@@ -78,24 +76,24 @@ def _dual_samples(omega: SingularForm, n_samples: int, domain: Optional[dict],
         samples.append((pt, w, flat[d * d:], p))
     w_cols = tuple(tuple(i for i in range(d) if m[i][j] != ZERO)
                    for j in range(d))
-    _last_pass = _DualPass(key, partials, tuple(slots), w_cols, samples, stop,
+    _last_pass = _DualPass(omega, partials, tuple(slots), w_cols, samples, stop,
                            undefined)
     return _last_pass
 
 
+NOT_FINITE = "P = W^{-1} has a non-finite entry"
+
+
 def _finite(p) -> bool:
-    """Every entry of the float matrix p is finite.  A sum of finite
-    entries that overflows also reads False, which only sends p down the
-    path that keeps every term."""
-    s = sum(map(sum, p))
-    return s - s == 0.0
+    """Every entry of the float matrix p is finite (inf - inf is NaN)."""
+    return all(v - v == 0.0 for row in p for v in row)
 
 
 # A term dropped from a product below is a finite entry times a ZERO entry,
 # i.e. +-0.0.  Each dot product starts at +0.0, as sum() does, and a sum
 # that starts at +0.0 is never -0.0, so adding +-0.0 leaves it unchanged:
-# dropping those terms is exact.  At a point where P has a non-finite
-# entry, a dropped term could be NaN, so there every term is kept.
+# dropping those terms is exact.  A dropped term could be NaN where P has a
+# non-finite entry, so both checks refute there first (NOT_FINITE).
 
 
 def _dot(terms: list) -> str:
@@ -106,15 +104,15 @@ def _dot(terms: list) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _jacobi_kernel(d: int, slots: tuple, dense: bool):
+def _jacobi_kernel(d: int, slots: tuple):
     """kernel(p, dw, tol): the coordinate Schouten bracket [pi, pi] at one
-    sample point, with p = W^{-1}, dw the values of d_m W at slots, and
-    d_m P = -(P d_m W) P, as straight-line code generated once per (d,
-    slots, dense).  Each component (i, j, l), i < j < l, is summed over m
-    in order; the kernel returns (|component|, (i, j, l)) for the first
-    one not within tol, else (the largest, None).  Unless dense, it reads
-    only the slots, the nonzero columns of P d_m W and the m with d_m W
-    not identically ZERO, which is exact where p is finite."""
+    sample point, with p = W^{-1} finite, dw the values of d_m W at slots,
+    and d_m P = -(P d_m W) P, as straight-line code generated once per (d,
+    slots).  Each component (i, j, l), i < j < l, is summed over m in
+    order; the kernel returns (|component|, (i, j, l)) for the first one
+    not within tol, else (the largest, None).  It reads only the slots,
+    the nonzero columns of P d_m W and the m with d_m W not identically
+    ZERO, which is exact where p is finite."""
     at = {s: f"x{n}" for n, s in enumerate(slots)}
     triples = [(i, j, l) for i in range(d) for j in range(i + 1, d)
                for l in range(j + 1, d)]
@@ -125,14 +123,13 @@ def _jacobi_kernel(d: int, slots: tuple, dense: bool):
         for i in range(d)) + ", = p"]
     if slots:
         lines.append(f"    {', '.join(at.values())}, = dw")
-    ms = range(d) if dense else sorted({m for m, _, _ in slots})
+    ms = sorted({m for m, _, _ in slots})
     for m in ms:
-        cols = range(d) if dense else sorted({k for n, _, k in slots
-                                              if n == m})
+        cols = sorted({k for n, _, k in slots if n == m})
         for i in sorted({i for i, _ in pairs}):
             for k in cols:
-                terms = [f"p{i}_{j} * {at.get((m, j, k), '0.0')}"
-                         for j in range(d) if dense or (m, j, k) in at]
+                terms = [f"p{i}_{j} * {at[m, j, k]}"
+                         for j in range(d) if (m, j, k) in at]
                 lines.append(f"    t{i}_{k} = {_dot(terms)}")
         for i, j in pairs:
             lines.append(f"    q{m}_{i}_{j} = "

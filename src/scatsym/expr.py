@@ -351,7 +351,6 @@ class PiecewiseDecay(Expr):
 
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
-HALF = Const(Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +485,6 @@ def sqrt(a) -> Expr:
 
 def var(name: str) -> Var:
     return Var(name)
-
-
-def const(q) -> Const:
-    return Const(_frac(q))
 
 
 # ---------------------------------------------------------------------------

@@ -367,10 +367,10 @@ def forms_equal(a: SingularForm, b: SingularForm, n_samples: int = 200,
     return ZeroVerdictMap(verdicts)
 
 
-def off_pole_domain(ch: Chart, domain: Optional[dict] = None) -> dict:
-    """The sampling box (the chart's by default) with the x axis kept away
-    from the pole locus x = 0 and inside the box."""
-    dom = dict(domain or ch.box())
+def off_pole_domain(ch: Chart) -> dict:
+    """The chart's box with the x axis kept away from the pole locus x = 0
+    and inside the box."""
+    dom = ch.box()
     if ch.x is not None and ch.x in dom:
         lo, hi = (float(v) for v in dom[ch.x])
         if lo < 0.0 < hi:

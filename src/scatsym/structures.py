@@ -211,48 +211,47 @@ def dualize(f: SingularForm) -> SingularForm:
     return _matrix_to_bivector(f.chart, sym_inverse(_full_matrix(f)), kind)
 
 
-def dual_roundtrip_check(omega: SingularForm,
-                         domain: Optional[dict] = None) -> Certificate:
+def dual_roundtrip_check(omega: SingularForm) -> Certificate:
     """pi-sharp after omega-flat is the identity: P W = I to TOL_NONDEG at
-    each of 100 sample points, W the matrix of omega and P = W^{-1}; an
-    undefined or singular W refutes."""
-    from .duality import _dual_samples, _finite
-    n_samples, tol = 100, TOL_NONDEG
-    run = _dual_samples(omega, n_samples, domain, False)
-    dense = (range(omega.chart.dim),) * omega.chart.dim
+    each of 100 sample points on the chart box, W the matrix of omega and
+    P = W^{-1}; an undefined or singular W, or a non-finite P, refutes."""
+    from .duality import NOT_FINITE, _dual_samples, _finite
+    tol = TOL_NONDEG
+    run = _dual_samples(omega, False)
     worst = 0.0
     for pt, w, _, p in run.samples:
-        cols = run.w_cols if _finite(p) else dense
+        if not _finite(p):
+            return refuted(pt, detail=NOT_FINITE)
         err = nan_max(abs(sum([row[i] * w[i][j] for i in rows], 0.0)
                           - (k == j))
                       for k, row in enumerate(p)
-                      for j, rows in enumerate(cols))
+                      for j, rows in enumerate(run.w_cols))
         if not err <= tol:  # NaN fails too
             return refuted(pt, tol - err, detail="P W differs from the identity")
         worst = max(worst, err)
     if run.stop is not None:
         return refuted(run.stop[0], detail=run.stop[1])
-    return verified(n_samples, tol, tol - worst,
+    return verified(len(run.samples), tol, tol - worst,
                     detail="pi-sharp . omega-flat = id (P W = I)")
 
 
-def dual_jacobi_check(omega: SingularForm, n_samples: int = 100,
-                      domain: Optional[dict] = None) -> Certificate:
+def dual_jacobi_check(omega: SingularForm) -> Certificate:
     """[pi, pi] = 0 to TOL_CLOSED for pi the dual of omega, by the
     coordinate Schouten formula on P = W^{-1} and d_m P = -P (d_m W) P at
-    each sample point.  Every sample is inverted before any component is
-    checked, so an undefined or singular W refutes first."""
-    from .duality import _dual_samples, _finite, _jacobi_kernel
+    each of 100 sample points on the chart box.  An undefined or singular
+    W at any sample refutes first, then a non-finite P at its point."""
+    from .duality import NOT_FINITE, _dual_samples, _finite, _jacobi_kernel
     tol = TOL_CLOSED
-    run = _dual_samples(omega, n_samples, domain, True)
+    run = _dual_samples(omega, True)
     if run.stop is not None:
         return refuted(run.stop[0], detail=run.stop[1])
     d = omega.chart.dim
     if d <= 2:
         return proven(detail="Jacobi is automatic below three components")
-    sparse, worst = _jacobi_kernel(d, run.slots, False), 0.0
+    kernel, worst = _jacobi_kernel(d, run.slots), 0.0
     for pt, _, dw, p in run.samples:
-        kernel = sparse if _finite(p) else _jacobi_kernel(d, run.slots, True)
+        if not _finite(p):
+            return refuted(pt, detail=NOT_FINITE)
         comp, at = kernel(p, dw, tol)
         if at is not None:
             return refuted(pt, tol - comp,

@@ -15,7 +15,7 @@ from scatsym.algebroids import (
 from scatsym.catalog import build_example
 from scatsym.certificates import chart_grid
 from scatsym.cli import EXIT_PARSE, main
-from scatsym.expr import ONE, add, const, mul, var
+from scatsym.expr import ONE, Const, add, mul, var
 from scatsym.geometry import Chart, form_to_json, make_form
 
 
@@ -58,7 +58,7 @@ def test_x_last_chart_names_the_excess_pole_dx_first(x_last4):
 def test_nondegenerate_ignores_the_sign_of_the_frame_volume(plane4, x_last4):
     # on the x-last chart dx ^ dy1 ^ dy2 ^ dy3 = -dVol, so the volume
     # coefficient flips sign; |.| and hence the margin must not change
-    coeff = add(const(2), mul(var("y2"), var("y3")))
+    coeff = add(Const(2), mul(var("y2"), var("y3")))
     certs = []
     for ch in (plane4, x_last4):
         omega = make_form(ch, 2, [(3, coeff, ("x", "y1")),

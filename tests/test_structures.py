@@ -19,7 +19,7 @@ from scatsym.certificates import chart_grid, proven, refuted, verified
 from scatsym import algebroids, duality, expr, structures
 from scatsym.duality import _dual_samples
 from scatsym.examples import (
-    circle_contact, darboux_chart, darboux_contact_primitive,
+    _run_check, circle_contact, darboux_chart, darboux_contact_primitive,
 )
 from scatsym.expr import (
     Const, ONE, ZERO, add, cos, differentiate, evaluate, mul, sin, var,
@@ -334,7 +334,7 @@ def test_sample_matrix_is_evaluate_bit_for_bit(monkeypatch, name, params):
                   for nm in ch.names]
     d, count = ch.dim, 0
     monkeypatch.setattr(duality, "_last_pass", None)
-    run = _dual_samples(omega, 100, None, True)
+    run = _dual_samples(omega, True)
     for pt, w, values, _ in run.samples:
         # the pass keeps the partials' entries at its slots; the rest are ZERO
         dw = [[[0.0] * d for _ in range(d)] for _ in range(d)]
@@ -358,14 +358,13 @@ def test_sample_matrix_is_evaluate_bit_for_bit(monkeypatch, name, params):
 # reference they must equal bit for bit
 
 
-def _dense_samples(f, n_samples, domain, partials):
+def _dense_samples(f, partials):
     ch, m = f.chart, _full_matrix(f)
     mats = [m] + ([[[differentiate(e, nm) for e in row] for row in m]
                    for nm in ch.names] if partials else [])
     values_at = compile_floats([e for a in mats for row in a for e in row])
     d = ch.dim
-    for pt in expr.sample_points(ch.names, off_pole_domain(ch, domain),
-                                 n_samples):
+    for pt in expr.sample_points(ch.names, off_pole_domain(ch), 100):
         try:
             flat = values_at(pt)
         except expr.DomainError as e:
@@ -381,10 +380,10 @@ def _dense_matmul(a, b):
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
-def _dense_roundtrip(omega, domain=None):
-    n_samples, tol = 100, structures.TOL_NONDEG
+def _dense_roundtrip(omega):
+    tol = structures.TOL_NONDEG
     worst = 0.0
-    for pt, w, error in _dense_samples(omega, n_samples, domain, False):
+    for pt, w, error in _dense_samples(omega, False):
         if w is None:
             return refuted(pt, detail=f"coefficient matrix undefined, {error}")
         p = float_inverse(w)
@@ -396,14 +395,14 @@ def _dense_roundtrip(omega, domain=None):
         if not err <= tol:
             return refuted(pt, tol - err, detail="P W differs from the identity")
         worst = max(worst, err)
-    return verified(n_samples, tol, tol - worst,
+    return verified(100, tol, tol - worst,
                     detail="pi-sharp . omega-flat = id (P W = I)")
 
 
-def _dense_jacobi(omega, n_samples=100, domain=None):
+def _dense_jacobi(omega):
     tol = structures.TOL_CLOSED
     samples = []
-    for pt, w, dw in _dense_samples(omega, n_samples, domain, True):
+    for pt, w, dw in _dense_samples(omega, True):
         if w is None:
             return refuted(pt, detail=f"coefficient matrix undefined, {dw}")
         p = float_inverse(w)
@@ -480,35 +479,59 @@ def _random_two_form(rng, d):
     return kind, omega
 
 
+def _inverse_at(omega, witness):
+    """P = W^{-1} of omega at a certificate's witness point."""
+    values = compile_floats([e for row in _full_matrix(omega) for e in row])
+    flat, d = values(dict(witness)), omega.chart.dim
+    return float_inverse([flat[i:i + d] for i in range(0, d * d, d)])
+
+
+def _assert_as_dense(omega, got, want):
+    """got is the dense reference's Certificate with bit-equal margins, or
+    both refute at a point where P has a non-finite entry, which the
+    reference reaches as a NaN or infinite error."""
+    if got.detail != duality.NOT_FINITE:
+        assert _cert_bits(got) == _cert_bits(want)
+        return
+    assert got.kind == want.kind == "refuted"
+    assert got.witness == want.witness and got.min_margin is None
+    p = _inverse_at(omega, got.witness)
+    assert not all(math.isfinite(v) for row in p for v in row)
+
+
 def test_sparse_dual_checks_equal_the_dense_ones(monkeypatch):
     # random forms with structural zeros, d = 4 and 6: both checks give the
-    # dense code's Certificate with bit-equal margins, whether the round
-    # trip samples afresh or reuses the Jacobi pass
-    kernels = set()
-    generate = duality._jacobi_kernel
-
-    def recording(d, slots, dense):
-        kernels.add(dense)
-        return generate(d, slots, dense)
-
-    monkeypatch.setattr(duality, "_jacobi_kernel", recording)
+    # dense code's Certificate, whether the round trip samples afresh or
+    # reuses the Jacobi pass, bit for bit wherever P is finite
     rng = random.Random(2023)
-    seen = set()
+    seen, not_finite = set(), 0
     for _ in range(30):
         kind, omega = _random_two_form(rng, rng.choice([4, 6]))
         want_rt, want_jac = _dense_roundtrip(omega), _dense_jacobi(omega)
         monkeypatch.setattr(duality, "_last_pass", None)
         fresh_rt = dual_roundtrip_check(omega)
         jac, reused_rt = dual_jacobi_check(omega), dual_roundtrip_check(omega)
-        assert _cert_bits(jac) == _cert_bits(want_jac), kind
-        for got in (fresh_rt, reused_rt):
-            assert _cert_bits(got) == _cert_bits(want_rt), kind
+        for got, want in ((jac, want_jac), (fresh_rt, want_rt),
+                          (reused_rt, want_rt)):
+            _assert_as_dense(omega, got, want)
+        not_finite += duality.NOT_FINITE in (jac.detail, fresh_rt.detail)
         seen.add((kind, want_rt.detail, want_jac.detail.split("^")[0]))
     assert {detail for _, detail, _ in seen} >= {
         "pi-sharp . omega-flat = id (P W = I)",
         "P W differs from the identity", "coefficient matrix is singular"}
     assert {detail for _, _, detail in seen} >= {"[pi,pi] = 0", "[pi,pi]"}
-    assert kernels == {False, True}  # P had a non-finite entry somewhere
+    assert not_finite >= 4  # P had a non-finite entry somewhere
+    # d = 2 with a subnormal entry: P is inf at every sample, so the round
+    # trip refutes at the reference's witness, and Jacobi holds below three
+    # components
+    ch = Chart(("x", "y"), ((-0.5, 0.5), (-1.0, 1.0)), None)
+    omega = make_form(ch, 2, [(0, Const(Fraction(1, 10 ** 310)),
+                               ("x", "y"))])
+    rt = dual_roundtrip_check(omega)
+    assert rt.detail == duality.NOT_FINITE
+    _assert_as_dense(omega, rt, _dense_roundtrip(omega))
+    assert dual_jacobi_check(omega).kind == _dense_jacobi(omega).kind \
+        == "proven"
 
 
 def test_the_round_trip_reuses_the_jacobi_pass(monkeypatch):
@@ -531,10 +554,28 @@ def test_the_round_trip_reuses_the_jacobi_pass(monkeypatch):
     assert dual_jacobi_check(other).passed
     assert dual_roundtrip_check(other).passed
     assert len(compiled) == 2
-    # other sample counts and domains are other passes
-    dual_jacobi_check(other, n_samples=40)
-    dual_roundtrip_check(other, domain=dict(other.chart.box()))
-    assert len(compiled) == 4
+    # a form on another chart is another pass
+    narrow = Chart(other.chart.names, ((0.1, 0.2),) + other.chart.ranges[1:],
+                   other.chart.x)
+    moved = make_form(narrow, 2, other.terms)
+    dual_jacobi_check(moved)
+    dual_roundtrip_check(moved)
+    assert len(compiled) == 3
+
+
+def test_glued_dual_compiles_w_once(monkeypatch):
+    # the round trip reuses the pass of the Jacobi check on the same form
+    compiled = []
+
+    def counting(exprs):
+        compiled.append(len(exprs))
+        return compile_floats(exprs)
+
+    monkeypatch.setattr(duality, "compile_floats", counting)
+    monkeypatch.setattr(duality, "_last_pass", None)
+    rec = build_example("t2xs2")
+    assert _run_check(rec, "glued-dual", 3).passed
+    assert compiled == [32]
 
 
 def test_the_round_trip_does_not_reuse_a_pass_a_partial_stopped(monkeypatch):
