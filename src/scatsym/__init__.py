@@ -6,9 +6,9 @@ Poisson, contact, cosymplectic, and folded structures on such charts,
 certifies gluing constructions, and evaluates cohomology formulas."""
 
 from .expr import (
-    Const, DEFAULT_SEED, DomainError, Expr, ExprError, Var, ZeroVerdict,
-    add, canon, cos, differentiate, evaluate, exp, is_provably_zero,
-    is_zero, mul, powx, ser, sin, sqrt, var,
+    Const, DEFAULT_SEED, DomainError, Expr, ExprError, Var, add, canon, cos,
+    differentiate, evaluate, exp, is_provably_zero, is_zero, mul, powx, ser,
+    sin, sqrt, var,
 )
 from .geometry import (
     Chart, GeometryError, SingularForm, ZeroVerdictMap, exterior_derivative,

@@ -146,7 +146,8 @@ def build_example(name: str, **params) -> ExampleRecord:
 
 
 def _cert_result(cert: Certificate) -> dict:
-    out = {"passed": cert.passed, "kind": cert.kind, "detail": cert.detail}
+    out = {"passed": cert.passed, "kind": cert.kind, "detail": cert.detail,
+           "grid_points": cert.grid_points, "tolerance": cert.tolerance}
     if cert.min_margin is not None:
         out["min_margin"] = cert.min_margin
     if cert.witness:

@@ -1,5 +1,10 @@
 """Verdict objects and grid helpers for numerical certification.
 
+Every leaf verdict is a Certificate, on one ladder of kinds from weakest to
+strongest: refuted, numerically-verified, proven.  Its min_margin is signed
+slack everywhere, a sampled identity (`expr.is_zero`, so each slot of
+`forms_equal` and `closedness`) included: there it is tol - |e|.
+
 A tensor grid is kept as its axes (Grid), not as one dict per point.  A
 grid certificate compiles its margin into one grid kernel
 (floatcode.compile_margin), which streams the rows of the product of the
@@ -28,9 +33,8 @@ REFINEMENT_BASE = 256  # evenly spaced points under a geometric refinement
 REFINEMENT_CLOSEST = 1e-6  # its refined points stop this close to the locus
 
 
-# verdict kinds from weakest to strongest, each beside its ZeroVerdict kind
-_KINDS = (("refuted", "nonzero"), ("numerically-verified", "numerically-zero"),
-          ("proven", "proven-zero"))
+# verdict kinds from weakest to strongest
+_KINDS = ("refuted", "numerically-verified", "proven")
 
 
 class Certificate(Record):
@@ -81,17 +85,17 @@ def exact(holds: bool, detail: str) -> Certificate:
 
 
 def _rank(verdict) -> int:
-    """Position in _KINDS of a Certificate or ZeroVerdict, or of the weakest
-    slot of a ZeroVerdictMap (an empty map is proven)."""
+    """Position in _KINDS of a Certificate, or of the weakest slot of a
+    ZeroVerdictMap (an empty map is proven)."""
     if isinstance(verdict, ZeroVerdictMap):
         return min(map(_rank, verdict.verdicts.values()), default=2)
-    return next(i for i, kinds in enumerate(_KINDS) if verdict.kind in kinds)
+    return _KINDS.index(verdict.kind)
 
 
 def all_of(detail: str, /, **parts) -> Certificate:
     """Passes iff every part passes; its kind is the weakest part's.  A
     refuted result names its first refuted part and carries its witness."""
-    kind = _KINDS[min(map(_rank, parts.values()), default=2)][0]
+    kind = _KINDS[min(map(_rank, parts.values()), default=2)]
     witness = None
     for name, part in parts.items():
         if not _rank(part):

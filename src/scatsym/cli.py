@@ -22,7 +22,7 @@ from .catalog import (
 from .certificates import DEFAULT_POINTS_PER_AXIS, Certificate, chart_grid
 from .cohomology import BettiProfile, bk_poisson, sc_derham, sc_poisson
 from .expr import DEFAULT_SEED, Expr, ExprError, Record, ser
-from .geometry import GeometryError, SingularForm, form_from_json, form_to_json
+from .geometry import SingularForm, form_from_json, form_to_json
 from .gluing import (
     certify_folded_gluing, certify_sc_gluing, glue_concave_concave,
     glue_convex_concave, glue_convex_convex,
@@ -38,8 +38,7 @@ EXIT_PARSE = 2
 EXIT_INTERNAL = 3
 
 _PARSE_ERRORS = (json.JSONDecodeError, KeyError, ValueError, TypeError,
-                 FileNotFoundError, IsADirectoryError, ExprError,
-                 GeometryError)
+                 FileNotFoundError, IsADirectoryError, ExprError)
 
 
 def to_jsonable(obj):

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .expr import Record
-from .structures import StructureError
+from .expr import ExprError, Record
 
 
-class CohomologyError(StructureError):
+class CohomologyError(ExprError):
     pass
 
 

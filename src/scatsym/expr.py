@@ -147,36 +147,6 @@ class Expr(Record):
         state.pop("_hash", None)
         return state
 
-    def __add__(self, other):
-        return add(self, _as_expr(other))
-
-    def __radd__(self, other):
-        return add(_as_expr(other), self)
-
-    def __sub__(self, other):
-        return add(self, mul(Const(Fraction(-1)), _as_expr(other)))
-
-    def __rsub__(self, other):
-        return add(_as_expr(other), mul(Const(Fraction(-1)), self))
-
-    def __mul__(self, other):
-        return mul(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(_as_expr(other), self)
-
-    def __truediv__(self, other):
-        return mul(self, powx(_as_expr(other), -1))
-
-    def __rtruediv__(self, other):
-        return mul(_as_expr(other), powx(self, -1))
-
-    def __pow__(self, q):
-        return powx(self, q)
-
-    def __neg__(self):
-        return mul(Const(Fraction(-1)), self)
-
 
 def _as_expr(v) -> Expr:
     if isinstance(v, Expr):
@@ -1004,18 +974,6 @@ def pfaffians(entries: Mapping[tuple, Expr], d: int, size: int,
 # zero testing
 
 
-class ZeroVerdict(Record):
-    kind: str  # "proven-zero" | "numerically-zero" | "nonzero"
-    max_abs: float = 0.0
-    tolerance: float = 0.0
-    witness: Optional[tuple] = None  # ((name, value), ...) for nonzero
-    value: Optional[float] = None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind in ("proven-zero", "numerically-zero")
-
-
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
@@ -1055,17 +1013,20 @@ def nan_max(items, key=None, default=None):
 
 
 def is_zero(e: Expr, domain: Mapping[str, tuple], n_samples: int = 100,
-            tol: float = 1e-12) -> ZeroVerdict:
-    """Proven zero by the exact normal form, else sampled on the box: a
-    sample where |e| exceeds tol, or where e is undefined (its value is
-    then NaN), is a nonzero witness."""
+            tol: float = 1e-12):
+    """A Certificate that e vanishes on the box: `proven` when its exact
+    normal form is zero, else `verified` when |e| <= tol at every sample,
+    with min_margin tol - max |e|.  The first sample where |e| exceeds tol,
+    or where e is undefined (its value is then NaN), refutes with that
+    point as the witness, min_margin tol - |e| and the value in detail."""
+    from .certificates import proven, refuted, verified  # they import expr
     if n_samples < 1:
         raise ExprError("n_samples must be >= 1")
     for name, (lo, hi) in domain.items():
         if not float(lo) < float(hi):
             raise ExprError(f"empty domain for '{name}'")
     if is_provably_zero(e):
-        return ZeroVerdict("proven-zero", tolerance=tol)
+        return proven()
     names = sorted(free_vars(e))
     missing = [n for n in names if n not in domain]
     if missing:
@@ -1077,11 +1038,9 @@ def is_zero(e: Expr, domain: Mapping[str, tuple], n_samples: int = 100,
         except DomainError:  # undefined here: a NaN witness
             v = math.nan
         if not abs(v) <= tol:  # NaN fails too
-            witness = tuple(sorted(point.items()))
-            return ZeroVerdict("nonzero", max_abs=abs(v), tolerance=tol,
-                               witness=witness, value=v)
+            return refuted(point, tol - abs(v), detail=f"value {v!r}")
         max_abs = max(max_abs, abs(v))
-    return ZeroVerdict("numerically-zero", max_abs=max_abs, tolerance=tol)
+    return verified(n_samples, tol, tol - max_abs)
 
 
 # ---------------------------------------------------------------------------

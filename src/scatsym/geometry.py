@@ -116,9 +116,6 @@ class SingularForm(Record):
     def __sub__(self, other: "SingularForm") -> "SingularForm":
         return self + other.scale(Const(Fraction(-1)))
 
-    def __neg__(self) -> "SingularForm":
-        return self.scale(Const(Fraction(-1)))
-
     def scale(self, factor) -> "SingularForm":
         return make_form(self.chart, self.degree,
                          [(k, mul(factor, c), i) for k, c, i in self.terms],
@@ -358,7 +355,7 @@ def evaluate_form(f: SingularForm, point: Mapping[str, float]) -> dict:
 
 def forms_equal(a: SingularForm, b: SingularForm, n_samples: int = 200,
                 tol: float = 1e-9) -> ZeroVerdictMap:
-    """Per-slot zero verdicts for a - b on a's chart box."""
+    """Per-slot is_zero certificates for a - b on a's chart box."""
     diff = a - b
     dom = a.chart.box()
     verdicts = {}
@@ -383,7 +380,7 @@ class ZeroVerdictMap(Record):
 
     @property
     def is_zero(self) -> bool:
-        return all(v.is_zero for v in self.verdicts.values())
+        return all(v.passed for v in self.verdicts.values())
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from scatsym.certificates import (
     verified,
 )
 from scatsym.expr import (
-    Const, ONE, UnknownVariableError, ZeroVerdict, add, evaluate, free_vars,
-    powx, var,
+    Const, ONE, UnknownVariableError, add, evaluate, free_vars, mul, powx,
+    var,
 )
 from scatsym.geometry import Chart, ZeroVerdictMap, make_form, smooth_form
 from scatsym.reader import parse
@@ -95,18 +95,15 @@ def test_all_of_refutes_with_the_first_refuted_part():
 
 
 def test_zero_verdicts_rank_with_certificates():
-    slot = {"proven-zero": ZeroVerdict("proven-zero"),
-            "numerically-zero": ZeroVerdict("numerically-zero", 1e-12, 1e-9),
-            "nonzero": ZeroVerdict("nonzero", 1.0, 1e-9, (("x", 0.5),), 1.0)}
-    assert all_of("z", z=slot["proven-zero"]).kind == "proven"
-    assert all_of("z", z=slot["numerically-zero"]).kind == \
-        "numerically-verified"
-    assert all_of("z", z=slot["nonzero"]).kind == "refuted"
+    # a ZeroVerdictMap ranks as its weakest slot
+    slot = {"proven": proven(),
+            "numerically-verified": verified(100, 1e-9, 1e-9 - 1e-12),
+            "refuted": refuted({"x": 0.5}, 1e-9 - 1.0, "value 1.0")}
     assert all_of("m", m=ZeroVerdictMap({})).kind == "proven"
-    mixed = ZeroVerdictMap({(0, ("x",)): slot["proven-zero"],
-                            (0, ("y",)): slot["numerically-zero"]})
+    mixed = ZeroVerdictMap({(0, ("x",)): slot["proven"],
+                            (0, ("y",)): slot["numerically-verified"]})
     assert all_of("m", m=mixed).kind == "numerically-verified"
-    failing = ZeroVerdictMap({**mixed.verdicts, (1, ("x",)): slot["nonzero"]})
+    failing = ZeroVerdictMap({**mixed.verdicts, (1, ("x",)): slot["refuted"]})
     cert = all_of("m", m=failing)
     assert cert.kind == "refuted" and cert.witness == (("x", 0.5),)
 
@@ -241,7 +238,7 @@ def test_ragged_points_still_raise_unknown_variable():
     # given, and so is one with names the first point lacks
     assert certify_positive(x, ragged, 0.0).min_margin == 1.0
     mixed = [{"x": 0.0}, {"x": 2.0, "z": 1.0}]
-    cert = certify_positive(add(x, ONE, x * z), mixed, 0.0)
+    cert = certify_positive(add(x, ONE, mul(x, z)), mixed, 0.0)
     assert cert.passed and cert.grid_points == 2 and cert.min_margin == 1.0
 
 

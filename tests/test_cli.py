@@ -411,8 +411,10 @@ def test_verify_undefined_closedness_refutes_with_witness(tmp_path):
                         parse_constant=_reject_constant)["result"]["closed"]
     assert closed["is_zero"] is False
     for verdict in closed["verdicts"].values():
-        assert verdict["kind"] == "nonzero"
-        assert verdict["value"] == "nan"
+        assert verdict["type"] == "Certificate" and verdict["passed"] is False
+        assert verdict["kind"] == "refuted"
+        assert verdict["min_margin"] == "nan"
+        assert verdict["detail"] == "value nan"
         assert dict(verdict["witness"])["y"] < 0
 
 

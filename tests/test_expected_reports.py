@@ -5,6 +5,7 @@ them.  A dropped or renamed report field fails here, not only in a
 benchmark run."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -55,3 +56,51 @@ def test_report_matches_expected(requests, request_id, monkeypatch, capsys):
     capsys.readouterr()
     expected = check.load_expected()
     assert check.verdict_errors(expected, request_id, code, report) == []
+
+
+LEAF_KEYS = {"type", "kind", "grid_points", "tolerance", "min_margin",
+             "witness", "detail", "passed"}
+
+
+def _nodes(node, slot=False):
+    """(dict, whether it is a slot of a ZeroVerdictMap) for every dict in a
+    report."""
+    if isinstance(node, list):
+        for item in node:
+            yield from _nodes(item)
+    elif isinstance(node, dict):
+        yield node, slot
+        for key, value in node.items():
+            if node.get("type") == "ZeroVerdictMap" and key == "verdicts":
+                for verdict in value.values():
+                    yield from _nodes(verdict, True)
+            else:
+                yield from _nodes(value)
+
+
+def test_every_leaf_verdict_is_a_certificate_with_slack(requests, monkeypatch,
+                                                        capsys):
+    # min_margin is slack on every leaf (a Certificate without parts): a
+    # sampled pass has points and a margin >= 0, an identity slot's margin
+    # tol - max |e| is at most its tolerance, and a sampled refutation
+    # names its point
+    workdir, found = requests
+    monkeypatch.chdir(workdir)
+    slots = 0
+    for request_id in IDS:
+        report = workdir / f"{request_id}.leaves.json"
+        main([*found[request_id].argv, "--out", str(report)])
+        capsys.readouterr()
+        for node, slot in _nodes(json.loads(report.read_text("utf-8"))):
+            assert node.get("type") != "ZeroVerdict", request_id
+            if node.get("type") != "Certificate" or set(node) != LEAF_KEYS:
+                continue
+            margin = node["min_margin"]
+            if node["kind"] == "numerically-verified":
+                assert node["grid_points"] > 0 and margin >= 0, request_id
+                if slot:
+                    assert margin <= node["tolerance"], request_id
+                    slots += 1
+            if node["kind"] == "refuted" and margin is not None:
+                assert node["witness"], request_id
+    assert slots

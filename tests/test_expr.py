@@ -24,7 +24,7 @@ from scatsym.reader import parse
 from scatsym.catalog import torus_contact
 from scatsym import certificates
 from scatsym.certificates import (
-    axis_points, certify_positive, geometric_refinement,
+    Certificate, axis_points, certify_positive, geometric_refinement,
 )
 from scatsym.gluing import (
     GLUE_R, bump_phi, bump_psi_f, bump_psi_sc,
@@ -46,14 +46,14 @@ def test_product_rule():
     e = mul(powx(X, 2), sin(X))
     want = add(mul(Const(Fraction(2)), X, sin(X)), mul(powx(X, 2), cos(X)))
     diff = add(differentiate(e, "x"), mul(Const(Fraction(-1)), want))
-    assert is_zero(diff, {"x": (0.1, 2.0)}).is_zero
+    assert is_zero(diff, {"x": (0.1, 2.0)}).passed
 
 
 def test_chain_rule_exp():
     e = exp(mul(Const(Fraction(-1)), powx(X, 2)))
     want = mul(Const(Fraction(-2)), X, e)
     diff = add(differentiate(e, "x"), mul(Const(Fraction(-1)), want))
-    assert is_zero(diff, {"x": (-1.0, 1.0)}).is_zero
+    assert is_zero(diff, {"x": (-1.0, 1.0)}).passed
 
 
 def test_derivative_of_constant_in_other_variable():
@@ -124,10 +124,15 @@ def test_sample_points_deterministic():
 def test_is_zero_verdicts():
     trig = add(powx(sin(X), 2), powx(cos(X), 2), Const(Fraction(-1)))
     v = is_zero(trig, {"x": (0.0, 6.28)})
-    assert v.is_zero
+    assert v.kind == "numerically-verified" and v.grid_points == 100
+    assert v.tolerance == 1e-12 and 0.0 <= v.min_margin <= 1e-12
     w = is_zero(X, {"x": (0.5, 1.0)})
-    assert not w.is_zero
-    assert w.witness is not None
+    assert w.kind == "refuted"
+    x = dict(w.witness)["x"]
+    assert w.min_margin == 1e-12 - x and w.detail == f"value {x!r}"
+    assert is_zero(mul(-1, X), {"x": (0.5, 1.0)}).detail == f"value {-x!r}"
+    assert is_zero(add(X, mul(-1, X)), {"x": (0.5, 1.0)}) == \
+        Certificate("proven")
 
 
 def test_evaluate_dag_matches_evaluate():
@@ -188,8 +193,8 @@ def test_is_zero_fails_on_nan():
     nan_expr = add(mul(e_(300), e_(301), e_(302)),
                    mul(Const(Fraction(-1)), e_(300), e_(301), e_(303)))
     v = is_zero(nan_expr, {"x": (0.9, 1.0)}, n_samples=10)
-    assert v.kind == "nonzero"
-    assert math.isnan(v.value)
+    assert v.kind == "refuted"
+    assert math.isnan(v.min_margin) and v.detail == "value nan"
 
 
 def test_is_zero_refutes_where_undefined():
@@ -198,10 +203,10 @@ def test_is_zero_refutes_where_undefined():
     # witness, with value NaN
     e = add(powx(sin(sqrt(X)), 2), powx(cos(sqrt(X)), 2), Const(Fraction(-1)))
     assert not is_provably_zero(e)
-    assert is_zero(e, {"x": (0.1, 1.0)}).kind == "numerically-zero"
+    assert is_zero(e, {"x": (0.1, 1.0)}).kind == "numerically-verified"
     v = is_zero(e, {"x": (-1.0, 1.0)})
-    assert v.kind == "nonzero"
-    assert math.isnan(v.value) and math.isnan(v.max_abs)
+    assert v.kind == "refuted"
+    assert math.isnan(v.min_margin) and v.detail == "value nan"
     assert dict(v.witness)["x"] < 0
     with pytest.raises(DomainError):
         evaluate(e, dict(v.witness))
@@ -778,7 +783,7 @@ def test_square_root_of_a_square_is_not_the_base():
     x = var("x")
     root = powx(mul(x, x), Fraction(1, 2))
     assert canon(root) != x
-    assert is_zero(add(root, mul(-1, x)), {"x": (-1, 1)}).kind == "nonzero"
+    assert is_zero(add(root, mul(-1, x)), {"x": (-1, 1)}).kind == "refuted"
 
 
 def test_root_of_a_product_of_negatives_evaluates():
@@ -807,7 +812,7 @@ def test_kept_roots_of_monomials_multiply_back():
                    (mul(x, y), {"x": (-1, 1), "y": (-1, 1)})):
         root = powx(m, Fraction(1, 2))
         assert canon(mul(root, root)) == canon(m)
-        assert is_zero(add(mul(root, root), mul(-1, m)), box).kind == "proven-zero"
+        assert is_zero(add(mul(root, root), mul(-1, m)), box).kind == "proven"
 
 
 def test_node_hash_is_memoized_outside_eq_repr_and_pickle():

@@ -150,8 +150,8 @@ def test_forms_equal_reports_witness(torus4):
     b = smooth_form(torus4, {("t1",): cos(var("t2"))})
     v = forms_equal(a, b)
     assert not v.is_zero
-    bad = [k for k, z in v.verdicts.items() if not z.is_zero]
-    assert bad
+    bad = [z for z in v.verdicts.values() if not z.passed]
+    assert bad and all(z.kind == "refuted" and z.witness for z in bad)
 
 
 def test_top_power(plane):

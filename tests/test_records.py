@@ -4,9 +4,11 @@ gave them, now supplied by `expr.Record` without generated code."""
 import dataclasses
 import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import scatsym
 from scatsym.catalog import ExampleRecord
 from scatsym.certificates import Certificate, all_of, proven
 from scatsym.cli import to_jsonable
@@ -15,7 +17,7 @@ from scatsym.geometry import Chart, GeometryError, ZeroVerdictMap
 
 RECORDS = {
     "expr": ("Const", "Var", "Sum", "Prod", "Pow", "Exp", "Sin", "Cos",
-             "Piece", "PiecewiseDecay", "ZeroVerdict"),
+             "Piece", "PiecewiseDecay"),
     "geometry": ("Chart", "SingularForm", "LaurentSlot", "ZeroVerdictMap"),
     "certificates": ("Certificate",),
     "algebroids": ("AlgebroidFrame", "NoGoReport"),
@@ -28,6 +30,15 @@ RECORDS = {
 }
 CLASSES = [getattr(importlib.import_module(f"scatsym.{mod}"), name)
            for mod, names in RECORDS.items() for name in names]
+# every verdict is a Certificate, on one ladder of kinds, except these
+# records named for a verdict, each kept for the reason given
+VERDICTS = {
+    "ZeroVerdictMap": "perfbench/expected.json pins its is_zero key in five "
+        "reports",
+    "FillingVerdict": "perfbench/expected.json pins its filling key",
+    "QuotientVerdict": "its consistent flag is an equivalence of two "
+        "findings, not a pass",
+}
 
 
 def _filled(cls, values):
@@ -47,7 +58,7 @@ def _reference(cls):
 
 
 def test_every_value_class_is_a_record():
-    assert len(CLASSES) == 31
+    assert len(CLASSES) == 30
     assert all(issubclass(cls, Record) for cls in CLASSES)
 
 
@@ -106,3 +117,15 @@ def test_to_jsonable_lists_type_fields_and_properties():
     assert doc["section"]["passed"] is True
     assert doc["closed"] == {"type": "ZeroVerdictMap", "verdicts": {},
                              "is_zero": True}
+
+
+def test_the_only_verdict_records_besides_certificate():
+    for info in pkgutil.iter_modules(scatsym.__path__):
+        importlib.import_module(f"scatsym.{info.name}")
+    found, todo = set(), [Record]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls.__module__.startswith("scatsym.") and "Verdict" in cls.__name__:
+            found.add(cls.__name__)
+    assert found == set(VERDICTS)
