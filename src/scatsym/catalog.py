@@ -1,5 +1,6 @@
 """Registry of worked examples: each record bundles charts, forms, and the
-properties its verification run is expected to reproduce.
+properties its verification run is expected to reproduce.  run_example
+reports each check as the Certificate it returned, parts and all.
 
 This module names the records and holds the contact data `glue` shares
 with them; the builders and the checks live in `examples`, which is
@@ -11,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .certificates import DEFAULT_POINTS_PER_AXIS, Certificate
+from .certificates import DEFAULT_POINTS_PER_AXIS
 from .expr import (
     Const, Expr, ONE, Record, add, canon, mul, powx, sin, cos, sqrt, var,
 )
@@ -145,25 +146,14 @@ def build_example(name: str, **params) -> ExampleRecord:
 # checks
 
 
-def _cert_result(cert: Certificate) -> dict:
-    out = {"passed": cert.passed, "kind": cert.kind, "detail": cert.detail,
-           "grid_points": cert.grid_points, "tolerance": cert.tolerance}
-    if cert.min_margin is not None:
-        out["min_margin"] = cert.min_margin
-    if cert.witness:
-        out["witness"] = dict(cert.witness)
-    return out
-
-
 def run_example(rec: ExampleRecord,
                 per_axis: int = DEFAULT_POINTS_PER_AXIS) -> dict:
     from .examples import _run_check
-    checks = {name: _cert_result(_run_check(rec, name, per_axis))
-              for name in rec.expected}
+    checks = {name: _run_check(rec, name, per_axis) for name in rec.expected}
     return {
         "name": rec.name,
         "params": {k: v for k, v in rec.params},
         "flavor": rec.flavor,
         "checks": checks,
-        "passed": all(c["passed"] for c in checks.values()),
+        "passed": all(c.passed for c in checks.values()),
     }

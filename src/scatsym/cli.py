@@ -16,8 +16,7 @@ from pathlib import Path
 
 from .algebroids import coframe, no_go_check
 from .catalog import (
-    CatalogError, build_example, list_examples, run_example, s2xs1_contact,
-    torus_contact,
+    build_example, list_examples, run_example, s2xs1_contact, torus_contact,
 )
 from .certificates import DEFAULT_POINTS_PER_AXIS, Certificate, chart_grid
 from .cohomology import BettiProfile, bk_poisson, sc_derham, sc_poisson

@@ -150,9 +150,7 @@ class FillingCollar(Record):
 
     def verify(self, grid=None) -> Certificate:
         """d(e^{-+r1} alpha) is symplectic on the collar."""
-        return certify_symplectic(self.collar_form(), grid,
-                                  closed_detail="collar form not closed",
-                                  detail="|top power of the glued form|")
+        return certify_symplectic(self.collar_form(), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -53,31 +53,20 @@ def verify_sc_symplectic(omega: SingularForm, frame: Optional[AlgebroidFrame] = 
                   closed=closed, nondegeneracy=nd)
 
 
-def certify_symplectic(omega: SingularForm, grid=None,
-                       closed_detail: str = "form not closed",
-                       detail: str = "|top power|") -> Certificate:
-    """A smooth degree-2 form is symplectic: closed, and its top power is
-    nonvanishing on the grid."""
+def certify_symplectic(omega: SingularForm, grid=None) -> Certificate:
+    """A smooth degree-2 form is symplectic: the all_of of its closedness
+    and of its top power nonvanishing on the grid."""
     if omega.chart.dim % 2:
         raise StructureError("even-dimensional chart required")
-    if not closedness(omega).is_zero:
-        return refuted({}, detail=closed_detail)
-    return certify_nonvanishing(top_power(omega, omega.chart.dim // 2), grid,
-                                TOL_NONDEG, detail)
+    return all_of("closed, with nonvanishing top power",
+                  closed=closedness(omega),
+                  nondegeneracy=certify_nonvanishing(
+                      top_power(omega, omega.chart.dim // 2), grid,
+                      TOL_NONDEG, "|top power|"))
 
 
 # ---------------------------------------------------------------------------
 # contact / cosymplectic data
-
-
-def _reeb_identities(field: SingularForm, one: SingularForm,
-                     two: SingularForm) -> bool:
-    """one(field) = 1 and i_field(two) = 0."""
-    ch = one.chart
-    return (forms_equal(interior_product(field, one), scalar_one(ch),
-                        tol=TOL_NONDEG).is_zero
-            and forms_equal(interior_product(field, two), zero_form(ch, 1),
-                            tol=TOL_NONDEG).is_zero)
 
 
 def _reeb_volume(one: SingularForm, two: SingularForm):
@@ -92,14 +81,19 @@ def _reeb_volume(one: SingularForm, two: SingularForm):
 
 
 def _verify_reeb_pair(one: SingularForm, two: SingularForm,
-                      field: SingularForm, grid, detail: str) -> Certificate:
-    """one wedge two^{n-1} nonvanishing on the grid, then the Reeb
-    identities."""
-    cert = certify_nonvanishing(_reeb_volume(one, two)[1], grid, TOL_NONDEG,
-                                detail)
-    if cert.passed and not _reeb_identities(field, one, two):
-        return refuted({}, detail="Reeb identities fail")
-    return cert
+                      field: SingularForm, grid, detail: str,
+                      **closed) -> Certificate:
+    """The all_of of the closed parts given, one wedge two^{n-1}
+    nonvanishing on the grid (volume), one(field) = 1 (reeb_normalized) and
+    i_field(two) = 0 (reeb_in_kernel)."""
+    ch = one.chart
+    return all_of("a volume form and its Reeb field", **closed,
+                  volume=certify_nonvanishing(_reeb_volume(one, two)[1], grid,
+                                              TOL_NONDEG, detail),
+                  reeb_normalized=forms_equal(interior_product(field, one),
+                                              scalar_one(ch), tol=TOL_NONDEG),
+                  reeb_in_kernel=forms_equal(interior_product(field, two),
+                                             zero_form(ch, 1), tol=TOL_NONDEG))
 
 
 class ContactData(Record):
@@ -120,12 +114,10 @@ class CosymplecticData(Record):
     reeb: SingularForm  # kind vector
 
     def verify(self, grid=None) -> Certificate:
-        if not closedness(self.theta).is_zero:
-            return refuted({}, detail="theta not closed")
-        if not closedness(self.eta).is_zero:
-            return refuted({}, detail="eta not closed")
         return _verify_reeb_pair(self.theta, self.eta, self.reeb, grid,
-                                 "|theta wedge eta^{n-1}|")
+                                 "|theta wedge eta^{n-1}|",
+                                 theta_closed=closedness(self.theta),
+                                 eta_closed=closedness(self.eta))
 
 
 def reeb(alpha: SingularForm,
@@ -355,7 +347,7 @@ def verify_folded(omega: SingularForm, grid=None) -> Certificate:
     coeff = add(ZERO, *top_power(omega, d).pole_sums().values())
     at_z = canon(substitute(coeff, {ch.x: ZERO}))
     zch = z_chart(ch)
-    vanish = is_zero(at_z, zch.box() or {"_": (0, 1)}, 200, TOL_CLOSED)
+    vanish = is_zero(at_z, zch.box(), 200, TOL_CLOSED)
     ddx = canon(substitute(differentiate(coeff, ch.x), {ch.x: ZERO}))
     zgrid = chart_grid(zch) if grid is None else grid
     transversal = certify_positive([ddx], zgrid, TOL_NONDEG,

@@ -54,7 +54,7 @@ def test_criterion_01_sphere_verification(n):
     # full record: non-degeneracy including x = 0, the pole chart, and the
     # structural coefficient identity
     rep = run_example(rec)
-    failing = {k: v for k, v in rep["checks"].items() if not v["passed"]}
+    failing = {k: v for k, v in rep["checks"].items() if not v.passed}
     assert rep["passed"], failing
     # the dz/z^3 ^ dy1 coefficient is -(x1 + y1^2/x1 + z^2/x1) with
     # x1 = sqrt(1 - sum of the squares of the other coordinates)

@@ -80,9 +80,9 @@ KINDS = {
 def test_fast_records_pass(name, params):
     rec = build_example(name, **params)
     rep = run_example(rec)
-    failing = {k: v for k, v in rep["checks"].items() if not v["passed"]}
+    failing = {k: v for k, v in rep["checks"].items() if not v.passed}
     assert rep["passed"], failing
-    assert {k: v["kind"] for k, v in rep["checks"].items()} == KINDS[name]
+    assert {k: v.kind for k, v in rep["checks"].items()} == KINDS[name]
 
 
 def test_torus_sc_folded_loci():

@@ -131,7 +131,18 @@ def test_catalog_run_with_params(tmp_path):
     assert doc["config"] == {"grid": 17}
 
 
-_COHOMOLOGY = ["cohomology", "--theorem", "sc-derham", "--profile", "torus:4",
+def test_glued_dual_reports_both_of_its_checks(tmp_path):
+    # the round trip is a part beside Jacobi, not only a failure fallback
+    out = tmp_path / "t2xs2.json"
+    assert main(["catalog", "run", "t2xs2", "--out", str(out)]) == EXIT_PASS
+    dual = json.loads(out.read_text())["checks"]["glued-dual"]
+    assert dual["type"] == "Certificate" and dual["passed"] is True
+    for part in ("jacobi", "roundtrip"):
+        assert dual[part]["kind"] == "numerically-verified"
+        assert dual[part]["grid_points"] == 100
+
+
+_COHOMOLOGY =["cohomology", "--theorem", "sc-derham", "--profile", "torus:4",
                "--p", "1"]
 
 

@@ -78,20 +78,26 @@ def _nodes(node, slot=False):
                 yield from _nodes(value)
 
 
+def _reports(requests, monkeypatch, capsys):
+    """(request id, report) for every request in IDS, run through main."""
+    workdir, found = requests
+    monkeypatch.chdir(workdir)
+    for request_id in IDS:
+        report = workdir / f"{request_id}.tree.json"
+        main([*found[request_id].argv, "--out", str(report)])
+        capsys.readouterr()
+        yield request_id, json.loads(report.read_text("utf-8"))
+
+
 def test_every_leaf_verdict_is_a_certificate_with_slack(requests, monkeypatch,
                                                         capsys):
     # min_margin is slack on every leaf (a Certificate without parts): a
     # sampled pass has points and a margin >= 0, an identity slot's margin
     # tol - max |e| is at most its tolerance, and a sampled refutation
     # names its point
-    workdir, found = requests
-    monkeypatch.chdir(workdir)
     slots = 0
-    for request_id in IDS:
-        report = workdir / f"{request_id}.leaves.json"
-        main([*found[request_id].argv, "--out", str(report)])
-        capsys.readouterr()
-        for node, slot in _nodes(json.loads(report.read_text("utf-8"))):
+    for request_id, doc in _reports(requests, monkeypatch, capsys):
+        for node, slot in _nodes(doc):
             assert node.get("type") != "ZeroVerdict", request_id
             if node.get("type") != "Certificate" or set(node) != LEAF_KEYS:
                 continue
@@ -104,3 +110,26 @@ def test_every_leaf_verdict_is_a_certificate_with_slack(requests, monkeypatch,
             if node["kind"] == "refuted" and margin is not None:
                 assert node["witness"], request_id
     assert slots
+
+
+def test_every_catalog_check_is_a_certificate_tree(requests, monkeypatch,
+                                                   capsys):
+    # a catalog check is written as the Certificate it returned, so the
+    # leaf walk above reaches its parts
+    catalog = 0
+    for request_id, doc in _reports(requests, monkeypatch, capsys):
+        for name, check in doc.get("checks", {}).items():
+            assert check["type"] == "Certificate", (request_id, name)
+            catalog += 1
+    assert catalog
+
+
+def test_a_numerically_verified_verdict_says_what_it_sampled(requests,
+                                                             monkeypatch,
+                                                             capsys):
+    # a composite's own grid_points is 0; some leaf under it sampled
+    for request_id, doc in _reports(requests, monkeypatch, capsys):
+        for node, _ in _nodes(doc):
+            if node.get("kind") == "numerically-verified":
+                assert any(leaf.get("grid_points", 0) > 0
+                           for leaf, _ in _nodes(node)), request_id

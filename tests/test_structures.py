@@ -32,7 +32,7 @@ from scatsym.geometry import (
 from scatsym.linalg import float_inverse
 from scatsym.structures import (
     ContactData, CosymplecticData, StructureError, _full_matrix,
-    _reeb_identities, closedness, cosymplectic_extract, decompose,
+    closedness, cosymplectic_extract, decompose,
     dual_jacobi_check, dual_roundtrip_check, dualize, induced_contact, lift,
     normal_form, reeb, strong_filling_check, verify_sc_symplectic, z_chart,
 )
@@ -95,8 +95,16 @@ def test_contact_wrong_reeb_field_refutes():
     d_q1 = make_form(contact.chart, 1, [(0, ONE, ("q1",))], "vector")
     data = ContactData(contact.chart, contact.alpha, d_q1)
     cert = data.verify(chart_grid(contact.chart, 5))
-    assert cert.kind == "refuted"
-    assert cert.detail == "Reeb identities fail"
+    parts = dict(cert.parts)
+    # the volume holds; alpha(d/dq1) = cos(theta) is not 1, and
+    # i_{d/dq1} d(alpha) = sin(theta) dtheta is not 0
+    assert cert.kind == "refuted" and parts["volume"].passed
+    assert not parts["reeb_normalized"].is_zero
+    assert not parts["reeb_in_kernel"].is_zero
+    assert cert.detail.endswith("reeb_normalized refuted")
+    # the witness binds what the slot reads, and cos(theta) misses 1 there
+    at = dict(cert.witness)
+    assert set(at) == {"theta"} and abs(math.cos(at["theta"]) - 1) > 1e-8
 
 
 def test_contact_degenerate_volume_refutes_with_witness():
@@ -105,8 +113,10 @@ def test_contact_degenerate_volume_refutes_with_witness():
     alpha = smooth_form(ch, {("q1",): ONE})
     d_q1 = make_form(ch, 1, [(0, ONE, ("q1",))], "vector")
     cert = ContactData(ch, alpha, d_q1).verify(chart_grid(ch, 5))
-    assert cert.kind == "refuted"
-    assert cert.detail == "|alpha wedge (d alpha)^{n-1}|"
+    volume = dict(cert.parts)["volume"]
+    assert cert.kind == "refuted" and volume.kind == "refuted"
+    assert cert.detail.endswith("volume refuted")
+    assert cert.witness == volume.witness
     assert set(dict(cert.witness)) == set(ch.names)
 
 
@@ -116,8 +126,13 @@ def test_cosymplectic_non_closed_theta_refutes():
     eta = smooth_form(ch, {("theta", "q2"): ONE})
     d_q1 = make_form(ch, 1, [(0, ONE, ("q1",))], "vector")
     cert = CosymplecticData(ch, theta, eta, d_q1).verify(chart_grid(ch, 5))
-    assert cert.kind == "refuted"
-    assert cert.detail == "theta not closed"
+    parts = dict(cert.parts)
+    # d(cos(theta) dq1) = -sin(theta) dtheta ^ dq1; eta is closed
+    assert cert.kind == "refuted" and parts["eta_closed"].is_zero
+    assert not parts["theta_closed"].is_zero
+    assert cert.detail.endswith("theta_closed refuted")
+    at = dict(cert.witness)
+    assert set(at) == {"theta"} and abs(math.sin(at["theta"])) > 1e-9
 
 
 def test_induced_contact_from_normal_form(darboux):
@@ -685,9 +700,10 @@ def test_induced_darboux_reeb_field_satisfies_the_identities(n):
                         None, None)
     data = induced_contact(omega)
     assert data.reeb.kind == "vector"
-    assert _reeb_identities(data.reeb, data.alpha,
-                            exterior_derivative(data.alpha))
-    assert data.verify(chart_grid(data.chart, 3)).passed
+    cert = data.verify(chart_grid(data.chart, 3))
+    parts = dict(cert.parts)
+    assert parts["reeb_normalized"].is_zero and parts["reeb_in_kernel"].is_zero
+    assert cert.passed
 
 
 def test_reeb_of_a_somewhere_undefined_alpha_refutes_with_witness():
