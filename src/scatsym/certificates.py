@@ -14,7 +14,8 @@ keeps the running minimum; a point becomes a dict, and goes to the tree walk
 
 A `proven` verdict claims an identity between exact normal forms (`canon`),
 not definedness on the whole chart: where `canon` cancels a pole, as in
-x * x^-1 - 1 on (-1, 1), it holds only off that pole (ROADMAP.md item 2)."""
+x * x^-1 - 1 on (-1, 1), it holds only off that pole, where `evaluate`
+raises (ROADMAP.md item 2)."""
 
 from __future__ import annotations
 

@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 DEFAULT_SEED = 0x5CA77E12
 
@@ -535,7 +535,9 @@ def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
     """Exact tree walk: rationals stay Fractions, floats propagate, and a
     pole, a negative base under a fractional power, an exp argument above
     700, a float overflow or sin/cos of a non-finite value raise
-    DomainError naming the subtree."""
+    DomainError naming the subtree.  Sums and products run left to right
+    from 0 and 1, and every factor is evaluated, so a pole raises after a
+    zero factor too: x * x^-1 raises at x = 0."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -545,9 +547,15 @@ def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
             raise UnknownVariableError(f"unbound variable '{e.name}'") from None
     try:
         if isinstance(e, Sum):
-            return _num_sum(evaluate(a, point) for a in e.args)
+            out = Fraction(0)
+            for a in e.args:
+                out = out + evaluate(a, point)
+            return out
         if isinstance(e, Prod):
-            return _num_prod(evaluate(a, point) for a in e.args)
+            out = Fraction(1)
+            for a in e.args:
+                out = out * evaluate(a, point)
+            return out
     except OverflowError:  # an exact constant too large for a float met one
         raise DomainError("float overflow", e) from None
     if isinstance(e, Pow):
@@ -560,64 +568,10 @@ def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
 
 
 def evaluate_dag(e: Expr, point: Mapping[str, Number], cache: dict) -> Number:
-    """evaluate with per-point memoization on node identity.
-
-    No code in the package calls it: the duality checks sample their
-    matrices through floatcode.compile_floats.  It is kept only because the
-    benchmark tracer (perfbench/tracer.py) still times it by name.
-
-    The cache must not be reused across points.  It also keeps every node
-    it has evaluated alive, under the key None, so that a freed node's id
-    cannot be reused while the cache lives.
-    """
-    key = id(e)
-    if key in cache:
-        return cache[key]
-    if isinstance(e, Const):
-        out = e.value
-    elif isinstance(e, Var):
-        try:
-            out = point[e.name]
-        except KeyError:
-            raise UnknownVariableError(f"unbound variable '{e.name}'") from None
-    elif isinstance(e, (Sum, Prod)):
-        vals = (evaluate_dag(a, point, cache) for a in e.args)
-        try:
-            out = _num_sum(vals) if isinstance(e, Sum) else _num_prod(vals)
-        except OverflowError:  # an exact constant too large for a float met one
-            raise DomainError("float overflow", e) from None
-    elif isinstance(e, Pow):
-        out = _pow_value(evaluate_dag(e.base, point, cache), e)
-    elif isinstance(e, (Exp, Sin, Cos)):
-        out = _unary_value(evaluate_dag(e.arg, point, cache), e)
-    elif isinstance(e, PiecewiseDecay):
-        out = _eval_piecewise(e, evaluate_dag(e.arg, point, cache))
-    else:
-        raise ExprError(f"unknown node {e!r}")
-    cache[key] = out
-    alive = cache.get(None)
-    if alive is None:
-        alive = cache[None] = []
-    alive.append(e)
-    return out
-
-
-def _num_sum(vals: Iterable[Number]) -> Number:
-    out = Fraction(0)
-    for v in vals:
-        out = out + v
-    return out
-
-
-def _num_prod(vals: Iterable[Number]) -> Number:
-    """Left-to-right product that stops at the first zero factor; vals may
-    be lazy, so later factors are then never computed."""
-    out = Fraction(1)
-    for v in vals:
-        if v == 0:
-            return v * 0  # keep type (Fraction 0 or float 0.0)
-        out = out * v
-    return out
+    """evaluate(e, point); cache is not read.  No code in the package calls
+    it: it remains only because the benchmark tracer (perfbench/tracer.py)
+    times it by name, and it goes with that tracer change (ROADMAP item 1)."""
+    return evaluate(e, point)
 
 
 def _pow_value(b: Number, e: Pow) -> Number:

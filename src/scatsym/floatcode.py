@@ -49,8 +49,8 @@ def compile_floats(exprs: Sequence[Expr]) -> Callable[[Mapping[str, float]], lis
     the code as the float literal that Fraction-float arithmetic would
     convert it to.  Where eager code can differ from the tree walk, the
     tree walk gives the value instead: every entry on any exception or at
-    an exact breakpoint, and one entry whose value is zero or not finite (a
-    product does not stop at a zero factor, and signed zeros may differ).
+    an exact breakpoint, and one entry whose value is zero or not finite
+    (0 + v is emitted as v, which keeps the sign of a zero v).
     An entry that folds to a constant is converted to float at compile
     time.
     """
@@ -212,7 +212,7 @@ class _FloatCompiler:
                 return self.assign(f"pt[{e.name!r}]")
             return bound[e.name] if e.name in bound else self.fail()
         if isinstance(e, (Sum, Prod)):
-            return self.sum(e, scope) if isinstance(e, Sum) else self.prod(e, scope)
+            return self.fold(e, scope)
         if not isinstance(e, (Pow, Exp, Sin, Cos, PiecewiseDecay)):
             raise ExprError(f"unknown node {e!r}")
         a = self.node(e.base if isinstance(e, Pow) else e.arg, scope)
@@ -238,45 +238,28 @@ class _FloatCompiler:
             return self.assign(f"{'_sin' if isinstance(e, Sin) else '_cos'}({a})")
         return self.piecewise(e, a)
 
-    def sum(self, e: Sum, scope: tuple):
-        acc, vals = Fraction(0), []
+    def fold(self, e: Expr, scope: tuple):
+        """A Sum or Prod as evaluate runs it: the leading constant operands
+        fold exactly from the unit (0 or 1), an exact unit prefix is
+        dropped (0 + v is v up to the sign of a zero, 1 * v is v), and the
+        rest is chained left to right."""
+        plus = isinstance(e, Sum)
+        unit = Fraction(0 if plus else 1)
+        acc, vals = unit, []
         for a in e.args:
             v = self.node(a, scope)
             if vals or isinstance(v, str):
                 vals.append(v)
                 continue
             try:
-                acc = acc + v
+                acc = acc + v if plus else acc * v
             except _RECHECK:
                 return self.fail()
         if not vals:
             return acc
-        if not (isinstance(acc, Fraction) and acc == 0):
+        if not (isinstance(acc, Fraction) and acc == unit):
             vals.insert(0, acc)
-        elif len(vals) == 1:  # 0 + v is v up to the sign of a zero
-            return vals[0]
-        return self.chain("+", vals)
-
-    def prod(self, e: Prod, scope: tuple):
-        acc, vals = Fraction(1), []
-        for a in e.args:
-            v = self.node(a, scope)
-            if vals or isinstance(v, str):
-                vals.append(v)
-                continue
-            if v == 0:  # evaluate stops here, before any later factor
-                return v * 0
-            try:
-                acc = acc * v
-            except _RECHECK:
-                return self.fail()
-        if not vals:
-            return acc
-        if acc != 1:
-            vals.insert(0, acc)
-        if len(vals) == 1:  # 1 * v is v
-            return vals[0]
-        return self.chain("*", vals)
+        return vals[0] if len(vals) == 1 else self.chain("+" if plus else "*", vals)
 
     def piecewise(self, e: PiecewiseDecay, t: str) -> str:
         try:

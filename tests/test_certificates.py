@@ -235,11 +235,20 @@ def test_ragged_points_still_raise_unknown_variable():
     with pytest.raises(UnknownVariableError):
         certify_positive(add(z, ONE), [{"x": 1.0}, {"x": 2.0, "z": 1.0}], 0.0)
     # a point that lacks only names the margin does not read is walked as
-    # given, and so is one with names the first point lacks
+    # given; x = 0 does not excuse an unbound z, as every factor is evaluated
     assert certify_positive(x, ragged, 0.0).min_margin == 1.0
     mixed = [{"x": 0.0}, {"x": 2.0, "z": 1.0}]
-    cert = certify_positive(add(x, ONE, mul(x, z)), mixed, 0.0)
-    assert cert.passed and cert.grid_points == 2 and cert.min_margin == 1.0
+    with pytest.raises(UnknownVariableError):
+        certify_positive(add(x, ONE, mul(x, z)), mixed, 0.0)
+
+
+def test_a_pole_after_a_zero_factor_refutes_at_the_first_point():
+    # 1 + x / y: the tree walk evaluates y^-1 after the zero factor x = 0
+    x, y = var("x"), var("y")
+    grid = Grid([("x", (0.0, 1.0)), ("y", (0.0, 1.0))])
+    cert = certify_positive(add(ONE, mul(x, powx(y, -1))), grid, 0.5)
+    assert cert.kind == "refuted" and cert.witness == (("x", 0.0), ("y", 0.0))
+    assert cert.detail == ": undefined, division by zero: (pow (var y) -1)"
 
 
 def test_certify_positive_streams_a_six_dimensional_grid():

@@ -1,6 +1,7 @@
 """Expression trees: exact arithmetic, differentiation, domain guards,
-deterministic sampling, the DAG evaluator, compiled float evaluation and
-the grid kernels of certificate margins."""
+deterministic sampling, the tree walk `evaluate` (also named
+`evaluate_dag`), compiled float evaluation and the grid kernels of
+certificate margins."""
 
 import math
 import pickle
@@ -139,11 +140,8 @@ def test_evaluate_dag_matches_evaluate():
     shared = add(mul(X, Y), sin(X))
     e = add(mul(shared, shared), powx(shared, 3), exp(Y))
     pt = {"x": 0.37, "y": -1.2}
-    cache = {}
-    assert float(evaluate_dag(e, pt, cache)) == pytest.approx(
+    assert float(evaluate_dag(e, pt, {})) == pytest.approx(
         float(evaluate(e, pt)), rel=1e-14)
-    # the shared subtree is evaluated once and memoized
-    assert id(shared) in cache
 
 
 def test_evaluate_dag_domain_errors():
@@ -152,22 +150,21 @@ def test_evaluate_dag_domain_errors():
         evaluate_dag(powx(X, -2), {"x": 0}, cache)
 
 
-def test_evaluate_dag_shared_cache_keeps_temporaries():
-    # each temporary is freed after its evaluation; its id must not hand
-    # its cached value to a later node evaluated through the same cache
-    cache = {}
-    pt = {"x": 0.5}
-    stale = [k for k in range(200)
-             if evaluate_dag(add(X, Const(Fraction(k))), pt, cache) != 0.5 + k]
-    assert stale == []
-
-
 def test_evaluate_dag_raises_domain_error_on_float_overflow():
     # 10^400 meets the float x in a sum, as in evaluate
     with pytest.raises(DomainError, match="float overflow"):
         evaluate_dag(add(Const(10 ** 400), var("x")), {"x": 0.5}, {})
     with pytest.raises(DomainError, match="float overflow"):
         evaluate_dag(mul(Const(10 ** 400), var("x")), {"x": 0.5}, {})
+
+
+def test_a_pole_after_a_zero_factor_raises():
+    # every factor is evaluated: a zero factor does not stop the product
+    for e in (mul(X, powx(X, -1)), Prod((ZERO, powx(X, -1)))):
+        for x in (0.0, Fraction(0)):
+            with pytest.raises(DomainError) as err:
+                evaluate(e, {"x": x})
+            assert str(err.value) == "division by zero: (pow (var x) -1)"
 
 
 def test_float_overflow_and_math_domain_raise_domain_error():
@@ -236,6 +233,17 @@ def _outcome(fn):
         return "value", fn()
     except (DomainError, ArithmeticError, ValueError) as err:
         return type(err).__name__, str(err)
+
+
+def _operands(e):
+    """The operands of e outside its piece bodies."""
+    if isinstance(e, (Sum, Prod)):
+        return e.args
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Exp, Sin, Cos, PiecewiseDecay)):
+        return (e.arg,)
+    return ()
 
 
 def _same(a, b):
@@ -307,6 +315,26 @@ def test_compile_float_matches_evaluate_on_random_trees():
             assert _same(_outcome(lambda: fn(pt)), want), (ser(e), pt, want)
 
 
+def test_a_tree_that_evaluates_has_every_subtree_defined():
+    # the tree walk evaluates every operand, a factor after a zero one too,
+    # so no undefined subtree (outside the piece bodies) hides under a value
+    rng = random.Random(20166)
+    hidden, compared = [], 0
+    for _ in range(400):
+        e = _random_tree(rng, rng.randint(1, 5))
+        for pt in _points(rng, ("x", "y"), 12):
+            if _outcome(lambda: evaluate(e, pt))[0] != "value":
+                continue
+            compared += 1
+            stack = list(_operands(e))
+            while stack:
+                a = stack.pop()
+                if _outcome(lambda: evaluate(a, pt))[0] != "value":
+                    hidden.append((ser(e), ser(a), pt))
+                stack.extend(_operands(a))
+    assert hidden == [] and compared > 2000
+
+
 def test_compile_float_matches_evaluate_on_bumps():
     r = var("r")
     exprs = []
@@ -339,9 +367,9 @@ _HUGE = PiecewiseDecay(X, "t", (Piece(None, Fraction(0), Const(Fraction(10 ** 40
 
 
 @pytest.mark.parametrize("e, pt", [
-    # the step's zero branch is the float 0.0, so the product stops at a
-    # float zero and the two constants after it add in floats, 0.1 + 0.2,
-    # as in the compiled chain
+    # the step's zero branch is the float 0.0, so the product is a float
+    # zero and the two constants after it add in floats, 0.1 + 0.2, as in
+    # the compiled chain
     (Sum((Prod((_STEP, Y)), Const(Fraction(1, 10)), Const(Fraction(2, 10)), Y)),
      {"x": -1.0, "y": 0.0}),
     (_FOLDED, {"x": 1.0, "y": 0.0}),
@@ -365,6 +393,11 @@ _HUGE = PiecewiseDecay(X, "t", (Piece(None, Fraction(0), Const(Fraction(10 ** 40
     # a folded constant that is not finite: e^700 e^700 is inf
     (add(X, mul(exp(Const(Fraction(700))), exp(Const(Fraction(700))))),
      {"x": 1.0, "y": 0.0}),
+    # a pole after a zero factor: folded, and after a folded zero
+    (Prod((ZERO, Pow(ZERO, Fraction(-1)))), {"x": 0.0, "y": 0.0}),
+    (Prod((ZERO, powx(X, -1))), {"x": 0.0, "y": 0.0}),
+    # a folded product of 1.0 (a piecewise constant branch) times a variable
+    (mul(substitute(_STEP, {"x": ONE}), Y), {"x": 0.0, "y": -2.0}),
 ])
 def test_compile_float_edge_cases(e, pt):
     want = _outcome(lambda: float(evaluate(e, pt)))
@@ -402,7 +435,8 @@ def test_compiled_code_computes_in_floats_only():
                   powx(add(bump, ONE), Fraction(1, 2)), mul(bump, bump, r)):
             for fn in (compile_floats([e]), compile_margin([e], False, ("r",))):
                 names = set(fn.__code__.co_names) | set(fn.__globals__)
-                assert not names & {"_num_prod", "_pow_value"}
+                assert not names & {"_pow_value", "_unary_value",
+                                    "_eval_piecewise"}
 
 
 def test_compile_float_long_sum():
@@ -571,14 +605,13 @@ def test_grid_kernel_matches_the_tree_walk_on_random_trees():
 
 _UNDEFINED_AT_0 = powx(X, -1)  # a pole at x = 0
 _UNDEFINED_BELOW_0 = powx(Y, Fraction(1, 2))  # undefined for y < 0
-# x / y + 1: compiled code divides by y = 0 and hands the point back, but
-# the tree walk stops at the zero factor x = 0 and gives 1
-_WALKED = Sum((Prod((X, Pow(Y, Fraction(-1)))), ONE))
+# step(x) + y: compiled code hands back the step's exact breakpoint x = 0,
+# where the tree walk gives its constant branch 0
+_WALKED = Sum((_STEP, Y))
 
 
 @pytest.mark.parametrize("margin, points, tol", [
-    # a zero margin at +0.0 and -0.0; at (0, -1) compiled code gives -0.0
-    # and the tree walk, stopping at the zero factor, +0.0
+    # a zero margin at +0.0 and -0.0, as 0.0 * -1.0 is -0.0
     (Prod((X, Y)), [{"x": 1.0, "y": 1.0}, {"x": -0.0, "y": 1.0}], 0.0),
     (Prod((X, Y)), [{"x": 1.0, "y": 1.0}, {"x": 0.0, "y": -1.0}], 0.0),
     (Prod((X, Y)), [{"x": 1.0, "y": 1.0}, {"x": 0.0, "y": -1.0}], -1e-9),
@@ -599,14 +632,17 @@ _WALKED = Sum((Prod((X, Pow(Y, Fraction(-1)))), ONE))
     ([_UNDEFINED_BELOW_0, _UNDEFINED_AT_0],
      [{"x": 1.0, "y": 1.0}, {"x": 0.0, "y": -1.0}, {"x": 0.0, "y": 1.0}], 1e-8),
     # resumes after a point the tree walk settles, then passes or refutes
-    (_WALKED, [{"x": 0.0, "y": 0.0}, {"x": 1.0, "y": 2.0}, {"x": -1.0, "y": 4.0}],
+    (_WALKED, [{"x": 0.0, "y": 1.0}, {"x": 1.0, "y": 2.0}, {"x": -1.0, "y": 4.0}],
      0.5),
-    (_WALKED, [{"x": 1.0, "y": 2.0}, {"x": 0.0, "y": 0.0}, {"x": -1.0, "y": 1.0},
-               {"x": 0.0, "y": 0.0}], 0.5),
+    (_WALKED, [{"x": 1.0, "y": 2.0}, {"x": 0.0, "y": 1.0}, {"x": -1.0, "y": 0.25},
+               {"x": 0.0, "y": 1.0}], 0.5),
     # an empty coefficient list is the margin 0.0 at every point
     ([], [{"x": 1.0, "y": 1.0}], 1e-8),
     ([], [{"x": 1.0, "y": 1.0}], 0.0),
     ([], [{"x": 1.0, "y": 1.0}, {"x": 2.0, "y": 1.0}], -1.0),
+    # x / y + 1 at x = y = 0: the pole refutes after the zero factor
+    (Sum((Prod((X, Pow(Y, Fraction(-1)))), ONE)),
+     [{"x": 0.0, "y": 0.0}, {"x": 1.0, "y": 2.0}], 0.5),
 ])
 def test_grid_kernel_edge_cases(margin, points, tol):
     _margin_case(margin, points, tol)
@@ -620,11 +656,11 @@ def test_grid_kernel_resumes_after_a_tree_walk(monkeypatch):
         return evaluate(e, pt)
 
     monkeypatch.setattr(certificates, "evaluate", counting)
-    pts = [{"x": 1.0, "y": 2.0}, {"x": 0.0, "y": 0.0}, {"x": -1.0, "y": 4.0},
+    pts = [{"x": 1.0, "y": 2.0}, {"x": 0.0, "y": 0.75}, {"x": -1.0, "y": 4.0},
            {"x": 2.0, "y": 1.0}]
     cert = certify_positive(_WALKED, pts, 0.5)
     assert cert.passed and cert.min_margin == 0.25
-    assert walked == [{"x": 0.0, "y": 0.0}]
+    assert walked == [{"x": 0.0, "y": 0.75}]
     # a zero under |.| or under + c is settled by the kernel
     walked.clear()
     zero = [{"x": 0.0, "y": 0.0}, {"x": -0.0, "y": 1.0}]
@@ -729,23 +765,15 @@ def _signed(rng):
 
 def _tame(e, pt) -> bool:
     """Whether e and each subtree outside its piece bodies evaluate at pt to
-    at most 1e6 in size.  A product stops at its first zero factor, so
-    0 * x^-1 evaluates at x = 0, where canon's x^-1 * 0, or its cancelled
-    x * x^-1 = 1, need not agree; and past 1e6 the order in which canon
-    sums the float terms moves the last digits, which sin, exp or a jump
-    of a piecewise node then blow up."""
+    at most 1e6 in size.  Where e evaluates, so does every such subtree
+    (test_a_tree_that_evaluates_has_every_subtree_defined), but a zero
+    factor can hide a large one; past 1e6 the order in which canon sums
+    the float terms moves the last digits, which sin, exp or a jump of a
+    piecewise node then blow up."""
     got = _outcome(lambda: float(evaluate(e, pt)))
     if got[0] != "value" or not abs(got[1]) <= 1e6:
         return False
-    if isinstance(e, (Sum, Prod)):
-        subtrees = e.args
-    elif isinstance(e, Pow):
-        subtrees = (e.base,)
-    elif isinstance(e, (Exp, Sin, Cos, PiecewiseDecay)):
-        subtrees = (e.arg,)
-    else:
-        subtrees = ()
-    return all(_tame(a, pt) for a in subtrees)
+    return all(_tame(a, pt) for a in _operands(e))
 
 
 def test_canon_evaluates_like_the_tree_at_signed_points():
